@@ -62,6 +62,7 @@ from .verify import (
     factorization_residual,
     hausdorff,
     hull_boundary,
+    hull_support_gap,
 )
 
 __version__ = "0.1.0"

@@ -4,9 +4,13 @@ Input is a JSON document describing one matrix (or an array of them for
 batch runs).  Complex numbers are 2-element arrays ``[re, im]``; plain
 numbers are accepted where a real value is meant.
 
-Exit codes: 0 positive verdict, 1 negative verdict, 2 input or usage error,
-3 internal verification failure (an oracle disagreed with a verdict, which
-always signals a bug).
+Numbers must be finite with magnitude at most 1e36.
+
+Exit codes: 0 positive verdict, 1 negative verdict, 2 input or usage error
+(including non-finite or out-of-range numbers), 3 internal failure (an
+oracle disagreed with a verdict, or an exception escaped; either signals a
+bug).  No exception leaves ``main`` with exit 1, which means "not
+bi-elliptical".
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -29,28 +34,65 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 _BLOCK_DETECT_REL = 1e-10
+# Largest accepted magnitude of a matrix entry (real and imaginary parts
+# separately).  The direction solve squares Gram entries that are quartic in
+# the matrix, and degree-8 quantities overflow double precision once entries
+# pass about 1e38.
+_MAX_MAGNITUDE = 1e36
 
 
 class InputError(ValueError):
     pass
 
 
+def _in_range(x: float) -> bool:
+    """Finite and at most ``_MAX_MAGNITUDE`` in absolute value."""
+    return abs(x) <= _MAX_MAGNITUDE
+
+
 def _parse_complex(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        parts = (value, 0.0)
+    elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(x, (int, float)) for x in value)
     ):
-        return complex(value[0], value[1])
-    raise InputError(f"expected a number or [re, im] pair, got {value!r}")
+        parts = value
+    else:
+        raise InputError(f"expected a number or [re, im] pair, got {value!r}")
+    if not all(_in_range(x) for x in parts):
+        raise InputError(
+            f"expected finite parts of magnitude at most {_MAX_MAGNITUDE:g}, "
+            f"got {value!r}"
+        )
+    return complex(parts[0], parts[1])
 
 
 def _parse_real(value, name: str) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise InputError(f"field {name!r} must be a real number")
+    if not isinstance(value, (int, float)):
+        raise InputError(f"field {name!r} must be a real number")
+    if not _in_range(value):
+        raise InputError(
+            f"field {name!r} must be finite with magnitude at most "
+            f"{_MAX_MAGNITUDE:g}"
+        )
+    return float(value)
+
+
+def _reciprocal_form(a1: float, a2: float, a3: float) -> forms.ReciprocalForm:
+    """Validated reciprocal form; its entries include 1/a1, 1/a2, 1/a3."""
+    try:
+        rec = forms.ReciprocalForm(a1=a1, a2=a2, a3=a3)
+    except forms.NonPositiveEntryError as exc:
+        raise InputError(str(exc)) from exc
+    for a in (rec.a1, rec.a2, rec.a3):
+        if not (_in_range(a) and _in_range(1.0 / a)):
+            raise InputError(
+                f"reciprocal entries must lie in [{1 / _MAX_MAGNITUDE:g}, "
+                f"{_MAX_MAGNITUDE:g}]"
+            )
+    return rec
 
 
 def _parse_cmat(value, name: str, size: int) -> CMatrix:
@@ -118,14 +160,11 @@ def parse_matrix_spec(doc: dict):
         )
     if form == "reciprocal":
         _require(doc, "a1", "a2", "a3")
-        try:
-            return "reciprocal", forms.ReciprocalForm(
-                a1=_parse_real(doc["a1"], "a1"),
-                a2=_parse_real(doc["a2"], "a2"),
-                a3=_parse_real(doc["a3"], "a3"),
-            )
-        except forms.NonPositiveEntryError as exc:
-            raise InputError(str(exc)) from exc
+        return "reciprocal", _reciprocal_form(
+            _parse_real(doc["a1"], "a1"),
+            _parse_real(doc["a2"], "a2"),
+            _parse_real(doc["a3"], "a3"),
+        )
     raise InputError(
         "field 'form' must be one of raw | block | special | reciprocal"
     )
@@ -206,7 +245,7 @@ def _jsonify(obj):
     return obj
 
 
-def _diameter(points: list[complex]) -> float:
+def _diameter(points: np.ndarray | list[complex]) -> float:
     xs = np.asarray(points, dtype=complex)
     lo_r, hi_r = float(xs.real.min()), float(xs.real.max())
     lo_i, hi_i = float(xs.imag.min()), float(xs.imag.max())
@@ -219,7 +258,15 @@ def _angle_mod_pi_distance(a: float, b: float) -> float:
 
 def _analyze(kind: str, payload, samples: int, tol_criterion: float,
              tol_normal: float):
-    """Shared classification + oracle pipeline behind check and verify."""
+    """Shared classification + oracle pipeline behind check and verify.
+
+    Returns the report, the verdict, the boundary samples and the block form.
+    """
+    if samples < nrcore.FLAT_MIN_SAMPLES:
+        raise InputError(
+            f"--samples must be at least {nrcore.FLAT_MIN_SAMPLES} for the "
+            "flat-portion oracle"
+        )
     report: dict = {"form": kind}
     bf, matrix = _block_form_of(kind, payload)
     if kind == "reciprocal":
@@ -260,16 +307,13 @@ def _analyze(kind: str, payload, samples: int, tol_criterion: float,
     if verdict.bielliptical and verdict.ellipses is not None:
         e1, e2 = verdict.ellipses
         report["ellipses"] = [e1, e2]
-        hull = verify.hull_boundary(e1, e2, samples)
-        cmp = verify.compare_boundaries(hull, boundary)
+        gap = verify.hull_support_gap(e1, e2, boundary)
         diam = _diameter([s.point for s in boundary])
-        report["hull_hausdorff"] = cmp.hausdorff
-        report["hull_max_pointwise"] = cmp.max_pointwise
+        report["hull_hausdorff"] = gap
         report["diameter"] = diam
-        if cmp.hausdorff > 1e-6 * diam:
+        if gap > 1e-6 * diam:
             consistency_failures.append(
-                f"hull/oracle Hausdorff {cmp.hausdorff:.3e} exceeds "
-                f"1e-6 * diameter"
+                f"hull/oracle Hausdorff {gap:.3e} exceeds 1e-6 * diameter"
             )
         # Flat portions of a bi-elliptical boundary: exactly two parallel
         # segments whose length and direction match the eigenvalue pair sum
@@ -299,7 +343,7 @@ def _analyze(kind: str, payload, samples: int, tol_criterion: float,
         if verdict.diagnostics.get("mismatch"):
             consistency_failures.append("criterion/reduction verdict mismatch")
     report["consistency_failures"] = consistency_failures
-    return report, verdict, boundary, flats
+    return report, verdict, boundary, bf
 
 
 def _print_check_report(report: dict) -> None:
@@ -457,7 +501,7 @@ def cmd_boundary(args) -> int:
     report = None
     if args.format == "svg" and structured:
         report, _, _, _ = _analyze(
-            kind, payload, max(args.samples, 512),
+            kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES),
             args.tol_criterion, args.tol_normal,
         )
     samples = nrcore.boundary_support(matrix, args.samples)
@@ -479,21 +523,23 @@ def cmd_boundary(args) -> int:
 def _parse_cli_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        values = [float(part) for part in parts]
     except ValueError:
-        pass
+        values = []
+    if len(values) == 1:
+        return _parse_complex(values[0])
+    if len(values) == 2:
+        return _parse_complex(values)
     raise InputError(f"expected 're' or 're,im', got {text!r}")
 
 
 def cmd_solve_b(args) -> int:
+    u = _parse_real(args.u, "u")
+    v = _parse_real(args.v, "v")
     b1 = _parse_cli_complex(args.b1)
     b2 = _parse_cli_complex(args.b2)
     try:
-        b = criteria.solve_b(args.u, args.v, b1, b2,
-                             tol_criterion=args.tol_criterion)
+        b = criteria.solve_b(u, v, b1, b2, tol_criterion=args.tol_criterion)
     except criteria.AlphaZeroError:
         print(
             "error: diagonal parameter is zero, so b is unconstrained; "
@@ -510,10 +556,7 @@ def cmd_solve_b(args) -> int:
 
 
 def cmd_reciprocal(args) -> int:
-    try:
-        rec = forms.ReciprocalForm(a1=args.a1, a2=args.a2, a3=args.a3)
-    except forms.NonPositiveEntryError as exc:
-        raise InputError(str(exc)) from exc
+    rec = _reciprocal_form(args.a1, args.a2, args.a3)
     shape = criteria.reciprocal_classify(rec)
     print(f"A1 = {rec.A1:.15g}, A2 = {rec.A2:.15g}, A3 = {rec.A3:.15g}")
     print(f"classification: {shape.value}")
@@ -530,24 +573,22 @@ def cmd_verify(args) -> int:
     seed = int(os.environ.get("BIRANGE_SEED", "42"))
     rng = np.random.default_rng(seed)
 
-    report, verdict, boundary, flats = _analyze(
+    report, verdict, boundary, bf = _analyze(
         kind, payload, args.samples, args.tol_criterion, args.tol_normal
     )
-    bf, matrix = _block_form_of(kind, payload)
     scale = bf.scale()
-    pts = [s.point for s in boundary]
+    n = len(boundary)
+    theta = np.fromiter((s.theta for s in boundary), float, n)
+    support = np.fromiter((s.support_value for s in boundary), float, n)
+    pts = np.fromiter((s.point for s in boundary), complex, n)
     diam = _diameter(pts)
     checks: list[tuple[str, bool, str]] = []
 
-    # Central symmetry of the shift-corrected boundary samples.
-    n = len(boundary)
-    sym = max(
-        abs(
-            (boundary[k].point - bf.shift)
-            + (boundary[(k + n // 2) % n].point - bf.shift)
-        )
-        for k in range(n // 2)
-    )
+    # Central symmetry of the shift-corrected boundary samples: sample k
+    # against its antipode k + n // 2.
+    centered = pts - bf.shift
+    half = n // 2
+    sym = float(np.abs(centered[:half] + centered[half : 2 * half]).max())
     checks.append(
         ("central symmetry", sym <= 1e-8 * max(diam, 1e-12),
          f"antipodal mismatch {sym:.3e}")
@@ -555,12 +596,9 @@ def cmd_verify(args) -> int:
 
     # Spectrum containment in the sampled support polytope.
     spec = nrcore.spectrum(bf)
-    worst_out = -math.inf
-    for sigma in spec.all_eigenvalues:
-        point = sigma + bf.shift
-        for s in boundary:
-            ex = (cmath.exp(-1j * s.theta) * point).real - s.support_value
-            worst_out = max(worst_out, ex)
+    eig = np.asarray(spec.all_eigenvalues, dtype=complex) + bf.shift
+    excess = (np.exp(-1j * theta)[None, :] * eig[:, None]).real - support
+    worst_out = float(excess.max())
     checks.append(
         ("eigenvalue containment", worst_out <= 1e-9 * scale,
          f"worst support excess {worst_out:.3e}")
@@ -679,9 +717,18 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except forms.NonPositiveEntryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        # Last resort: an uncaught exception must not exit 1, which means
+        # "not bi-elliptical".  One line names the exception and where it
+        # was raised.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"error: internal failure: {type(exc).__name__} at "
+            f"{os.path.basename(where.filename)}:{where.lineno} in "
+            f"{where.name}: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ __all__ = [
 # tolerance below which a support direction counts as degenerate.
 DEFAULT_SAMPLES = 2048
 FLAT_GAP_TOL = 1e-7
+FLAT_MIN_SAMPLES = 512
 _DEGENERATE_REL = 1e-11
 
 
@@ -325,8 +326,10 @@ def flat_portions(
     normal matrix, say) are discarded by the length cutoff.
     """
     n = len(samples)
-    if n < 512:
-        raise ValueError("flat detection needs at least 512 support samples")
+    if n < FLAT_MIN_SAMPLES:
+        raise ValueError(
+            f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples"
+        )
     a = _as_ndarray(m)
     scale = float(np.linalg.norm(a))
     if scale == 0.0:

@@ -1,10 +1,13 @@
+import cmath
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from birange import cli, nrcore
 from birange.cli import main
 from helpers import fig_left_special, general_example_matrix
 
@@ -124,6 +127,68 @@ class TestCheck:
         reports = json.loads(capsys.readouterr().out)
         assert code == 1
         assert [r["verdict"] for r in reports] == ["BiElliptical", "NotBiElliptical"]
+
+    def test_json_report_hull_contract(self, gen_file, capsys):
+        assert main(["check", gen_file, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hull_hausdorff"] <= 1e-6 * report["diameter"]
+        assert "hull_max_pointwise" not in report
+        assert report["consistency_failures"] == []
+
+    def test_too_few_samples_is_usage_error(self, gen_file, capsys):
+        assert main(["check", gen_file, "--samples", "256"]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+
+def run_module(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "birange.cli", *args],
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestExitCodeContract:
+    """Bad input exits 2, internal failure exits 3, and no traceback ever
+    escapes with exit 1 (which means "not bi-elliptical")."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json.loads accepts NaN and Infinity literals.
+            '{"form": "block", "alpha": NaN, "beta": 0, '
+            '"C": [[1, 0], [0, 1]], "D": [[1, 0], [0, 1]]}',
+            # Overflows the quartic normalization.
+            '{"form": "special", "u": 0.1, "v": 0, "b1": [0.6, -0.2], '
+            '"b2": [0.4, -0.2], "b": 1e308}',
+        ],
+        ids=["nan_alpha", "huge_b"],
+    )
+    def test_non_finite_or_overflowing_input_exits_2(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for command in ("check", "verify"):
+            proc = run_module(command, str(path))
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error:")
+
+    def test_reciprocal_entry_out_of_range(self, capsys):
+        assert main(["reciprocal", "1e-300", "1", "1"]) == 2
+
+    def test_solve_b_non_finite(self, capsys):
+        assert main(["solve-b", "nan", "0", "1", "1"]) == 2
+        assert main(["solve-b", "1", "0", "1,inf", "1"]) == 2
+
+    def test_uncaught_exception_exits_3(self, gen_file, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("oracle exploded")
+
+        monkeypatch.setattr(nrcore, "boundary_support", broken)
+        assert main(["check", gen_file]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: internal failure: RuntimeError")
 
 
 class TestBoundary:
@@ -254,6 +319,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" not in out
+
+    def test_vectorized_geometry_checks_match_loops(self, gen_file, capsys):
+        assert main(["verify", gen_file, "--samples", "512"]) == 0
+        out = capsys.readouterr().out
+        sym = float(re.search(r"antipodal mismatch (\S+)", out).group(1))
+        excess = float(re.search(r"worst support excess (\S+)", out).group(1))
+
+        # The per-sample loops the verify checks are defined by.
+        bf = cli.detect_block_structure(general_example_matrix())
+        samples = nrcore.boundary_support(bf.assemble(), 512)
+        n = len(samples)
+        ref_sym = max(
+            abs((samples[k].point - bf.shift)
+                + (samples[(k + n // 2) % n].point - bf.shift))
+            for k in range(n // 2)
+        )
+        ref_excess = max(
+            (cmath.exp(-1j * s.theta) * (sigma + bf.shift)).real
+            - s.support_value
+            for sigma in nrcore.spectrum(bf).all_eigenvalues
+            for s in samples
+        )
+        assert sym == pytest.approx(ref_sym, rel=1e-3)
+        assert excess == pytest.approx(ref_excess, rel=1e-3)
 
 
 class TestOracleSafetyNet:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from birange.criteria import (
 )
 from birange.forms import SpecialForm, from_reciprocal
 from birange.linalg import CMatrix
-from birange.nrcore import boundary_support, generating_poly
+from birange.nrcore import BoundarySample, boundary_support, generating_poly
 from birange.verify import (
     EmptyInputError,
     commutant_dim,
@@ -21,9 +22,14 @@ from birange.verify import (
     factorization_residual,
     hausdorff,
     hull_boundary,
+    hull_support_gap,
 )
 from helpers import (
     bi_special_any,
+    bi_special_general,
+    bi_special_imag,
+    bi_special_real_case_i,
+    bi_special_real_case_ii,
     disguise,
     fig_left_special,
     general_example_matrix,
@@ -58,6 +64,92 @@ class TestHullBoundary:
         e = Ellipse(center=0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
         with pytest.raises(ValueError):
             hull_boundary(e, e, 32)
+
+
+def circle_samples(n, radius):
+    """Exact boundary-oracle samples of a disc centered at the origin."""
+    return [
+        BoundarySample(t, radius * cmath.exp(1j * t), radius, 1.0)
+        for t in np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    ]
+
+
+def boundary_diameter(samples):
+    pts = np.array([s.point for s in samples])
+    return math.hypot(np.ptp(pts.real), np.ptp(pts.imag))
+
+
+class TestHullSupportGap:
+    def test_identical_ellipse_pair(self):
+        e = Ellipse(center=0.3 - 0.2j, semi_major=2.0, semi_minor=0.5, tilt=0.7)
+        samples = []
+        for k in range(512):
+            t = 2 * math.pi * k / 512
+            samples.append(
+                BoundarySample(t, e.support_point(t), e.support(t), 1.0)
+            )
+        assert hull_support_gap(e, e, samples) <= 1e-14
+
+    def test_concentric_circles(self):
+        e = Ellipse(center=0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
+        gap = hull_support_gap(e, e, circle_samples(512, radius=1.1))
+        assert abs(gap - 0.1) <= 1e-12
+
+    def test_stadium(self):
+        e1 = Ellipse(center=1 + 0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
+        e2 = Ellipse(center=-1 + 0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
+        samples = [
+            BoundarySample(t, 0j, abs(math.cos(t)) + 1.0, 1.0)
+            for t in np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
+        ]
+        assert hull_support_gap(e1, e2, samples) <= 1e-14
+
+    def test_empty_raises(self):
+        e = Ellipse(center=0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
+        with pytest.raises(EmptyInputError):
+            hull_support_gap(e, e, [])
+
+
+class TestSupportGapAgainstPointCloud:
+    """The support-function gap against the point-cloud Hausdorff it
+    replaced on the audit path."""
+
+    @staticmethod
+    def positives(rng, per_family=3):
+        for family in (
+            bi_special_real_case_i,
+            bi_special_real_case_ii,
+            bi_special_imag,
+            bi_special_general,
+        ):
+            for _ in range(per_family):
+                bf, _ = disguise(rng, family(rng))
+                verdict = check_general(bf)
+                assert verdict.bielliptical
+                samples = boundary_support(bf.assemble(), 2048)
+                yield verdict.ellipses, samples, boundary_diameter(samples)
+
+    @staticmethod
+    def point_cloud(e1, e2, samples):
+        return compare_boundaries(hull_boundary(e1, e2, len(samples)), samples)
+
+    def test_agree_on_disguised_positives(self, rng):
+        for (e1, e2), samples, diam in self.positives(rng):
+            gap = hull_support_gap(e1, e2, samples)
+            old = self.point_cloud(e1, e2, samples).hausdorff
+            assert gap <= 1e-6 * diam
+            assert old <= 1e-6 * diam
+            assert abs(gap - old) <= 1e-9 * diam
+
+    def test_both_flag_perturbed_ellipse(self, rng):
+        for (e1, e2), samples, diam in self.positives(rng, per_family=2):
+            moved = dataclasses.replace(e1, center=e1.center + 1e-5 * diam)
+            stretched = dataclasses.replace(
+                e2, semi_major=e2.semi_major * (1 + 1e-5)
+            )
+            for pair in ((moved, e2), (e1, stretched)):
+                assert hull_support_gap(*pair, samples) > 1e-6 * diam
+                assert self.point_cloud(*pair, samples).hausdorff > 1e-6 * diam
 
 
 class TestHausdorff:
