@@ -56,13 +56,17 @@ from .nrcore import (
     spectrum,
 )
 from .verify import (
+    AuditReport,
+    Check,
     HullComparison,
+    audit,
     commutant_dim,
     compare_boundaries,
     factorization_residual,
     hausdorff,
     hull_boundary,
     hull_support_gap,
+    verify_checks,
 )
 
 __version__ = "0.1.0"

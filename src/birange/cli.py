@@ -16,17 +16,15 @@ bi-elliptical".
 from __future__ import annotations
 
 import argparse
-import cmath
+import dataclasses
 import json
 import math
 import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import criteria, forms, nrcore, verify
-from .linalg import CMatrix, hermitian_eig4
+from .linalg import CMatrix
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -218,24 +216,8 @@ def _cformat(z: complex, digits: int = 12) -> str:
 def _jsonify(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, criteria.Ellipse):
-        return {
-            "center": [obj.center.real, obj.center.imag],
-            "semi_major": obj.semi_major,
-            "semi_minor": obj.semi_minor,
-            "tilt": obj.tilt,
-        }
-    if isinstance(obj, forms.SpecialForm):
-        return {
-            "u": obj.u, "v": obj.v,
-            "b1": [obj.b1.real, obj.b1.imag],
-            "b2": [obj.b2.real, obj.b2.imag],
-            "b": obj.b,
-        }
-    if isinstance(obj, criteria.Reason):
-        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return _jsonify(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -245,105 +227,45 @@ def _jsonify(obj):
     return obj
 
 
-def _diameter(points: np.ndarray | list[complex]) -> float:
-    xs = np.asarray(points, dtype=complex)
-    lo_r, hi_r = float(xs.real.min()), float(xs.real.max())
-    lo_i, hi_i = float(xs.imag.min()), float(xs.imag.max())
-    return math.hypot(hi_r - lo_r, hi_i - lo_i)
+def _audit(kind: str, payload, samples: int, args):
+    """Classify a parsed document and audit the verdict.
 
-
-def _angle_mod_pi_distance(a: float, b: float) -> float:
-    return abs((a - b + math.pi / 2) % math.pi - math.pi / 2)
-
-
-def _analyze(kind: str, payload, samples: int, tol_criterion: float,
-             tol_normal: float):
-    """Shared classification + oracle pipeline behind check and verify.
-
-    Returns the report, the verdict, the boundary samples and the block form.
+    Returns the block form, the reciprocal shape (None unless the document
+    is reciprocal), the verdict and the :class:`verify.AuditReport`.
     """
     if samples < nrcore.FLAT_MIN_SAMPLES:
         raise InputError(
             f"--samples must be at least {nrcore.FLAT_MIN_SAMPLES} for the "
             "flat-portion oracle"
         )
-    report: dict = {"form": kind}
     bf, matrix = _block_form_of(kind, payload)
-    if kind == "reciprocal":
-        shape = criteria.reciprocal_classify(payload)
+    shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
+    verdict = criteria.check_general(
+        bf, tol_criterion=args.tol_criterion, tol_normal=args.tol_normal
+    )
+    audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
+    return bf, shape, verdict, audited
+
+
+def _report(kind: str, payload, shape, verdict, audited) -> dict:
+    """The ``check`` report of one document, printed or serialized."""
+    report: dict = {"form": kind}
+    if shape is not None:
         report["reciprocal_shape"] = shape.value
         report["reciprocal_A"] = [payload.A1, payload.A2, payload.A3]
-
-    verdict = criteria.check_general(
-        bf, tol_criterion=tol_criterion, tol_normal=tol_normal
-    )
     report["verdict"] = verdict.kind
     report["reason"] = verdict.reason.value if verdict.reason else None
     report["diagnostics"] = dict(verdict.diagnostics)
-
-    spec = nrcore.spectrum(bf)
-    report["eigenvalues"] = [e + bf.shift for e in spec.all_eigenvalues]
-
-    boundary = nrcore.boundary_support(matrix, samples)
-    flats = nrcore.flat_portions(matrix, boundary)
-    report["flat_portions"] = [
-        {
-            "direction": f.direction,
-            "endpoints": list(f.endpoints),
-            "length": f.length,
-            "support_theta": f.support_theta,
-        }
-        for f in flats
-    ]
-    report["commutant_dim"] = verify.commutant_dim(matrix)
-
-    consistency_failures: list[str] = []
-    if kind == "reciprocal":
-        is_bi = report["reciprocal_shape"] == "BiElliptical"
-        if is_bi != verdict.bielliptical:
-            consistency_failures.append(
-                "reciprocal classification disagrees with the general check"
-            )
-    if verdict.bielliptical and verdict.ellipses is not None:
-        e1, e2 = verdict.ellipses
-        report["ellipses"] = [e1, e2]
-        gap = verify.hull_support_gap(e1, e2, boundary)
-        diam = _diameter([s.point for s in boundary])
-        report["hull_hausdorff"] = gap
-        report["diameter"] = diam
-        if gap > 1e-6 * diam:
-            consistency_failures.append(
-                f"hull/oracle Hausdorff {gap:.3e} exceeds 1e-6 * diameter"
-            )
-        # Flat portions of a bi-elliptical boundary: exactly two parallel
-        # segments whose length and direction match the eigenvalue pair sum
-        # (for the sign choice singled out by the criterion).
-        combo = verdict.diagnostics.get("sigma_sum_theta")
-        theta = verdict.diagnostics.get("theta", 0.0)
-        if combo is not None:
-            expected = cmath.exp(1j * theta) * combo
-            if len(flats) != 2:
-                consistency_failures.append(
-                    f"expected 2 flat portions, found {len(flats)}"
-                )
-            else:
-                for f in flats:
-                    len_ok = (
-                        abs(f.length - abs(expected))
-                        <= 1e-6 * max(abs(expected), 1e-12)
-                    )
-                    dir_ok = _angle_mod_pi_distance(
-                        cmath.phase(f.direction), cmath.phase(expected)
-                    ) <= 1e-6
-                    if not (len_ok and dir_ok):
-                        consistency_failures.append(
-                            f"flat portion (length {f.length:.9g}) does not "
-                            f"match sigma pair sum {abs(expected):.9g}"
-                        )
-        if verdict.diagnostics.get("mismatch"):
-            consistency_failures.append("criterion/reduction verdict mismatch")
-    report["consistency_failures"] = consistency_failures
-    return report, verdict, boundary, bf
+    report["eigenvalues"] = audited.eigenvalues
+    report["flat_portions"] = audited.flats
+    report["commutant_dim"] = audited.commutant_dim
+    if verdict.ellipses is not None:
+        report["ellipses"] = list(verdict.ellipses)
+        report["hull_hausdorff"] = audited.hull_gap
+        report["diameter"] = audited.diameter
+        report["factorization_residual"] = audited.factorization
+    report["consistency_failures"] = audited.failures
+    return report
 
 
 def _print_check_report(report: dict) -> None:
@@ -387,8 +309,8 @@ def _print_check_report(report: dict) -> None:
         )
     for i, f in enumerate(report["flat_portions"], 1):
         print(
-            f"flat {i}: direction {_cformat(f['direction'], 6)}, "
-            f"length {f['length']:.12g}"
+            f"flat {i}: direction {_cformat(f.direction, 6)}, "
+            f"length {f.length:.12g}"
         )
     print(f"commutant dimension: {report['commutant_dim']}")
     if "hull_hausdorff" in report:
@@ -406,9 +328,8 @@ def cmd_check(args) -> int:
     outputs = []
     for doc in docs:
         kind, payload = parse_matrix_spec(doc)
-        report, verdict, _, _ = _analyze(
-            kind, payload, args.samples, args.tol_criterion, args.tol_normal
-        )
+        _, shape, verdict, audited = _audit(kind, payload, args.samples, args)
+        report = _report(kind, payload, shape, verdict, audited)
         outputs.append(report)
         if report["consistency_failures"]:
             worst = max(worst, EXIT_INTERNAL)
@@ -470,7 +391,7 @@ def _boundary_svg(samples, report: dict | None) -> str:
                 f'stroke-width="{stroke:.6g}" stroke-dasharray="{2 * stroke:.6g}"/>'
             )
         for f in report.get("flat_portions", []):
-            a, b = f["endpoints"]
+            a, b = f.endpoints
             parts.append(
                 f'<line x1="{a.real:.9g}" y1="{-a.imag:.9g}" '
                 f'x2="{b.real:.9g}" y2="{-b.imag:.9g}" stroke="#2ca02c" '
@@ -500,10 +421,10 @@ def cmd_boundary(args) -> int:
         structured = True
     report = None
     if args.format == "svg" and structured:
-        report, _, _, _ = _analyze(
-            kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES),
-            args.tol_criterion, args.tol_normal,
+        _, shape, verdict, audited = _audit(
+            kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES), args
         )
+        report = _report(kind, payload, shape, verdict, audited)
     samples = nrcore.boundary_support(matrix, args.samples)
     if args.format == "csv":
         text = _boundary_csv(samples)
@@ -571,89 +492,12 @@ def cmd_verify(args) -> int:
         raise InputError("verify expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])
     seed = int(os.environ.get("BIRANGE_SEED", "42"))
-    rng = np.random.default_rng(seed)
-
-    report, verdict, boundary, bf = _analyze(
-        kind, payload, args.samples, args.tol_criterion, args.tol_normal
-    )
-    scale = bf.scale()
-    n = len(boundary)
-    theta = np.fromiter((s.theta for s in boundary), float, n)
-    support = np.fromiter((s.support_value for s in boundary), float, n)
-    pts = np.fromiter((s.point for s in boundary), complex, n)
-    diam = _diameter(pts)
-    checks: list[tuple[str, bool, str]] = []
-
-    # Central symmetry of the shift-corrected boundary samples: sample k
-    # against its antipode k + n // 2.
-    centered = pts - bf.shift
-    half = n // 2
-    sym = float(np.abs(centered[:half] + centered[half : 2 * half]).max())
-    checks.append(
-        ("central symmetry", sym <= 1e-8 * max(diam, 1e-12),
-         f"antipodal mismatch {sym:.3e}")
-    )
-
-    # Spectrum containment in the sampled support polytope.
-    spec = nrcore.spectrum(bf)
-    eig = np.asarray(spec.all_eigenvalues, dtype=complex) + bf.shift
-    excess = (np.exp(-1j * theta)[None, :] * eig[:, None]).real - support
-    worst_out = float(excess.max())
-    checks.append(
-        ("eigenvalue containment", worst_out <= 1e-9 * scale,
-         f"worst support excess {worst_out:.3e}")
-    )
-
-    # Pencil eigenvalues against a direct Hermitian eigensolve.
-    worst_pencil = 0.0
-    a4 = bf.normalized_matrix()
-    for theta in rng.uniform(0.0, 2.0 * math.pi, size=16):
-        lam1, lam2 = nrcore.pencil_eigs(bf, float(theta))
-        rot = cmath.exp(-1j * float(theta)) * a4
-        im_rot = (1 / 2j) * (rot - rot.H)
-        vals = hermitian_eig4(im_rot).values
-        expect = sorted((-lam1, -lam2, lam2, lam1))
-        worst_pencil = max(
-            worst_pencil, max(abs(a - b) for a, b in zip(vals, expect))
-        )
-    checks.append(
-        ("pencil eigenvalues", worst_pencil <= 1e-11 * scale,
-         f"worst deviation {worst_pencil:.3e}")
-    )
-
-    # The generating polynomial annihilates the pencil eigenvalues.
-    gp = nrcore.generating_poly(bf)
-    worst_gen = 0.0
-    for theta in rng.uniform(0.0, 2.0 * math.pi, size=16):
-        lam1, lam2 = nrcore.pencil_eigs(bf, float(theta))
-        for lam in (lam1, lam2):
-            worst_gen = max(worst_gen, abs(gp.evaluate(lam, float(theta))))
-    checks.append(
-        ("generating polynomial", worst_gen <= 1e-9 * (1.0 + scale**4),
-         f"worst residual {worst_gen:.3e}")
-    )
-
-    if verdict.bielliptical:
-        checks.append(
-            ("hull comparison",
-             report["hull_hausdorff"] <= 1e-6 * report["diameter"],
-             f"Hausdorff {report['hull_hausdorff']:.3e}")
-        )
-        checks.append(
-            ("unitary irreducibility", report["commutant_dim"] == 1,
-             f"commutant dimension {report['commutant_dim']}")
-        )
-
-    all_ok = True
-    for name, ok, detail in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        if not ok:
-            all_ok = False
-    for msg in report["consistency_failures"]:
-        print(f"[FAIL] {msg}")
-        all_ok = False
+    bf, _, verdict, audited = _audit(kind, payload, args.samples, args)
+    checks = verify.verify_checks(bf, verdict, audited, seed)
+    for check in checks:
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     print(f"verdict: {verdict.kind}")
-    if not all_ok:
+    if not all(check.passed for check in checks):
         return EXIT_INTERNAL
     return EXIT_POSITIVE if verdict.bielliptical else EXIT_NEGATIVE
 

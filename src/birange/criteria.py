@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .forms import (
+    TOL_UNITARY,
     BlockForm,
     Frame,
     NotScalarUnitaryError,
@@ -42,7 +43,7 @@ from .forms import (
     reduce_to_special,
 )
 from .linalg import CMatrix, herm_eig2, hermitian_eig4, sqrt_principal
-from .nrcore import spectrum
+from .nrcore import golden_min, spectrum
 
 __all__ = [
     "TOL_CRITERION",
@@ -61,11 +62,10 @@ __all__ = [
     "criterion_T",
     "ellipse_pair_params",
     "ellipse_geometry",
-    "tangent_envelope_points",
-    "fit_conic_ellipse",
     "check_special",
     "check_real",
     "check_imag",
+    "real_case_ii",
     "solve_b",
     "find_theta",
     "check_general",
@@ -79,8 +79,8 @@ TOL_CRITERION = 1e-9
 TOL_NORMAL = 1e-10
 # Tolerance for entrywise equalities (eta1 = eta2 and the like).
 _EQ_TOL = 1e-7
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Directions sampled over [0, pi) before the golden-section refinement.
+_THETA_GRID = 4096
 
 
 class NotRealAlphaError(ValueError):
@@ -124,9 +124,6 @@ class Ellipse:
         return self.center + cmath.exp(1j * self.tilt) * complex(
             self.semi_major * math.cos(t), self.semi_minor * math.sin(t)
         )
-
-    def boundary_points(self, n: int) -> list[complex]:
-        return [self.point(2.0 * math.pi * k / n) for k in range(n)]
 
     def support(self, theta: float) -> float:
         """Max of Re(e^{-i theta} w) over the ellipse."""
@@ -173,7 +170,7 @@ class CriterionData:
         return complex(self.reT, self.imT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Classification outcome with audit data."""
 
@@ -294,62 +291,6 @@ def ellipse_geometry(
     return mapped(first), mapped(second)
 
 
-def tangent_envelope_points(
-    params: EllipsePairParams, n: int = 64, delta: float = 1e-5
-) -> list[complex]:
-    """Boundary points of the +p ellipse from its tangent-line family.
-
-    Each point is the intersection of the tangent lines at theta - delta and
-    theta + delta; an oracle for the closed-form geometry that never touches
-    the axis/tilt formulas.
-    """
-    p, x, y, z = params.p, params.x, params.y, params.z
-
-    def g(theta: float) -> float:
-        rad = z - x * math.cos(2 * theta) - y * math.sin(2 * theta)
-        return -p * math.sin(theta) + math.sqrt(max(rad, 0.0))
-
-    pts = []
-    for k in range(n):
-        th = 2.0 * math.pi * k / n
-        t1, t2 = th - delta, th + delta
-        g1, g2 = g(t1), g(t2)
-        det = math.sin(t2 - t1)
-        px = (g1 * math.cos(t2) - g2 * math.cos(t1)) / det
-        py = (g1 * math.sin(t2) - g2 * math.sin(t1)) / det
-        pts.append(complex(px, py))
-    return pts
-
-
-def fit_conic_ellipse(points) -> Ellipse:
-    """Least-squares conic through the points, interpreted as an ellipse."""
-    pts = np.asarray(points, dtype=complex)
-    xs, ys = pts.real, pts.imag
-    design = np.column_stack(
-        [xs * xs, xs * ys, ys * ys, xs, ys, np.ones_like(xs)]
-    )
-    _, _, vt = np.linalg.svd(design, full_matrices=True)
-    a, b, c, d, e, f = vt[-1]
-    quad = np.array([[a, b / 2.0], [b / 2.0, c]])
-    center = np.linalg.solve(quad, -0.5 * np.array([d, e]))
-    x0, y0 = float(center[0]), float(center[1])
-    f_c = a * x0 * x0 + b * x0 * y0 + c * y0 * y0 + d * x0 + e * y0 + f
-    w, rot = np.linalg.eigh(quad)
-    ratios = -f_c / w
-    if np.any(ratios <= 0):
-        raise ValueError("fitted conic is not an ellipse")
-    lengths = np.sqrt(ratios)
-    major_idx = int(np.argmax(lengths))
-    minor_idx = 1 - major_idx
-    tilt = math.atan2(float(rot[1, major_idx]), float(rot[0, major_idx]))
-    return Ellipse(
-        center=complex(x0, y0),
-        semi_major=float(lengths[major_idx]),
-        semi_minor=float(lengths[minor_idx]),
-        tilt=_normalize_tilt(tilt),
-    )
-
-
 def _beta_values(sf: SpecialForm) -> tuple[float, float]:
     bmat = sf.B
     imb = (1 / 2j) * (bmat - bmat.H)
@@ -378,10 +319,7 @@ def _spread_residual(sf: SpecialForm) -> tuple[float, complex]:
 
 
 def _positive_verdict(
-    sf: SpecialForm,
-    frame: Frame | None,
-    diagnostics: dict,
-    tol_criterion: float,
+    sf: SpecialForm, frame: Frame | None, diagnostics: dict
 ) -> Verdict:
     params = ellipse_pair_params(sf)
     # A nonzero coupling makes the factor strictly non-degenerate, so only a
@@ -405,14 +343,6 @@ def _positive_verdict(
             "sigma_combo": combo,
         }
     )
-    # The factorization of the generating polynomial is re-verified by an
-    # oracle that only sees the block data and the factor parameters.
-    from .verify import factorization_residual
-
-    fact = factorization_residual(sf.to_block(), params)
-    diagnostics["fact_residual"] = fact.total
-    diagnostics["fact_linear"] = fact.linear_max
-    diagnostics["fact_quadratic"] = fact.quadratic_max
     return Verdict(
         bielliptical=True, reason=None, ellipses=ellipses, diagnostics=diagnostics
     )
@@ -440,7 +370,17 @@ def check_special(
     diagnostics["t_cross_residual"] = data.cross_residual
     if t_norm > tol_criterion:
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-    return _positive_verdict(sf, frame, diagnostics, tol_criterion)
+    return _positive_verdict(sf, frame, diagnostics)
+
+
+def real_case_ii(sf: SpecialForm) -> bool:
+    """The paper's real case (ii): u, v and the real parts of b1, b2 vanish.
+
+    Such a form is bi-elliptical whenever b != 0, and its matrix is
+    unitarily reducible (commutant dimension 2).
+    """
+    eq_tol = _EQ_TOL * sf.scale()
+    return max(abs(sf.u), abs(sf.v), abs(sf.xi1), abs(sf.xi2)) <= eq_tol
 
 
 def check_real(
@@ -467,13 +407,11 @@ def check_real(
         abs(sf.eta1 - sf.eta2) <= eq_tol
         and abs(4.0 * sf.b**2 * sf.u**2 - xi_sq_diff**2) <= tol_criterion * scale**4
     )
-    case_ii = (
-        abs(sf.u) <= eq_tol and abs(sf.xi1) <= eq_tol and abs(sf.xi2) <= eq_tol
-    )
+    case_ii = real_case_ii(sf)
     diagnostics["case"] = "i" if case_i else ("ii" if case_ii else None)
     if not (case_i or case_ii):
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-    return _positive_verdict(sf, frame, diagnostics, tol_criterion)
+    return _positive_verdict(sf, frame, diagnostics)
 
 
 def check_imag(
@@ -499,7 +437,7 @@ def check_imag(
     )
     if not (moduli_ok and match_ok):
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-    return _positive_verdict(sf, frame, diagnostics, tol_criterion)
+    return _positive_verdict(sf, frame, diagnostics)
 
 
 def solve_b(
@@ -575,24 +513,6 @@ class ThetaSearch:
     extra_thetas: tuple[float, ...] = ()
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 80) -> float:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if hi - lo < 1e-13:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def _polish_theta(h0: CMatrix, z0: CMatrix, theta_guess: float) -> float | None:
     """Solve the scalar-unitary condition as a linear system in cos/sin.
 
@@ -629,9 +549,7 @@ def _polish_theta(h0: CMatrix, z0: CMatrix, theta_guess: float) -> float | None:
     return theta + shift * math.pi
 
 
-def find_theta(
-    bf: BlockForm, tol_unitary: float = 1e-9, grid: int = 4096
-) -> ThetaSearch | None:
+def find_theta(bf: BlockForm) -> ThetaSearch | None:
     """Direction theta in [0, pi) making e^{-i t}C - e^{i t}D* scalar-unitary.
 
     The deviation d(theta) is a smooth trigonometric expression (entries of
@@ -647,7 +565,7 @@ def find_theta(
     tr_z = z.trace()
     # min over theta of trace(M* M) is tr H - 2 |tr Z|; if it vanishes the
     # only scalar-unitary candidates have scalar zero.
-    if tr_h - 2.0 * abs(tr_z) <= tol_unitary * (1.0 + tr_h):
+    if tr_h - 2.0 * abs(tr_z) <= TOL_UNITARY * (1.0 + tr_h):
         return None
 
     ident = eye(2)
@@ -670,6 +588,7 @@ def find_theta(
         den = tr_h - 2.0 * (e1 * tr_z).real
         return num / den
 
+    grid = _THETA_GRID
     thetas = math.pi * np.arange(grid) / grid
     e1 = np.exp(-2j * thetas)
     num2 = c0 + 2.0 * np.real(e1 * e1 * cz2) - 4.0 * np.real(e1 * chz)
@@ -680,28 +599,30 @@ def find_theta(
 
     def refine(k: int) -> tuple[float, float]:
         t0 = float(thetas[k])
-        t_star = _golden_min(dval, t0 - step, t0 + step)
+        t_star = golden_min(dval, t0 - step, t0 + step)
         polished = _polish_theta(h0, z0, t_star)
         if polished is not None and dval(polished) <= dval(t_star):
             t_star = polished
-        return t_star % math.pi, dval(t_star)
+        theta = t_star % math.pi
+        # A tiny negative t_star wraps onto pi itself in floating point.
+        return (0.0 if theta == math.pi else theta), dval(t_star)
 
     k_best = int(np.argmin(dgrid))
     theta_star, d_min = refine(k_best)
-    if d_min > tol_unitary:
+    if d_min > TOL_UNITARY:
         return None
     e_star = cmath.exp(-2j * theta_star)
     mu = 0.5 * (tr_h - 2.0 * (e_star * tr_z).real)
 
     extras: list[float] = []
-    coarse = max(tol_unitary * 10.0, float(dgrid[k_best]) * 10.0)
+    coarse = max(TOL_UNITARY * 10.0, float(dgrid[k_best]) * 10.0)
     for k in range(grid):
         if dgrid[k] <= dgrid[(k - 1) % grid] and dgrid[k] <= dgrid[(k + 1) % grid]:
             if dgrid[k] > coarse:
                 continue
             t_k, d_k = refine(k)
             sep = abs((t_k - theta_star + math.pi / 2) % math.pi - math.pi / 2)
-            if d_k <= tol_unitary and sep > 1e-6:
+            if d_k <= TOL_UNITARY and sep > 1e-6:
                 if all(
                     abs((t_k - t + math.pi / 2) % math.pi - math.pi / 2) > 1e-6
                     for t in extras
@@ -729,7 +650,6 @@ def check_general(
     bf: BlockForm,
     tol_criterion: float = TOL_CRITERION,
     tol_normal: float = TOL_NORMAL,
-    tol_unitary: float = 1e-9,
 ) -> Verdict:
     """Classify an arbitrary block form.
 
@@ -746,13 +666,13 @@ def check_general(
     h, z = bf.H, bf.Z
     tr_h = h.trace().real
     tr_z = z.trace()
-    if tr_h - 2.0 * abs(tr_z) <= tol_unitary * (1.0 + tr_h):
+    if tr_h - 2.0 * abs(tr_z) <= TOL_UNITARY * (1.0 + tr_h):
         # The only scalar-unitary directions have scalar zero; the product
         # with D is then zero, hence normal.
         diagnostics["mu"] = 0.0
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
 
-    found = find_theta(bf, tol_unitary=tol_unitary)
+    found = find_theta(bf)
     if found is None:
         return Verdict(False, Reason.NO_THETA, None, diagnostics)
     theta = found.theta
@@ -808,7 +728,7 @@ def check_general(
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
 
     try:
-        sf, frame = reduce_to_special(bf, theta, tol_unitary=tol_unitary)
+        sf, frame = reduce_to_special(bf, theta)
     except ZeroMultipleError:
         return Verdict(False, Reason.ZERO_MULTIPLE, None, diagnostics)
     except NotScalarUnitaryError:

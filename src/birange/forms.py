@@ -45,7 +45,9 @@ TOL_UNITARY = 1e-9
 
 
 class NonPositiveEntryError(ValueError):
-    """A reciprocal form needs strictly positive off-diagonal entries."""
+    """A reciprocal form needs strictly positive off-diagonal entries whose
+    squares and inverse squares are finite and nonzero (about 1e-154 to
+    1e154), so that the symmetrized entries A1, A2, A3 are finite."""
 
 
 class NotScalarUnitaryError(ValueError):
@@ -221,8 +223,12 @@ class ReciprocalForm:
     def __post_init__(self):
         for name in ("a1", "a2", "a3"):
             val = float(getattr(self, name))
-            if not (val > 0.0) or not math.isfinite(val):
-                raise NonPositiveEntryError(f"{name} must be a positive real number")
+            sq = val * val
+            if not (val > 0.0 and 0.0 < sq < math.inf and 1.0 / sq < math.inf):
+                raise NonPositiveEntryError(
+                    f"{name} must be a positive real number between about "
+                    "1e-154 and 1e154"
+                )
             object.__setattr__(self, name, val)
 
     @property
@@ -270,9 +276,7 @@ def direction_block(bf: BlockForm, theta: float) -> CMatrix:
     return e * bf.C - e.conjugate() * bf.D.H
 
 
-def reduce_to_special(
-    bf: BlockForm, theta: float, tol_unitary: float = TOL_UNITARY
-) -> tuple[SpecialForm, Frame]:
+def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
     """Collapse a block form onto a special form along direction ``theta``.
 
     Requires M = exp(-i theta) C - exp(i theta) D* to satisfy M*M = mu*I with
@@ -285,10 +289,10 @@ def reduce_to_special(
     m_norm2 = m.frobenius() ** 2
     # A vanishing M is a zero multiple of a unitary; test that before the
     # deviation, which is noise against noise there.
-    if mu <= tol_unitary * bf.C.frobenius() ** 2:
+    if mu <= TOL_UNITARY * bf.C.frobenius() ** 2:
         raise ZeroMultipleError("scalar multiple of the unitary is zero")
     dev = (s - mu * eye(2)).frobenius()
-    if dev > tol_unitary * max(m_norm2, 1e-300):
+    if dev > TOL_UNITARY * max(m_norm2, 1e-300):
         raise NotScalarUnitaryError(
             f"M*M deviates from a scalar by {dev:.3e} "
             f"(relative {dev / max(m_norm2, 1e-300):.3e})"

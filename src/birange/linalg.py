@@ -25,14 +25,11 @@ __all__ = [
     "eye",
     "zeros",
     "diag",
-    "inner",
-    "vec_norm",
     "hermitian_eig4",
     "schur_upper_2x2",
     "sqrt_principal",
     "eig2",
     "herm_eig2",
-    "char_poly4",
 ]
 
 
@@ -136,15 +133,6 @@ class CMatrix:
             total += ((-1) ** j) * r[0][j] * minor
         return total
 
-    def matvec(self, x: Sequence[complex]) -> tuple[complex, ...]:
-        return tuple(
-            sum(self._rows[i][j] * x[j] for j in range(self.n)) for i in range(self.n)
-        )
-
-    def is_hermitian(self, rel_tol: float = 1e-12) -> bool:
-        fro = self.frobenius()
-        return (self - self.H).frobenius() <= rel_tol * max(fro, 1e-300)
-
     def allclose(self, other: "CMatrix", tol: float) -> bool:
         return (self - other).max_abs() <= tol
 
@@ -164,15 +152,6 @@ def diag(*entries: complex) -> CMatrix:
     return CMatrix(
         tuple(complex(entries[i]) if i == j else 0j for j in range(n)) for i in range(n)
     )
-
-
-def inner(x: Sequence[complex], y: Sequence[complex]) -> complex:
-    """Inner product <x, y> = sum x_i * conj(y_i)."""
-    return sum(a * b.conjugate() for a, b in zip(x, y))
-
-
-def vec_norm(x: Sequence[complex]) -> float:
-    return math.sqrt(sum(abs(a) ** 2 for a in x))
 
 
 def sqrt_principal(z: complex) -> complex:
@@ -223,15 +202,17 @@ class HermEig4:
 
 # Fixed row-major pivot sequence: determinism requires never reordering it.
 _PIVOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Jacobi stopping rule: largest off-diagonal magnitude relative to the
+# Frobenius norm, and a cap on the number of sweeps.
+_OFF_TOL = 1e-14
+_MAX_SWEEPS = 60
 
 
-def hermitian_eig4(
-    m: CMatrix, *, off_tol: float = 1e-14, max_sweeps: int = 60
-) -> HermEig4:
+def hermitian_eig4(m: CMatrix) -> HermEig4:
     """Eigendecomposition of a 4x4 Hermitian matrix by cyclic Jacobi sweeps.
 
     Pivots are visited in fixed row-major order and the iteration stops when
-    the largest off-diagonal magnitude drops below ``off_tol`` times the
+    the largest off-diagonal magnitude drops below ``_OFF_TOL`` times the
     Frobenius norm of the input, so the result is a deterministic function of
     the input bits.
 
@@ -260,8 +241,8 @@ def hermitian_eig4(
             a[j][i] = avg.conjugate()
     v = [[1 + 0j if i == j else 0j for j in range(4)] for i in range(4)]
 
-    threshold = off_tol * fro
-    for _ in range(max_sweeps):
+    threshold = _OFF_TOL * fro
+    for _ in range(_MAX_SWEEPS):
         off = max(
             abs(a[0][1]), abs(a[0][2]), abs(a[0][3]),
             abs(a[1][2]), abs(a[1][3]), abs(a[2][3]),
@@ -378,23 +359,3 @@ def schur_upper_2x2(b: CMatrix) -> tuple[CMatrix, CMatrix]:
     else:
         t = CMatrix(((t[0, 0], 0j), (0j, t[1, 1])))
     return w, t
-
-
-def char_poly4(m: CMatrix) -> tuple[complex, complex, complex, complex, complex]:
-    """Coefficients (1, c3, c2, c1, c0) of det(lam*I - M) for a 4x4 matrix.
-
-    Computed by the Faddeev-LeVerrier recursion, which needs only matrix
-    products and traces.
-    """
-    if m.n != 4:
-        raise ValueError("char_poly4 expects a 4x4 matrix")
-    ident = eye(4)
-    b1 = m
-    a1 = -b1.trace()
-    b2 = m @ (b1 + a1 * ident)
-    a2 = -b2.trace() / 2
-    b3 = m @ (b2 + a2 * ident)
-    a3 = -b3.trace() / 3
-    b4 = m @ (b3 + a3 * ident)
-    a4 = -b4.trace() / 4
-    return (1 + 0j, a1, a2, a3, a4)

@@ -29,14 +29,42 @@ __all__ = [
     "generating_poly",
     "boundary_support",
     "flat_portions",
+    "golden_min",
 ]
 
-# Default resolution of the support-function oracle and the eigenvalue-gap
-# tolerance below which a support direction counts as degenerate.
+# Default resolution of the support-function oracle; the flat-portion
+# detector's gap tolerance, sample floor and length cutoff; and the
+# eigenvalue-gap tolerance below which a support direction counts as
+# degenerate.  Tolerances are relative to the matrix norm.
 DEFAULT_SAMPLES = 2048
 FLAT_GAP_TOL = 1e-7
 FLAT_MIN_SAMPLES = 512
+_FLAT_MIN_LENGTH_REL = 1e-8
 _DEGENERATE_REL = 1e-11
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, lo: float, hi: float) -> float:
+    """Golden-section minimizer of a unimodal ``f`` over [lo, hi].
+
+    Stops after 90 steps or once the bracket is narrower than 1e-14, and
+    returns the bracket's midpoint.
+    """
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(90):
+        if hi - lo < 1e-14:
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -289,41 +317,15 @@ def _support_gap(a: np.ndarray, theta: float) -> float:
     return float(w[3] - w[2])
 
 
-def _refine_gap_minimum(a: np.ndarray, lo: float, hi: float) -> float:
-    """Golden-section minimizer of the top eigenvalue gap over [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _support_gap(a, x1)
-    f2 = _support_gap(a, x2)
-    for _ in range(90):
-        if hi - lo < 1e-14:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _support_gap(a, x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _support_gap(a, x2)
-    return 0.5 * (lo + hi)
-
-
-def flat_portions(
-    m,
-    samples: list[BoundarySample],
-    gap_tol: float = FLAT_GAP_TOL,
-    min_length_rel: float = 1e-8,
-) -> list[FlatPortion]:
+def flat_portions(m, samples: list[BoundarySample]) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
     Local minima of the multiplicity gap are refined by golden-section
-    search; directions whose refined gap stays below ``gap_tol`` times the
-    matrix norm contribute a segment, whose endpoints come from the
+    search; directions whose refined gap stays below ``FLAT_GAP_TOL`` times
+    the matrix norm contribute a segment, whose endpoints come from the
     compression of the transverse part onto the degenerate top eigenspace.
     Degeneracies that do not open up a segment (repeated eigenvalues of a
-    normal matrix, say) are discarded by the length cutoff.
+    normal matrix, say) are discarded by the ``_FLAT_MIN_LENGTH_REL`` cutoff.
     """
     n = len(samples)
     if n < FLAT_MIN_SAMPLES:
@@ -349,8 +351,10 @@ def flat_portions(
     used_thetas: list[float] = []
     for k in candidates:
         theta0 = samples[k].theta
-        theta_star = _refine_gap_minimum(a, theta0 - step, theta0 + step)
-        if _support_gap(a, theta_star) > gap_tol * scale:
+        theta_star = golden_min(
+            lambda t: _support_gap(a, t), theta0 - step, theta0 + step
+        )
+        if _support_gap(a, theta_star) > FLAT_GAP_TOL * scale:
             continue
         if any(
             abs((theta_star - t + math.pi) % (2 * math.pi) - math.pi) < 0.75 * step
@@ -359,7 +363,7 @@ def flat_portions(
             continue
         h, hi, lo = _top_space_endpoints(a, theta_star)
         length = abs(hi - lo)
-        if length <= min_length_rel * (1.0 + scale):
+        if length <= _FLAT_MIN_LENGTH_REL * (1.0 + scale):
             continue
         used_thetas.append(theta_star)
         direction = (hi - lo) / length

@@ -1,4 +1,4 @@
-"""Independent oracles: hull geometry, factorization residual, commutant.
+"""Independent oracles and the audit of a verdict against them.
 
 Nothing here trusts the classification formulas.  The hull comparison sees
 only ellipse geometry and boundary samples, the factorization residual only
@@ -15,25 +15,41 @@ J. Numer. Anal. 15), so :func:`hull_support_gap` compares the two in O(n)
 with no discretization floor.  :func:`hull_boundary`, :func:`hausdorff` and
 :func:`compare_boundaries` (the earlier O(n^2) point-cloud comparison) are
 kept for one more change as cross-check oracles in the tests.
+
+:func:`audit` runs the oracles once per matrix and turns their agreement
+with a verdict into consistency :class:`Check` values; :func:`verify_checks`
+adds the spot checks that only ``birange verify`` runs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .criteria import Ellipse, EllipsePairParams
+from . import nrcore
+from .criteria import (
+    Ellipse,
+    EllipsePairParams,
+    ReciprocalShape,
+    Verdict,
+    ellipse_pair_params,
+    real_case_ii,
+)
 from .forms import BlockForm
-from .linalg import CMatrix
-from .nrcore import BoundarySample, generating_poly
+from .linalg import CMatrix, hermitian_eig4
 
 __all__ = [
     "EmptyInputError",
+    "Check",
+    "AuditReport",
     "HullComparison",
     "FactorizationResidual",
+    "audit",
+    "verify_checks",
     "hull_support_gap",
     "hull_boundary",
     "hausdorff",
@@ -41,6 +57,12 @@ __all__ = [
     "factorization_residual",
     "commutant_dim",
 ]
+
+# Largest hull/oracle support gap accepted, relative to the sampled diameter.
+_HULL_REL = 1e-6
+_HULL = "hull comparison"
+# Singular values below this times the matrix norm span the commutant.
+_COMMUTANT_TOL = 1e-9
 
 
 class EmptyInputError(ValueError):
@@ -63,8 +85,27 @@ def _support_values(e: Ellipse, theta: np.ndarray) -> np.ndarray:
     return e.center.real * np.cos(theta) + e.center.imag * np.sin(theta) + radial
 
 
+def _sample_arrays(
+    samples: Sequence[nrcore.BoundarySample],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directions, support values and boundary points of the samples."""
+    n = len(samples)
+    return (
+        np.fromiter((s.theta for s in samples), float, n),
+        np.fromiter((s.support_value for s in samples), float, n),
+        np.fromiter((s.point for s in samples), complex, n),
+    )
+
+
+def _hull_gap(
+    e1: Ellipse, e2: Ellipse, theta: np.ndarray, support: np.ndarray
+) -> float:
+    hull = np.maximum(_support_values(e1, theta), _support_values(e2, theta))
+    return float(np.abs(hull - support).max())
+
+
 def hull_support_gap(
-    e1: Ellipse, e2: Ellipse, samples: Sequence[BoundarySample]
+    e1: Ellipse, e2: Ellipse, samples: Sequence[nrcore.BoundarySample]
 ) -> float:
     """Hausdorff distance between conv(E1 u E2) and the sampled range.
 
@@ -74,10 +115,8 @@ def hull_support_gap(
     """
     if not samples:
         raise EmptyInputError("need at least one boundary sample")
-    theta = np.fromiter((s.theta for s in samples), float, len(samples))
-    oracle = np.fromiter((s.support_value for s in samples), float, len(samples))
-    hull = np.maximum(_support_values(e1, theta), _support_values(e2, theta))
-    return float(np.abs(hull - oracle).max())
+    theta, support, _ = _sample_arrays(samples)
+    return _hull_gap(e1, e2, theta, support)
 
 
 def hull_boundary(e1: Ellipse, e2: Ellipse, n: int = 2048) -> list[complex]:
@@ -131,7 +170,7 @@ def hausdorff(a: Sequence[complex], b: Sequence[complex]) -> float:
 
 
 def compare_boundaries(
-    hull_pts: Sequence[complex], samples: Sequence[BoundarySample]
+    hull_pts: Sequence[complex], samples: Sequence[nrcore.BoundarySample]
 ) -> HullComparison:
     """Hausdorff and matched-direction distances between hull and oracle."""
     oracle = [s.point for s in samples]
@@ -169,7 +208,7 @@ def factorization_residual(
     """
     if grid < 16:
         raise ValueError("need at least 16 grid points")
-    gp = generating_poly(bf)
+    gp = nrcore.generating_poly(bf)
     p, x, y, z = params.p, params.x, params.y, params.z
     fro = bf.assemble().frobenius()
     norm2 = 1.0 + fro * fro
@@ -193,17 +232,14 @@ def factorization_residual(
     )
 
 
-def commutant_dim(m, tol: float = 1e-9) -> int:
+def commutant_dim(m) -> int:
     """Dimension of {X : XM = MX and XM* = M*X}; 1 means unitarily irreducible.
 
     The two commutation constraints stack into a 32x16 linear system over
     the vectorized X; its null-space dimension is counted by singular values
-    below ``tol`` times the matrix norm.
+    below ``_COMMUTANT_TOL`` times the matrix norm.
     """
-    if isinstance(m, CMatrix):
-        a = np.array(m.rows, dtype=complex)
-    else:
-        a = np.asarray(m, dtype=complex)
+    a = nrcore._as_ndarray(m)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     ident = np.eye(4, dtype=complex)
@@ -212,5 +248,170 @@ def commutant_dim(m, tol: float = 1e-9) -> int:
     stacked = np.vstack([top, bot])
     svals = np.linalg.svd(stacked, compute_uv=False)
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    dim = int(np.sum(svals < tol * scale))
+    dim = int(np.sum(svals < _COMMUTANT_TOL * scale))
     return max(dim, 0)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One audit gate: what it tests, whether it held, and what it measured."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+@dataclass(frozen=True, eq=False)
+class AuditReport:
+    """Oracle results for one matrix and the consistency checks of a verdict.
+
+    ``eigenvalues`` include the trace shift; ``theta``, ``support`` and
+    ``points`` are the boundary samples; ``hull_gap`` and ``factorization``
+    are None unless the verdict is positive with ellipses.
+    """
+
+    eigenvalues: tuple[complex, ...]
+    theta: np.ndarray
+    support: np.ndarray
+    points: np.ndarray
+    flats: tuple[nrcore.FlatPortion, ...]
+    commutant_dim: int
+    diameter: float
+    hull_gap: float | None
+    factorization: FactorizationResidual | None
+    checks: tuple[Check, ...]
+
+    @property
+    def failures(self) -> list[str]:
+        """Details of the failed consistency checks."""
+        return [c.detail for c in self.checks if not c.passed]
+
+
+def _flat_checks(verdict: Verdict, flats) -> list[Check]:
+    """A bi-elliptical boundary has exactly two flat portions, whose length
+    and direction match the eigenvalue pair sum singled out by the criterion."""
+    combo = verdict.diagnostics.get("sigma_sum_theta")
+    if combo is None:
+        return []
+    expected = cmath.exp(1j * verdict.diagnostics.get("theta", 0.0)) * combo
+    if len(flats) != 2:
+        return [Check("flat portions", False,
+                      f"expected 2 flat portions, found {len(flats)}")]
+    checks = []
+    for f in flats:
+        turn = cmath.phase(f.direction) - cmath.phase(expected)
+        ok = (abs(f.length - abs(expected)) <= 1e-6 * max(abs(expected), 1e-12)
+              and abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= 1e-6)
+        checks.append(Check("flat portions", ok, (
+            f"flat portion (length {f.length:.9g}) "
+            f"{'matches' if ok else 'does not match'} "
+            f"sigma pair sum {abs(expected):.9g}")))
+    return checks
+
+
+def audit(
+    bf: BlockForm,
+    verdict: Verdict,
+    samples: int = nrcore.DEFAULT_SAMPLES,
+    matrix: CMatrix | None = None,
+    reciprocal: ReciprocalShape | None = None,
+) -> AuditReport:
+    """Run the oracles once on ``bf`` and check its ``check_general`` verdict.
+
+    The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
+    passes itself) in ``samples`` directions.  ``reciprocal`` is the
+    reciprocal classification when ``bf`` came from a reciprocal form and
+    must agree with the verdict.  A positive verdict must have its hull of
+    ellipses within ``1e-6 * diameter`` of the sampled range and flat
+    portions that match the eigenvalue pair sum.  Every verdict must be free
+    of a criterion/reduction mismatch.
+    """
+    if matrix is None:
+        matrix = bf.assemble()
+    eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
+    boundary = nrcore.boundary_support(matrix, samples)
+    flats = tuple(nrcore.flat_portions(matrix, boundary))
+    dim = commutant_dim(matrix)
+    theta, support, points = _sample_arrays(boundary)
+    diameter = math.hypot(float(np.ptp(points.real)), float(np.ptp(points.imag)))
+
+    checks = []
+    if reciprocal is not None:
+        ok = (reciprocal is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
+        checks.append(Check("reciprocal agreement", ok, (
+            f"reciprocal classification {'agrees' if ok else 'disagrees'} "
+            "with the general check")))
+    hull_gap = fact = None
+    if verdict.bielliptical and verdict.ellipses is not None:
+        hull_gap = _hull_gap(*verdict.ellipses, theta, support)
+        ok = hull_gap <= _HULL_REL * diameter
+        checks.append(Check(_HULL, ok, f"Hausdorff {hull_gap:.3e}" if ok else (
+            f"hull/oracle Hausdorff {hull_gap:.3e} exceeds 1e-6 * diameter")))
+        checks += _flat_checks(verdict, flats)
+        sf = verdict.diagnostics.get("reduced_form")
+        if sf is not None:
+            fact = factorization_residual(sf.to_block(), ellipse_pair_params(sf))
+    ok = not verdict.diagnostics.get("mismatch")
+    checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
+                        else "criterion/reduction verdict mismatch"))
+    return AuditReport(eigenvalues, theta, support, points, flats, dim, diameter,
+                       hull_gap, fact, tuple(checks))
+
+
+def verify_checks(
+    bf: BlockForm, verdict: Verdict, report: AuditReport, seed: int
+) -> list[Check]:
+    """The checks ``birange verify`` reports, in order.
+
+    Spot checks on the audit's samples: central symmetry about the shift,
+    eigenvalue containment in the sampled support polytope, and pencil
+    eigenvalues (against a direct Hermitian eigensolve) and the generating
+    polynomial at 16 random directions each, drawn from ``seed``.  A
+    positive verdict adds the audit's hull check and unitary irreducibility:
+    commutant dimension 1, or 2 in the paper's real case (ii), whose
+    matrices are reducible.  Every other failed consistency check comes last.
+    """
+    rng = np.random.default_rng(seed)
+    scale = bf.scale()
+
+    # Sample k against its antipode k + n // 2.
+    centered = report.points - bf.shift
+    half = len(centered) // 2
+    sym = float(np.abs(centered[:half] + centered[half : 2 * half]).max())
+    eig = np.asarray(report.eigenvalues, dtype=complex)
+    excess = (np.exp(-1j * report.theta)[None, :] * eig[:, None]).real - report.support
+    worst_out = float(excess.max())
+
+    worst_pencil = 0.0
+    a4 = bf.normalized_matrix()
+    for theta in rng.uniform(0.0, 2.0 * math.pi, size=16):
+        lam1, lam2 = nrcore.pencil_eigs(bf, float(theta))
+        rot = cmath.exp(-1j * float(theta)) * a4
+        vals = hermitian_eig4((1 / 2j) * (rot - rot.H)).values
+        expect = sorted((-lam1, -lam2, lam2, lam1))
+        worst_pencil = max(worst_pencil, max(abs(a - b) for a, b in zip(vals, expect)))
+    gp = nrcore.generating_poly(bf)
+    worst_gen = 0.0
+    for theta in rng.uniform(0.0, 2.0 * math.pi, size=16):
+        for lam in nrcore.pencil_eigs(bf, float(theta)):
+            worst_gen = max(worst_gen, abs(gp.evaluate(lam, float(theta))))
+
+    checks = [
+        Check("central symmetry", sym <= 1e-8 * max(report.diameter, 1e-12),
+              f"antipodal mismatch {sym:.3e}"),
+        Check("eigenvalue containment", worst_out <= 1e-9 * scale,
+              f"worst support excess {worst_out:.3e}"),
+        Check("pencil eigenvalues", worst_pencil <= 1e-11 * scale,
+              f"worst deviation {worst_pencil:.3e}"),
+        Check("generating polynomial", worst_gen <= 1e-9 * (1.0 + scale**4),
+              f"worst residual {worst_gen:.3e}"),
+    ]
+    if verdict.bielliptical:
+        checks += [c for c in report.checks if c.name == _HULL]
+        sf = verdict.diagnostics.get("reduced_form")
+        reducible = sf is not None and real_case_ii(sf)
+        checks.append(Check(
+            "unitary irreducibility", report.commutant_dim == (2 if reducible else 1),
+            f"commutant dimension {report.commutant_dim}"
+            + (" (real case ii, reducible: 2 expected)" if reducible else "")))
+    return checks + [c for c in report.checks if not c.passed and c.name != _HULL]

@@ -2,12 +2,18 @@
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 
-from birange.criteria import solve_b
+from birange.criteria import (
+    Ellipse,
+    EllipsePairParams,
+    _normalize_tilt,
+    solve_b,
+)
 from birange.forms import BlockForm, ReciprocalForm, SpecialForm, normalize_block
-from birange.linalg import CMatrix
+from birange.linalg import CMatrix, eye
 
 
 def fig_left_special() -> SpecialForm:
@@ -177,3 +183,95 @@ def disguise(rng, sf: SpecialForm, rotate: bool = True, scale: bool = True,
     c_new = w * (u1.H @ bf.C @ u2)
     d_new = w * (u2.H @ bf.D @ u1)
     return normalize_block(alpha + c, -alpha + c, c_new, d_new), theta0
+
+
+# Reference computations the tests check the package against.
+
+
+def inner(x: Sequence[complex], y: Sequence[complex]) -> complex:
+    """Inner product <x, y> = sum x_i * conj(y_i)."""
+    return sum(a * b.conjugate() for a, b in zip(x, y))
+
+
+def vec_norm(x: Sequence[complex]) -> float:
+    return math.sqrt(sum(abs(a) ** 2 for a in x))
+
+
+def matvec(m: CMatrix, x) -> tuple[complex, ...]:
+    return tuple(sum(m[i, j] * x[j] for j in range(m.n)) for i in range(m.n))
+
+
+def char_poly4(m: CMatrix) -> tuple[complex, complex, complex, complex, complex]:
+    """Coefficients (1, c3, c2, c1, c0) of det(lam*I - M) for a 4x4 matrix.
+
+    Computed by the Faddeev-LeVerrier recursion, which needs only matrix
+    products and traces.
+    """
+    if m.n != 4:
+        raise ValueError("char_poly4 expects a 4x4 matrix")
+    ident = eye(4)
+    b1 = m
+    a1 = -b1.trace()
+    b2 = m @ (b1 + a1 * ident)
+    a2 = -b2.trace() / 2
+    b3 = m @ (b2 + a2 * ident)
+    a3 = -b3.trace() / 3
+    b4 = m @ (b3 + a3 * ident)
+    a4 = -b4.trace() / 4
+    return (1 + 0j, a1, a2, a3, a4)
+
+
+def tangent_envelope_points(
+    params: EllipsePairParams, n: int = 64, delta: float = 1e-5
+) -> list[complex]:
+    """Boundary points of the +p ellipse from its tangent-line family.
+
+    Each point is the intersection of the tangent lines at theta - delta and
+    theta + delta; an oracle for the closed-form geometry that never touches
+    the axis/tilt formulas.
+    """
+    p, x, y, z = params.p, params.x, params.y, params.z
+
+    def g(theta: float) -> float:
+        rad = z - x * math.cos(2 * theta) - y * math.sin(2 * theta)
+        return -p * math.sin(theta) + math.sqrt(max(rad, 0.0))
+
+    pts = []
+    for k in range(n):
+        th = 2.0 * math.pi * k / n
+        t1, t2 = th - delta, th + delta
+        g1, g2 = g(t1), g(t2)
+        det = math.sin(t2 - t1)
+        px = (g1 * math.cos(t2) - g2 * math.cos(t1)) / det
+        py = (g1 * math.sin(t2) - g2 * math.sin(t1)) / det
+        pts.append(complex(px, py))
+    return pts
+
+
+def fit_conic_ellipse(points) -> Ellipse:
+    """Least-squares conic through the points, interpreted as an ellipse."""
+    pts = np.asarray(points, dtype=complex)
+    xs, ys = pts.real, pts.imag
+    design = np.column_stack(
+        [xs * xs, xs * ys, ys * ys, xs, ys, np.ones_like(xs)]
+    )
+    _, _, vt = np.linalg.svd(design, full_matrices=True)
+    a, b, c, d, e, f = vt[-1]
+    quad = np.array([[a, b / 2.0], [b / 2.0, c]])
+    center = np.linalg.solve(quad, -0.5 * np.array([d, e]))
+    x0, y0 = float(center[0]), float(center[1])
+    f_c = a * x0 * x0 + b * x0 * y0 + c * y0 * y0 + d * x0 + e * y0 + f
+    w, rot = np.linalg.eigh(quad)
+    ratios = -f_c / w
+    if np.any(ratios <= 0):
+        raise ValueError("fitted conic is not an ellipse")
+    lengths = np.sqrt(ratios)
+    major_idx = int(np.argmax(lengths))
+    minor_idx = 1 - major_idx
+    tilt = math.atan2(float(rot[1, major_idx]), float(rot[0, major_idx]))
+    return Ellipse(
+        center=complex(x0, y0),
+        semi_major=float(lengths[major_idx]),
+        semi_minor=float(lengths[minor_idx]),
+        tilt=_normalize_tilt(tilt),
+    )

@@ -7,9 +7,16 @@ import sys
 
 import pytest
 
-from birange import cli, nrcore
+import numpy as np
+
+from birange import cli, criteria, nrcore, verify
 from birange.cli import main
-from helpers import fig_left_special, general_example_matrix
+from helpers import (
+    bi_special_real_case_ii,
+    disguise,
+    fig_left_special,
+    general_example_matrix,
+)
 
 
 def to_pair(z: complex) -> list[float]:
@@ -134,6 +141,8 @@ class TestCheck:
         assert report["hull_hausdorff"] <= 1e-6 * report["diameter"]
         assert "hull_max_pointwise" not in report
         assert report["consistency_failures"] == []
+        assert report["factorization_residual"]["total"] <= 1e-9
+        assert not any(k.startswith("special_fact") for k in report["diagnostics"])
 
     def test_too_few_samples_is_usage_error(self, gen_file, capsys):
         assert main(["check", gen_file, "--samples", "256"]) == 2
@@ -320,6 +329,19 @@ class TestVerify:
         assert code == 1
         assert "FAIL" not in out
 
+    def test_real_case_ii_is_reducible_and_verifies(self, tmp_path, capsys):
+        # Real case (ii) is bi-elliptical and unitarily reducible, so its
+        # commutant dimension is 2, not 1.
+        rng = np.random.default_rng(7)
+        for k in range(3):
+            bf, _ = disguise(rng, bi_special_real_case_ii(rng))
+            path = tmp_path / f"case_ii_{k}.json"
+            path.write_text(json.dumps(raw_doc(bf.assemble())))
+            code = main(["verify", str(path), "--samples", "512"])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            assert "[PASS] unitary irreducibility: commutant dimension 2" in out
+
     def test_vectorized_geometry_checks_match_loops(self, gen_file, capsys):
         assert main(["verify", gen_file, "--samples", "512"]) == 0
         out = capsys.readouterr().out
@@ -346,6 +368,38 @@ class TestVerify:
 
 
 class TestOracleSafetyNet:
+    @staticmethod
+    def forced_doc(tmp_path):
+        """The wrong coupling under an absurd criterion tolerance: the
+        classifier accepts a matrix whose range is not bi-elliptical."""
+        doc = special_doc(fig_left_special())
+        doc["b"] = 2.0
+        path = tmp_path / "forced.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_one_hull_row_per_document(self, tmp_path, capsys):
+        path = self.forced_doc(tmp_path)
+        code = main(["verify", path, "--tol-criterion", "1e6", "--samples", "512"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        hull_fails = [ln for ln in lines if ln.startswith("[FAIL]") and "Hausdorff" in ln]
+        assert len(hull_fails) == 1
+
+    def test_json_failures_are_failed_consistency_checks(self, tmp_path, capsys):
+        path = self.forced_doc(tmp_path)
+        code = main(["check", path, "--format", "json", "--tol-criterion", "1e6",
+                     "--samples", "512"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        with open(path) as fh:
+            bf = cli.parse_matrix_spec(json.load(fh))[1].to_block()
+        verdict = criteria.check_general(bf, tol_criterion=1e6)
+        audited = verify.audit(bf, verdict, 512)
+        failed = [c.detail for c in audited.checks if not c.passed]
+        assert len(failed) >= 2
+        assert report["consistency_failures"] == failed
+
     def test_forced_misclassification_exits_3(self, tmp_path, capsys):
         # An absurd criterion tolerance makes the classifier accept a matrix
         # whose range is not bi-elliptical; the hull oracle must catch the

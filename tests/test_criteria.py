@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,8 @@ from birange.criteria import (
     ellipse_geometry,
     ellipse_pair_params,
     find_theta,
-    fit_conic_ellipse,
     reciprocal_classify,
     solve_b,
-    tangent_envelope_points,
 )
 from birange.forms import BlockForm, ReciprocalForm, SpecialForm, from_reciprocal
 from birange.linalg import CMatrix, zeros
@@ -37,11 +36,13 @@ from helpers import (
     disguise,
     fig_left_special,
     fig_right_special,
+    fit_conic_ellipse,
     general_example_block,
     random_block,
     random_cmat,
     random_special,
     reciprocal_two_ellipse,
+    tangent_envelope_points,
 )
 
 
@@ -219,6 +220,14 @@ class TestSolveB:
 
 
 class TestFindTheta:
+    def test_direction_in_half_open_interval(self):
+        # Real-case examples have their direction at 0 mod pi, where a tiny
+        # negative search result must not wrap onto pi itself.
+        for bf in (fig_left_special().to_block(), fig_right_special().to_block(),
+                   from_reciprocal(reciprocal_two_ellipse())):
+            found = find_theta(bf)
+            assert 0.0 <= found.theta < math.pi
+
     def test_worked_example(self):
         found = find_theta(general_example_block())
         assert found is not None
@@ -254,6 +263,11 @@ class TestFindTheta:
 
 
 class TestCheckGeneral:
+    def test_verdict_is_frozen(self):
+        verdict = check_general(general_example_block())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.bielliptical = False
+
     def test_worked_example_values(self):
         verdict = check_general(general_example_block())
         assert verdict.bielliptical

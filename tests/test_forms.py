@@ -15,8 +15,10 @@ from birange.forms import (
     normalize_block,
     reduce_to_special,
 )
-from birange.linalg import CMatrix, char_poly4, eye
+from birange.criteria import ReciprocalShape, reciprocal_classify
+from birange.linalg import CMatrix, eye
 from helpers import (
+    char_poly4,
     disguise,
     general_example_block,
     random_cmat,
@@ -116,6 +118,20 @@ class TestReciprocalForm:
             ReciprocalForm(1.0, 0.0, 1.0)
         with pytest.raises(NonPositiveEntryError):
             ReciprocalForm(1.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("a", [1e-200, 1e-160, 1e160, 1e200, math.inf, math.nan])
+    def test_rejects_entries_whose_square_leaves_double_range(self, a):
+        # Below about 1e-154 a*a underflows (1/(a*a) is then infinite or a
+        # division by zero); above about 1e154 a*a overflows, so A1 would be
+        # infinite and the classification silently wrong.
+        with pytest.raises(NonPositiveEntryError):
+            ReciprocalForm(a, 1.0, a)
+
+    def test_extreme_entries_inside_range_classify(self):
+        for a in (1e-150, 1e150):
+            rec = ReciprocalForm(a, 1.0, a)
+            assert all(math.isfinite(x) for x in (rec.A1, rec.A2, rec.A3))
+            assert reciprocal_classify(rec) is ReciprocalShape.BI_ELLIPTICAL
 
 
 class TestReduceToSpecial:

@@ -8,18 +8,22 @@ from birange.forms import SpecialForm
 from birange.linalg import (
     CMatrix,
     NotHermitianError,
-    char_poly4,
     diag,
     eig2,
     eye,
     herm_eig2,
     hermitian_eig4,
-    inner,
     schur_upper_2x2,
     sqrt_principal,
+)
+from helpers import (
+    char_poly4,
+    inner,
+    matvec,
+    random_cmat,
+    random_hermitian4,
     vec_norm,
 )
-from helpers import random_cmat, random_hermitian4
 
 
 class TestCMatrix:
@@ -84,7 +88,7 @@ class TestHermitianEig4:
             fro = m.frobenius()
             out = hermitian_eig4(m)
             for val, vec in zip(out.values, out.vectors):
-                res = [a - val * b for a, b in zip(m.matvec(vec), vec)]
+                res = [a - val * b for a, b in zip(matvec(m, vec), vec)]
                 assert vec_norm(res) <= 1e-11 * fro
 
     def test_orthonormality(self, rng):

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from birange.forms import BlockForm, SpecialForm, from_reciprocal, ReciprocalForm
-from birange.linalg import CMatrix, char_poly4, hermitian_eig4, zeros
+from birange.linalg import CMatrix, hermitian_eig4, zeros
 from birange.nrcore import (
     boundary_support,
     flat_portions,
     generating_poly,
+    golden_min,
     pencil_eigs,
     spectrum,
 )
 from helpers import (
+    char_poly4,
     general_example_block,
     general_example_matrix,
     random_block,
@@ -240,3 +242,25 @@ class TestFlatPortions:
         assert len(flats) == 4
         for f in flats:
             assert abs(f.length - math.sqrt(2)) < 1e-9
+
+
+
+class TestGoldenMin:
+    def test_parabola_minimum(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 0.3) ** 2
+
+        x = golden_min(f, 0.0, 1.0)
+        assert abs(x - 0.3) <= 1e-7
+        assert all(0.0 <= c <= 1.0 for c in calls)
+        # 90 steps at most, after the two initial evaluations.
+        assert len(calls) <= 92
+
+    def test_bracket_width_stop(self):
+        calls = []
+        golden_min(lambda x: calls.append(x) or abs(x), -1e-13, 1e-13)
+        # A bracket of 2e-13 narrows below 1e-14 within 7 golden steps.
+        assert len(calls) <= 2 + 7

@@ -7,6 +7,9 @@ import pytest
 
 from birange.criteria import (
     Ellipse,
+    Reason,
+    ReciprocalShape,
+    Verdict,
     check_general,
     check_special,
     criterion_T,
@@ -17,6 +20,7 @@ from birange.linalg import CMatrix
 from birange.nrcore import BoundarySample, boundary_support, generating_poly
 from birange.verify import (
     EmptyInputError,
+    audit,
     commutant_dim,
     compare_boundaries,
     factorization_residual,
@@ -300,3 +304,39 @@ class TestHullAgainstOracle:
         pts = [s.point for s in samples]
         diam = max(p.real for p in pts) - min(p.real for p in pts)
         assert cmp.hausdorff <= 1e-6 * diam
+
+
+class TestAudit:
+    def test_positive_matches_the_oracles(self):
+        bf = from_reciprocal(reciprocal_two_ellipse())
+        verdict = check_general(bf)
+        report = audit(bf, verdict, 1024, reciprocal=ReciprocalShape.BI_ELLIPTICAL)
+        samples = boundary_support(bf.assemble(), 1024)
+        assert report.hull_gap == hull_support_gap(*verdict.ellipses, samples)
+        sf = verdict.diagnostics["reduced_form"]
+        assert report.factorization == factorization_residual(
+            sf.to_block(), ellipse_pair_params(sf)
+        )
+        assert report.commutant_dim == commutant_dim(bf.assemble())
+        assert len(report.flats) == 2
+        assert report.failures == []
+        assert {c.name for c in report.checks} == {
+            "reciprocal agreement", "hull comparison", "flat portions",
+            "criterion/reduction agreement",
+        }
+
+    def test_reciprocal_disagreement_fails(self):
+        bf = from_reciprocal(reciprocal_two_ellipse())
+        report = audit(bf, check_general(bf), 512, reciprocal=ReciprocalShape.NEITHER)
+        assert report.failures == [
+            "reciprocal classification disagrees with the general check"
+        ]
+
+    def test_criterion_reduction_mismatch_fails(self):
+        # check_general flags a mismatch on a negative verdict, so the audit
+        # must look at it for negatives too.
+        bf = from_reciprocal(reciprocal_two_ellipse())
+        verdict = Verdict(False, Reason.T_NONZERO, None, {"mismatch": True})
+        report = audit(bf, verdict, 512)
+        assert report.hull_gap is None and report.factorization is None
+        assert report.failures == ["criterion/reduction verdict mismatch"]
