@@ -240,9 +240,7 @@ def _audit(kind: str, payload, samples: int, args):
         )
     bf, matrix = _block_form_of(kind, payload)
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
-    verdict = criteria.check_general(
-        bf, tol_criterion=args.tol_criterion, tol_normal=args.tol_normal
-    )
+    verdict = criteria.check_general(bf, tol_criterion=args.tol_criterion)
     audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
     return bf, shape, verdict, audited
 
@@ -263,6 +261,7 @@ def _report(kind: str, payload, shape, verdict, audited) -> dict:
         report["ellipses"] = list(verdict.ellipses)
         report["hull_hausdorff"] = audited.hull_gap
         report["diameter"] = audited.diameter
+    if audited.factorization is not None:
         report["factorization_residual"] = audited.factorization
     report["consistency_failures"] = audited.failures
     return report
@@ -516,9 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=2048,
                        help="support directions for boundary oracles")
         p.add_argument("--tol-criterion", type=float,
-                       default=criteria.TOL_CRITERION, dest="tol_criterion")
-        p.add_argument("--tol-normal", type=float,
-                       default=criteria.TOL_NORMAL, dest="tol_normal")
+                       default=forms.TOL, dest="tol_criterion")
 
     p_check = sub.add_parser("check", help="classify a matrix")
     common(p_check)
@@ -537,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("b1", help="complex as 're' or 're,im'")
     p_solve.add_argument("b2", help="complex as 're' or 're,im'")
     p_solve.add_argument("--tol-criterion", type=float,
-                         default=criteria.TOL_CRITERION, dest="tol_criterion")
+                         default=forms.TOL, dest="tol_criterion")
     p_solve.set_defaults(func=cmd_solve_b)
 
     p_rec = sub.add_parser("reciprocal", help="classify a reciprocal matrix")

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .forms import (
-    TOL_UNITARY,
+    TOL,
     BlockForm,
     Frame,
     NotScalarUnitaryError,
@@ -46,8 +46,6 @@ from .linalg import CMatrix, herm_eig2, hermitian_eig4, sqrt_principal
 from .nrcore import golden_min, spectrum
 
 __all__ = [
-    "TOL_CRITERION",
-    "TOL_NORMAL",
     "Reason",
     "Verdict",
     "CriterionData",
@@ -72,11 +70,10 @@ __all__ = [
     "reciprocal_classify",
 ]
 
-# Relative tolerance for criterion equalities (exact identities in theory)
-# and for normality of the coupling data.  Both are scale-free: quartic
-# quantities are compared against scale**4 with scale = 1 + ||A||_F.
-TOL_CRITERION = 1e-9
-TOL_NORMAL = 1e-10
+# Every decision gate follows the rule stated at ``forms.TOL``.  The quartic
+# criterion equalities (T = 0, the determinant identity and their real and
+# imaginary specializations) take their tolerance as the ``tol_criterion``
+# parameter, by default the same TOL.
 # Tolerance for entrywise equalities (eta1 = eta2 and the like).
 _EQ_TOL = 1e-7
 # Directions sampled over [0, pi) before the golden-section refinement.
@@ -248,7 +245,7 @@ def _normalize_tilt(t: float) -> float:
 
 
 def ellipse_geometry(
-    params: EllipsePairParams, frame: Frame | None = None, tol: float = TOL_CRITERION
+    params: EllipsePairParams, frame: Frame | None = None, tol: float = TOL
 ) -> tuple[Ellipse, Ellipse]:
     """Convert factor parameters into the two congruent ellipses.
 
@@ -297,25 +294,26 @@ def _beta_values(sf: SpecialForm) -> tuple[float, float]:
     return herm_eig2(imb)
 
 
-def _spread_residual(sf: SpecialForm) -> tuple[float, complex]:
-    """Direct residual of the pre-squared criterion, best sign combination.
+def _pair_residual(
+    sig1: complex, sig2: complex, weight: float, rhs: float, scale_k: float
+) -> tuple[float, complex]:
+    """Best of sigma1 +- sigma2: the smallest |weight c^2 - rhs| / scale_k
+    over c = sigma1 + sigma2 and sigma1 - sigma2, and the c attaining it."""
+    return min(
+        ((abs(weight * c * c - rhs) / scale_k, c) for c in (sig1 + sig2, sig1 - sig2)),
+        key=lambda res_c: res_c[0],
+    )
 
-    Returns the relative residual of (1+v^2)(sigma1 +- sigma2)^2 =
-    (beta1 - beta2)^2 and the matching eigenvalue combination.
-    """
+
+def _spread_residual(sf: SpecialForm) -> tuple[float, complex]:
+    """Residual of the pre-squared criterion (1+v^2)(sigma1 +- sigma2)^2 =
+    (beta1 - beta2)^2, a quadratic identity, at the best sign combination."""
     spec = spectrum(sf.to_block())
     beta1, beta2 = _beta_values(sf)
-    rhs = (beta1 - beta2) ** 2
-    k = 1.0 + sf.v * sf.v
-    best = math.inf
-    best_combo = 0j
-    for combo in spec.pair_combinations():
-        lhs = k * combo * combo
-        res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        if res < best:
-            best = res
-            best_combo = combo
-    return best, best_combo
+    return _pair_residual(
+        spec.sigma1, spec.sigma2, 1.0 + sf.v * sf.v, (beta1 - beta2) ** 2,
+        sf.scale() ** 2,
+    )
 
 
 def _positive_verdict(
@@ -348,11 +346,17 @@ def _positive_verdict(
     )
 
 
+def _b_normal(sf: SpecialForm) -> bool:
+    """Coupling normality b = 0, a linear gate on the coupling blocks
+    B* + I and B - I, whose tr H is 2 ||B||^2 + 4."""
+    norm_b2 = abs(sf.b1) ** 2 + abs(sf.b2) ** 2 + sf.b**2
+    return sf.b <= TOL * math.sqrt(2.0 * norm_b2 + 4.0)
+
+
 def check_special(
     sf: SpecialForm,
     frame: Frame | None = None,
-    tol_criterion: float = TOL_CRITERION,
-    tol_normal: float = TOL_NORMAL,
+    tol_criterion: float = TOL,
 ) -> Verdict:
     """Classify a special form: non-normal B and vanishing criterion value."""
     scale = sf.scale()
@@ -360,7 +364,7 @@ def check_special(
         "theta_used": frame.rotation if frame is not None else 0.0,
         "b": sf.b,
     }
-    if sf.b <= tol_normal * (1.0 + abs(sf.b1) + abs(sf.b2)):
+    if _b_normal(sf):
         diagnostics["t_norm"] = math.nan
         return Verdict(False, Reason.B_NORMAL, None, diagnostics)
     data = criterion_T(sf)
@@ -386,8 +390,7 @@ def real_case_ii(sf: SpecialForm) -> bool:
 def check_real(
     sf: SpecialForm,
     frame: Frame | None = None,
-    tol_criterion: float = TOL_CRITERION,
-    tol_normal: float = TOL_NORMAL,
+    tol_criterion: float = TOL,
 ) -> Verdict:
     """Real diagonal parameter: coupling plus one of two entry conditions.
 
@@ -399,7 +402,7 @@ def check_real(
         raise NotRealAlphaError("check_real needs Im(alpha) = 0")
     scale = sf.scale()
     diagnostics: dict = {"theta_used": 0.0, "b": sf.b}
-    if sf.b <= tol_normal * (1.0 + abs(sf.b1) + abs(sf.b2)):
+    if _b_normal(sf):
         return Verdict(False, Reason.B_NORMAL, None, diagnostics)
     eq_tol = _EQ_TOL * scale
     xi_sq_diff = sf.xi1**2 - sf.xi2**2
@@ -417,8 +420,7 @@ def check_real(
 def check_imag(
     sf: SpecialForm,
     frame: Frame | None = None,
-    tol_criterion: float = TOL_CRITERION,
-    tol_normal: float = TOL_NORMAL,
+    tol_criterion: float = TOL,
 ) -> Verdict:
     """Purely imaginary diagonal parameter: equal moduli and v^2 b^2 match."""
     if abs(sf.u) > 1e-14:
@@ -427,7 +429,7 @@ def check_imag(
         raise NotImagAlphaError("check_imag needs Im(alpha) != 0")
     scale = sf.scale()
     diagnostics: dict = {"theta_used": 0.0, "b": sf.b}
-    if sf.b <= tol_normal * (1.0 + abs(sf.b1) + abs(sf.b2)):
+    if _b_normal(sf):
         return Verdict(False, Reason.B_NORMAL, None, diagnostics)
     eq_tol = _EQ_TOL * scale
     moduli_ok = abs(abs(sf.b1) - abs(sf.b2)) <= eq_tol
@@ -445,7 +447,7 @@ def solve_b(
     v: float,
     b1: complex,
     b2: complex,
-    tol_criterion: float = TOL_CRITERION,
+    tol_criterion: float = TOL,
 ) -> float | None:
     """The unique coupling entry b > 0 yielding a bi-elliptical range, if any.
 
@@ -549,6 +551,14 @@ def _polish_theta(h0: CMatrix, z0: CMatrix, theta_guess: float) -> float | None:
     return theta + shift * math.pi
 
 
+def _zero_multiples_only(bf: BlockForm) -> bool:
+    """The trace gate: min over theta of trace(M* M) is tr H - 2 |tr Z|, a
+    quadratic quantity; if it vanishes the only scalar-unitary candidates
+    have scalar zero."""
+    tr_h = bf.H.trace().real
+    return tr_h - 2.0 * abs(bf.Z.trace()) <= TOL * tr_h
+
+
 def find_theta(bf: BlockForm) -> ThetaSearch | None:
     """Direction theta in [0, pi) making e^{-i t}C - e^{i t}D* scalar-unitary.
 
@@ -560,14 +570,11 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     accepted minima mod pi are reported for the per-instance uniqueness
     audit.
     """
+    if _zero_multiples_only(bf):
+        return None
     h, z = bf.H, bf.Z
     tr_h = h.trace().real
     tr_z = z.trace()
-    # min over theta of trace(M* M) is tr H - 2 |tr Z|; if it vanishes the
-    # only scalar-unitary candidates have scalar zero.
-    if tr_h - 2.0 * abs(tr_z) <= TOL_UNITARY * (1.0 + tr_h):
-        return None
-
     ident = eye(2)
     h0 = h - (tr_h / 2.0) * ident
     z0 = z - (tr_z / 2.0) * ident
@@ -609,20 +616,20 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
 
     k_best = int(np.argmin(dgrid))
     theta_star, d_min = refine(k_best)
-    if d_min > TOL_UNITARY:
+    if d_min > TOL:
         return None
     e_star = cmath.exp(-2j * theta_star)
     mu = 0.5 * (tr_h - 2.0 * (e_star * tr_z).real)
 
     extras: list[float] = []
-    coarse = max(TOL_UNITARY * 10.0, float(dgrid[k_best]) * 10.0)
+    coarse = max(TOL * 10.0, float(dgrid[k_best]) * 10.0)
     for k in range(grid):
         if dgrid[k] <= dgrid[(k - 1) % grid] and dgrid[k] <= dgrid[(k + 1) % grid]:
             if dgrid[k] > coarse:
                 continue
             t_k, d_k = refine(k)
             sep = abs((t_k - theta_star + math.pi / 2) % math.pi - math.pi / 2)
-            if d_k <= TOL_UNITARY and sep > 1e-6:
+            if d_k <= TOL and sep > 1e-6:
                 if all(
                     abs((t_k - t + math.pi / 2) % math.pi - math.pi / 2) > 1e-6
                     for t in extras
@@ -646,11 +653,7 @@ def _paired_eigenvalues(
     return 0.5 * (values[0] + values[1]), 0.5 * (values[2] + values[3])
 
 
-def check_general(
-    bf: BlockForm,
-    tol_criterion: float = TOL_CRITERION,
-    tol_normal: float = TOL_NORMAL,
-) -> Verdict:
+def check_general(bf: BlockForm, tol_criterion: float = TOL) -> Verdict:
     """Classify an arbitrary block form.
 
     Needs (a) a direction theta at which the block combination is a nonzero
@@ -663,12 +666,8 @@ def check_general(
     scale = bf.scale()
     diagnostics: dict = {}
 
-    h, z = bf.H, bf.Z
-    tr_h = h.trace().real
-    tr_z = z.trace()
-    if tr_h - 2.0 * abs(tr_z) <= TOL_UNITARY * (1.0 + tr_h):
-        # The only scalar-unitary directions have scalar zero; the product
-        # with D is then zero, hence normal.
+    if _zero_multiples_only(bf):
+        # The product with D of a zero multiple is zero, hence normal.
         diagnostics["mu"] = 0.0
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
 
@@ -685,7 +684,7 @@ def check_general(
     product = m @ bf.D
     comm = product @ product.H - product.H @ product
     diagnostics["product_commutator"] = comm.frobenius()
-    if comm.frobenius() <= tol_normal * scale**2:
+    if comm.frobenius() <= TOL * bf.H.trace().real ** 2:
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
 
     # Determinant identity at theta.
@@ -700,7 +699,7 @@ def check_general(
     im_rot2 = (1 / 2j) * (rot2 - rot2.H)
     eig = hermitian_eig4(im_rot2)
     try:
-        s_lo, s_hi = _paired_eigenvalues(eig.values, 1e-8 * scale**2)
+        s_lo, s_hi = _paired_eigenvalues(eig.values, TOL * scale**2)
     except ValueError as exc:
         diagnostics["pairing_error"] = str(exc)
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
@@ -712,14 +711,7 @@ def check_general(
     sig1 = sqrt_principal(e2 * (spec.z1 + bf.alpha * bf.alpha))
     sig2 = sqrt_principal(e2 * (spec.z2 + bf.alpha * bf.alpha))
     rhs = s_diff * s_diff
-    best_res = math.inf
-    best_combo = 0j
-    for combo in (sig1 + sig2, sig1 - sig2):
-        lhs = 4.0 * sqrt_det * combo * combo
-        res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        if res < best_res:
-            best_res = res
-            best_combo = combo
+    best_res, best_combo = _pair_residual(sig1, sig2, 4.0 * sqrt_det, rhs, scale**4)
     diagnostics["sigma_sum_theta"] = best_combo
     diagnostics["gen_lhs"] = 4.0 * sqrt_det * best_combo * best_combo
     diagnostics["gen_rhs"] = rhs
@@ -733,9 +725,7 @@ def check_general(
         return Verdict(False, Reason.ZERO_MULTIPLE, None, diagnostics)
     except NotScalarUnitaryError:
         return Verdict(False, Reason.NO_THETA, None, diagnostics)
-    special = check_special(
-        sf, frame, tol_criterion=tol_criterion, tol_normal=tol_normal
-    )
+    special = check_special(sf, frame, tol_criterion=tol_criterion)
     diagnostics.update(
         {f"special_{k}": val for k, val in special.diagnostics.items()}
     )
@@ -755,7 +745,7 @@ class ReciprocalShape(str, Enum):
 
 
 def reciprocal_classify(
-    r: ReciprocalForm, tol: float = TOL_CRITERION
+    r: ReciprocalForm, tol: float = TOL
 ) -> ReciprocalShape:
     """Shape of the numerical range of a reciprocal tridiagonal matrix.
 

@@ -40,8 +40,14 @@ __all__ = [
     "reduce_to_special",
 ]
 
-# Relative Frobenius tolerance for "scalar multiple of a unitary".
-TOL_UNITARY = 1e-9
+# The one decision tolerance: a quantity q of degree k counts as zero when
+# |q| <= TOL * s**k, with s the Frobenius norm of the data q is computed
+# from.  For q built from the coupling blocks C, D alone (the trace gate,
+# mu, the product commutator, the coupling entry b) s**2 is tr H =
+# ||C||^2 + ||D||^2; for q involving alpha, s is :meth:`BlockForm.scale`.
+# Both are free of the trace shift and of degree one, so a gate decides A
+# and tA + c alike, and neither grows with |alpha| where alpha is absent.
+TOL = 1e-9
 
 
 class NonPositiveEntryError(ValueError):
@@ -142,7 +148,12 @@ class BlockForm:
         )
 
     def scale(self) -> float:
-        return 1.0 + self.assemble().frobenius()
+        """Frobenius norm of the shift-free matrix, the decision gates' yardstick.
+
+        It is homogeneous of degree one and ignores the trace shift, so a
+        gate ``|q| <= TOL * scale**deg(q)`` decides A and tA + c alike.
+        """
+        return math.hypot(2.0 * abs(self.alpha), self.C.frobenius(), self.D.frobenius())
 
 
 def normalize_block(alpha: complex, beta: complex, C: CMatrix, D: CMatrix) -> BlockForm:
@@ -209,7 +220,7 @@ class SpecialForm:
         return self.to_block().assemble()
 
     def scale(self) -> float:
-        return 1.0 + self.assemble().frobenius()
+        return self.to_block().scale()
 
 
 @dataclass(frozen=True)
@@ -289,13 +300,13 @@ def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
     m_norm2 = m.frobenius() ** 2
     # A vanishing M is a zero multiple of a unitary; test that before the
     # deviation, which is noise against noise there.
-    if mu <= TOL_UNITARY * bf.C.frobenius() ** 2:
+    if mu <= TOL * bf.H.trace().real:
         raise ZeroMultipleError("scalar multiple of the unitary is zero")
     dev = (s - mu * eye(2)).frobenius()
-    if dev > TOL_UNITARY * max(m_norm2, 1e-300):
+    if dev > TOL * m_norm2:
         raise NotScalarUnitaryError(
             f"M*M deviates from a scalar by {dev:.3e} "
-            f"(relative {dev / max(m_norm2, 1e-300):.3e})"
+            f"(relative {dev / m_norm2:.3e})"
         )
 
     rmu = math.sqrt(mu)

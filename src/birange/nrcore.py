@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import BlockForm
-from .linalg import CMatrix, eig2, sqrt_principal
+from .linalg import CMatrix, eig2, herm_eig2, sqrt_principal
 
 __all__ = [
     "Spectrum",
@@ -80,10 +80,6 @@ class Spectrum:
     def all_eigenvalues(self) -> tuple[complex, complex, complex, complex]:
         return (self.sigma1, -self.sigma1, self.sigma2, -self.sigma2)
 
-    def pair_combinations(self) -> tuple[complex, complex]:
-        """The two essentially different values of sigma1 +- sigma2."""
-        return (self.sigma1 + self.sigma2, self.sigma1 - self.sigma2)
-
 
 def spectrum(bf: BlockForm) -> Spectrum:
     """Eigenvalues of the (shift-removed) block form.
@@ -109,15 +105,10 @@ def pencil_eigs(bf: BlockForm, theta: float) -> tuple[float, float]:
     (nonnegative) eigenvalues of H - e^{-2i theta} Z - e^{2i theta} Z*.
     """
     e2 = cmath.exp(-2j * theta)
-    k = bf.H - e2 * bf.Z - e2.conjugate() * bf.Z.H
-    mean = 0.5 * (k[0, 0].real + k[1, 1].real)
-    half = 0.5 * (k[0, 0].real - k[1, 1].real)
-    r = math.hypot(half, abs(k[0, 1]))
-    mu_hi = max(mean + r, 0.0)
-    mu_lo = max(mean - r, 0.0)
+    mu_lo, mu_hi = herm_eig2(bf.H - e2 * bf.Z - e2.conjugate() * bf.Z.H)
     base = (cmath.exp(-1j * theta) * bf.alpha).imag ** 2
-    lam1 = math.sqrt(base + mu_hi / 4.0)
-    lam2 = math.sqrt(base + mu_lo / 4.0)
+    lam1 = math.sqrt(base + max(mu_hi, 0.0) / 4.0)
+    lam2 = math.sqrt(base + max(mu_lo, 0.0) / 4.0)
     return lam1, lam2
 
 
@@ -363,7 +354,7 @@ def flat_portions(m, samples: list[BoundarySample]) -> list[FlatPortion]:
             continue
         h, hi, lo = _top_space_endpoints(a, theta_star)
         length = abs(hi - lo)
-        if length <= _FLAT_MIN_LENGTH_REL * (1.0 + scale):
+        if length <= _FLAT_MIN_LENGTH_REL * scale:
             continue
         used_thetas.append(theta_star)
         direction = (hi - lo) / length

@@ -39,7 +39,7 @@ from .criteria import (
     ellipse_pair_params,
     real_case_ii,
 )
-from .forms import BlockForm
+from .forms import TOL, BlockForm
 from .linalg import CMatrix, hermitian_eig4
 
 __all__ = [
@@ -189,7 +189,8 @@ class FactorizationResidual:
 
     ``linear_max`` is the worst mismatch in the lambda^2 coefficient,
     ``quadratic_max`` the worst mismatch in the constant coefficient; both
-    are normalized at their own degree and summed into ``total``.
+    are normalized by ``bf.scale()`` at their own degree (2 and 4) and
+    summed into ``total``.
     """
 
     total: float
@@ -210,9 +211,8 @@ def factorization_residual(
         raise ValueError("need at least 16 grid points")
     gp = nrcore.generating_poly(bf)
     p, x, y, z = params.p, params.x, params.y, params.z
-    fro = bf.assemble().frobenius()
-    norm2 = 1.0 + fro * fro
-    norm4 = 1.0 + fro**4
+    norm2 = bf.scale() ** 2
+    norm4 = norm2 * norm2
     worst_lin = 0.0
     worst_quad = 0.0
     worst_total = 0.0
@@ -266,8 +266,9 @@ class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
     ``eigenvalues`` include the trace shift; ``theta``, ``support`` and
-    ``points`` are the boundary samples; ``hull_gap`` and ``factorization``
-    are None unless the verdict is positive with ellipses.
+    ``points`` are the boundary samples; ``hull_gap`` is None unless the
+    verdict is positive with ellipses, ``factorization`` None unless the
+    verdict carries a reduced form.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -323,8 +324,10 @@ def audit(
     reciprocal classification when ``bf`` came from a reciprocal form and
     must agree with the verdict.  A positive verdict must have its hull of
     ellipses within ``1e-6 * diameter`` of the sampled range and flat
-    portions that match the eigenvalue pair sum.  Every verdict must be free
-    of a criterion/reduction mismatch.
+    portions that match the eigenvalue pair sum.  Whenever the verdict
+    carries a reduced form, the generating polynomial must factor into the
+    two claimed quadratics up to a factorization residual of ``TOL``.  Every
+    verdict must be free of a criterion/reduction mismatch.
     """
     if matrix is None:
         matrix = bf.assemble()
@@ -348,9 +351,13 @@ def audit(
         checks.append(Check(_HULL, ok, f"Hausdorff {hull_gap:.3e}" if ok else (
             f"hull/oracle Hausdorff {hull_gap:.3e} exceeds 1e-6 * diameter")))
         checks += _flat_checks(verdict, flats)
-        sf = verdict.diagnostics.get("reduced_form")
-        if sf is not None:
-            fact = factorization_residual(sf.to_block(), ellipse_pair_params(sf))
+    sf = verdict.diagnostics.get("reduced_form")
+    if sf is not None:
+        fact = factorization_residual(sf.to_block(), ellipse_pair_params(sf))
+        ok = fact.total <= TOL
+        checks.append(Check("factorization", ok, (
+            f"factorization residual {fact.total:.3e}"
+            + ("" if ok else f" exceeds {TOL:g}"))))
     ok = not verdict.diagnostics.get("mismatch")
     checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
                         else "criterion/reduction verdict mismatch"))
@@ -399,11 +406,11 @@ def verify_checks(
     checks = [
         Check("central symmetry", sym <= 1e-8 * max(report.diameter, 1e-12),
               f"antipodal mismatch {sym:.3e}"),
-        Check("eigenvalue containment", worst_out <= 1e-9 * scale,
+        Check("eigenvalue containment", worst_out <= 1e-9 * (scale + abs(bf.shift)),
               f"worst support excess {worst_out:.3e}"),
         Check("pencil eigenvalues", worst_pencil <= 1e-11 * scale,
               f"worst deviation {worst_pencil:.3e}"),
-        Check("generating polynomial", worst_gen <= 1e-9 * (1.0 + scale**4),
+        Check("generating polynomial", worst_gen <= 1e-9 * scale**4,
               f"worst residual {worst_gen:.3e}"),
     ]
     if verdict.bielliptical:

@@ -1,7 +1,10 @@
 """Shared fixtures and randomized-instance generators for the test suite."""
 
 import cmath
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -183,6 +186,21 @@ def disguise(rng, sf: SpecialForm, rotate: bool = True, scale: bool = True,
     c_new = w * (u1.H @ bf.C @ u2)
     d_new = w * (u2.H @ bf.D @ u1)
     return normalize_block(alpha + c, -alpha + c, c_new, d_new), theta0
+
+
+def load_bench_module(name: str):
+    """Import ``bench/<name>.py`` read-only: no bytecode is written next to
+    it, so loading it leaves the benchmark's directory as it was."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 # Reference computations the tests check the package against.

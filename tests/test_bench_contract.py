@@ -4,30 +4,17 @@ fails first.  ``bench/tracing.py`` is loaded read-only, without writing
 bytecode next to it."""
 
 import importlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from birange import cli, nrcore
-from helpers import general_example_matrix
-
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from helpers import general_example_matrix, load_bench_module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
+    return load_bench_module("tracing")
 
 
 def test_every_layer_resolves(tracing):

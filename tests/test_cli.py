@@ -385,6 +385,10 @@ class TestOracleSafetyNet:
         assert code == 3
         hull_fails = [ln for ln in lines if ln.startswith("[FAIL]") and "Hausdorff" in ln]
         assert len(hull_fails) == 1
+        # The claimed quadratic factors do not multiply out to the generating
+        # polynomial either.
+        assert any(ln.startswith("[FAIL] factorization: factorization residual")
+                   for ln in lines)
 
     def test_json_failures_are_failed_consistency_checks(self, tmp_path, capsys):
         path = self.forced_doc(tmp_path)
@@ -399,6 +403,9 @@ class TestOracleSafetyNet:
         failed = [c.detail for c in audited.checks if not c.passed]
         assert len(failed) >= 2
         assert report["consistency_failures"] == failed
+        assert report["factorization_residual"]["total"] > 1e-9
+        assert any(msg.startswith("factorization residual") and msg.endswith("exceeds 1e-09")
+                   for msg in failed)
 
     def test_forced_misclassification_exits_3(self, tmp_path, capsys):
         # An absurd criterion tolerance makes the classifier accept a matrix

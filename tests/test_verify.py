@@ -322,7 +322,7 @@ class TestAudit:
         assert report.failures == []
         assert {c.name for c in report.checks} == {
             "reciprocal agreement", "hull comparison", "flat portions",
-            "criterion/reduction agreement",
+            "factorization", "criterion/reduction agreement",
         }
 
     def test_reciprocal_disagreement_fails(self):
