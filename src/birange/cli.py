@@ -227,7 +227,7 @@ def _jsonify(obj):
     return obj
 
 
-def _audit(kind: str, payload, samples: int, args):
+def _audit(kind: str, payload, samples: int):
     """Classify a parsed document and audit the verdict.
 
     Returns the block form, the reciprocal shape (None unless the document
@@ -240,7 +240,7 @@ def _audit(kind: str, payload, samples: int, args):
         )
     bf, matrix = _block_form_of(kind, payload)
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
-    verdict = criteria.check_general(bf, tol_criterion=args.tol_criterion)
+    verdict = criteria.check_general(bf)
     audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
     return bf, shape, verdict, audited
 
@@ -327,7 +327,7 @@ def cmd_check(args) -> int:
     outputs = []
     for doc in docs:
         kind, payload = parse_matrix_spec(doc)
-        _, shape, verdict, audited = _audit(kind, payload, args.samples, args)
+        _, shape, verdict, audited = _audit(kind, payload, args.samples)
         report = _report(kind, payload, shape, verdict, audited)
         outputs.append(report)
         if report["consistency_failures"]:
@@ -421,7 +421,7 @@ def cmd_boundary(args) -> int:
     report = None
     if args.format == "svg" and structured:
         _, shape, verdict, audited = _audit(
-            kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES), args
+            kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES)
         )
         report = _report(kind, payload, shape, verdict, audited)
     samples = nrcore.boundary_support(matrix, args.samples)
@@ -459,7 +459,7 @@ def cmd_solve_b(args) -> int:
     b1 = _parse_cli_complex(args.b1)
     b2 = _parse_cli_complex(args.b2)
     try:
-        b = criteria.solve_b(u, v, b1, b2, tol_criterion=args.tol_criterion)
+        b = criteria.solve_b(u, v, b1, b2)
     except criteria.AlphaZeroError:
         print(
             "error: diagonal parameter is zero, so b is unconstrained; "
@@ -491,7 +491,7 @@ def cmd_verify(args) -> int:
         raise InputError("verify expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])
     seed = int(os.environ.get("BIRANGE_SEED", "42"))
-    bf, _, verdict, audited = _audit(kind, payload, args.samples, args)
+    bf, _, verdict, audited = _audit(kind, payload, args.samples)
     checks = verify.verify_checks(bf, verdict, audited, seed)
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
@@ -514,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON matrix document (default: stdin)")
         p.add_argument("--samples", type=int, default=2048,
                        help="support directions for boundary oracles")
-        p.add_argument("--tol-criterion", type=float,
-                       default=forms.TOL, dest="tol_criterion")
 
     p_check = sub.add_parser("check", help="classify a matrix")
     common(p_check)
@@ -533,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("v", type=float)
     p_solve.add_argument("b1", help="complex as 're' or 're,im'")
     p_solve.add_argument("b2", help="complex as 're' or 're,im'")
-    p_solve.add_argument("--tol-criterion", type=float,
-                         default=forms.TOL, dest="tol_criterion")
     p_solve.set_defaults(func=cmd_solve_b)
 
     p_rec = sub.add_parser("reciprocal", help="classify a reciprocal matrix")

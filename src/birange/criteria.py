@@ -42,8 +42,8 @@ from .forms import (
     from_reciprocal,
     reduce_to_special,
 )
-from .linalg import CMatrix, herm_eig2, hermitian_eig4, sqrt_principal
-from .nrcore import golden_min, spectrum
+from .linalg import CMatrix, herm_eig2, sqrt_principal
+from .nrcore import golden_min, pencil_eigs, spectrum
 
 __all__ = [
     "Reason",
@@ -70,10 +70,9 @@ __all__ = [
     "reciprocal_classify",
 ]
 
-# Every decision gate follows the rule stated at ``forms.TOL``.  The quartic
+# Every decision gate follows the rule stated at ``forms.TOL``, the quartic
 # criterion equalities (T = 0, the determinant identity and their real and
-# imaginary specializations) take their tolerance as the ``tol_criterion``
-# parameter, by default the same TOL.
+# imaginary specializations) included; no parameter sets it.
 # Tolerance for entrywise equalities (eta1 = eta2 and the like).
 _EQ_TOL = 1e-7
 # Directions sampled over [0, pi) before the golden-section refinement.
@@ -321,8 +320,8 @@ def _positive_verdict(
 ) -> Verdict:
     params = ellipse_pair_params(sf)
     # A nonzero coupling makes the factor strictly non-degenerate, so only a
-    # roundoff-level guard is appropriate here, independent of the (possibly
-    # user-loosened) criterion tolerance.
+    # roundoff-level guard is appropriate here, far below the criterion
+    # tolerance TOL.
     try:
         ellipses = ellipse_geometry(params, frame, tol=1e-13 * sf.scale() ** 2)
     except DegenerateEllipseError as exc:
@@ -353,11 +352,7 @@ def _b_normal(sf: SpecialForm) -> bool:
     return sf.b <= TOL * math.sqrt(2.0 * norm_b2 + 4.0)
 
 
-def check_special(
-    sf: SpecialForm,
-    frame: Frame | None = None,
-    tol_criterion: float = TOL,
-) -> Verdict:
+def check_special(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     """Classify a special form: non-normal B and vanishing criterion value."""
     scale = sf.scale()
     diagnostics: dict = {
@@ -372,7 +367,7 @@ def check_special(
     diagnostics["t_norm"] = t_norm
     diagnostics["t_abs"] = abs(data.T)
     diagnostics["t_cross_residual"] = data.cross_residual
-    if t_norm > tol_criterion:
+    if t_norm > TOL:
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
 
@@ -387,11 +382,7 @@ def real_case_ii(sf: SpecialForm) -> bool:
     return max(abs(sf.u), abs(sf.v), abs(sf.xi1), abs(sf.xi2)) <= eq_tol
 
 
-def check_real(
-    sf: SpecialForm,
-    frame: Frame | None = None,
-    tol_criterion: float = TOL,
-) -> Verdict:
+def check_real(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     """Real diagonal parameter: coupling plus one of two entry conditions.
 
     Either the diagonal imaginary parts agree and ``4 b^2 u^2`` matches the
@@ -408,7 +399,7 @@ def check_real(
     xi_sq_diff = sf.xi1**2 - sf.xi2**2
     case_i = (
         abs(sf.eta1 - sf.eta2) <= eq_tol
-        and abs(4.0 * sf.b**2 * sf.u**2 - xi_sq_diff**2) <= tol_criterion * scale**4
+        and abs(4.0 * sf.b**2 * sf.u**2 - xi_sq_diff**2) <= TOL * scale**4
     )
     case_ii = real_case_ii(sf)
     diagnostics["case"] = "i" if case_i else ("ii" if case_ii else None)
@@ -417,11 +408,7 @@ def check_real(
     return _positive_verdict(sf, frame, diagnostics)
 
 
-def check_imag(
-    sf: SpecialForm,
-    frame: Frame | None = None,
-    tol_criterion: float = TOL,
-) -> Verdict:
+def check_imag(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     """Purely imaginary diagonal parameter: equal moduli and v^2 b^2 match."""
     if abs(sf.u) > 1e-14:
         raise NotImagAlphaError("check_imag needs Re(alpha) = 0")
@@ -434,21 +421,14 @@ def check_imag(
     eq_tol = _EQ_TOL * scale
     moduli_ok = abs(abs(sf.b1) - abs(sf.b2)) <= eq_tol
     match_ok = (
-        abs(sf.v**2 * sf.b**2 - (sf.eta1 - sf.eta2) ** 2)
-        <= tol_criterion * scale**4
+        abs(sf.v**2 * sf.b**2 - (sf.eta1 - sf.eta2) ** 2) <= TOL * scale**4
     )
     if not (moduli_ok and match_ok):
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
 
 
-def solve_b(
-    u: float,
-    v: float,
-    b1: complex,
-    b2: complex,
-    tol_criterion: float = TOL,
-) -> float | None:
+def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
     """The unique coupling entry b > 0 yielding a bi-elliptical range, if any.
 
     For nonzero diagonal parameter there is at most one such b.  Real case:
@@ -470,7 +450,7 @@ def solve_b(
         if not (b > 1e-12 * mag) or not math.isfinite(b):
             return None
         sf = SpecialForm(u=u, v=v, b1=b1, b2=b2, b=b)
-        if check_special(sf, tol_criterion=tol_criterion).bielliptical:
+        if check_special(sf).bielliptical:
             return b
         return None
 
@@ -640,6 +620,23 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     )
 
 
+def _im_square_eigenvalues(
+    bf: BlockForm, theta: float
+) -> tuple[float, float, float, float]:
+    """Eigenvalues (ascending) of Im(e^{-2i theta} A^2), A the shift-free matrix.
+
+    A^2 = diag(alpha^2 I + CD, alpha^2 I + DC) exactly, so they are the two
+    eigenvalue pairs of the imaginary parts of its diagonal blocks.
+    """
+    e2 = cmath.exp(-2j * theta)
+    a2 = (bf.alpha * bf.alpha) * eye(2)
+    values: list[float] = []
+    for prod in (bf.C @ bf.D, bf.Z):
+        rot = e2 * (prod + a2)
+        values += herm_eig2((1 / 2j) * (rot - rot.H))
+    return tuple(sorted(values))
+
+
 def _paired_eigenvalues(
     values: tuple[float, float, float, float], spread_tol: float
 ) -> tuple[float, float]:
@@ -653,7 +650,7 @@ def _paired_eigenvalues(
     return 0.5 * (values[0] + values[1]), 0.5 * (values[2] + values[3])
 
 
-def check_general(bf: BlockForm, tol_criterion: float = TOL) -> Verdict:
+def check_general(bf: BlockForm) -> Verdict:
     """Classify an arbitrary block form.
 
     Needs (a) a direction theta at which the block combination is a nonzero
@@ -687,19 +684,15 @@ def check_general(bf: BlockForm, tol_criterion: float = TOL) -> Verdict:
     if comm.frobenius() <= TOL * bf.H.trace().real ** 2:
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
 
-    # Determinant identity at theta.
-    a4 = bf.normalized_matrix()
-    rot = cmath.exp(-1j * theta) * a4
-    im_rot = (1 / 2j) * (rot - rot.H)
-    det_im = im_rot.det().real
-    sqrt_det = math.sqrt(max(det_im, 0.0))
+    # Determinant identity at theta, from 2x2 closed forms.  Im(e^{-i theta}A)
+    # has eigenvalues +-lambda_j, so sqrt(det Im(e^{-i theta}A)) = lambda1 lambda2.
+    lam1, lam2 = pencil_eigs(bf, theta)
+    sqrt_det = lam1 * lam2
     diagnostics["sqrt_det_im"] = sqrt_det
 
-    rot2 = rot @ rot
-    im_rot2 = (1 / 2j) * (rot2 - rot2.H)
-    eig = hermitian_eig4(im_rot2)
+    values = _im_square_eigenvalues(bf, theta)
     try:
-        s_lo, s_hi = _paired_eigenvalues(eig.values, TOL * scale**2)
+        s_lo, s_hi = _paired_eigenvalues(values, TOL * scale**2)
     except ValueError as exc:
         diagnostics["pairing_error"] = str(exc)
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
@@ -716,7 +709,7 @@ def check_general(bf: BlockForm, tol_criterion: float = TOL) -> Verdict:
     diagnostics["gen_lhs"] = 4.0 * sqrt_det * best_combo * best_combo
     diagnostics["gen_rhs"] = rhs
     diagnostics["gen_residual"] = best_res
-    if best_res > tol_criterion:
+    if best_res > TOL:
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
 
     try:
@@ -725,7 +718,7 @@ def check_general(bf: BlockForm, tol_criterion: float = TOL) -> Verdict:
         return Verdict(False, Reason.ZERO_MULTIPLE, None, diagnostics)
     except NotScalarUnitaryError:
         return Verdict(False, Reason.NO_THETA, None, diagnostics)
-    special = check_special(sf, frame, tol_criterion=tol_criterion)
+    special = check_special(sf, frame)
     diagnostics.update(
         {f"special_{k}": val for k, val in special.diagnostics.items()}
     )
@@ -744,9 +737,7 @@ class ReciprocalShape(str, Enum):
     NEITHER = "Neither"
 
 
-def reciprocal_classify(
-    r: ReciprocalForm, tol: float = TOL
-) -> ReciprocalShape:
+def reciprocal_classify(r: ReciprocalForm) -> ReciprocalShape:
     """Shape of the numerical range of a reciprocal tridiagonal matrix.
 
     Bi-elliptical requires the outer symmetrized entries to agree and exceed
@@ -754,7 +745,7 @@ def reciprocal_classify(
     the golden-ratio line through the symmetrized entries.
     """
     a1, a2, a3 = r.A1, r.A2, r.A3
-    t = tol * max(1.0, a1, a2, a3)
+    t = TOL * max(1.0, a1, a2, a3)
     if abs(a1 - a3) <= t and a1 > 1.0 + t and abs(a2 - 1.0) <= t:
         return ReciprocalShape.BI_ELLIPTICAL
     phi_plus = (1.0 + math.sqrt(5.0)) / 2.0

@@ -6,9 +6,10 @@ environment dependence.  The rest of the package treats this module as the
 deterministic "implementation side"; LAPACK-backed routines appear only in
 the independent oracles that cross-check it.
 
-Contents: an immutable square-matrix value type, a cyclic Jacobi eigensolver
-for 4x4 Hermitian matrices, a 2x2 Schur triangularization with a fixed phase
-convention, and the principal complex square root.
+Contents: an immutable square-matrix value type, closed-form 2x2 eigenvalues,
+a 2x2 Schur triangularization with a fixed phase convention, the principal
+complex square root, and a cyclic Jacobi eigensolver for 4x4 Hermitian
+matrices that no decision or audit path calls.
 """
 
 from __future__ import annotations
@@ -117,21 +118,11 @@ class CMatrix:
         return max(abs(x) for row in self._rows for x in row)
 
     def det(self) -> complex:
+        """Determinant of a 2x2 matrix."""
+        if self.n != 2:
+            raise ValueError("det expects a 2x2 matrix")
         r = self._rows
-        if self.n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        # 4x4 by cofactor expansion along the first row.
-        total = 0j
-        for j in range(4):
-            cols = [c for c in range(4) if c != j]
-            m = [[r[i][c] for c in cols] for i in (1, 2, 3)]
-            minor = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-            total += ((-1) ** j) * r[0][j] * minor
-        return total
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
 
     def allclose(self, other: "CMatrix", tol: float) -> bool:
         return (self - other).max_abs() <= tol

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 
 from birange import cli, criteria, nrcore, verify
 from birange.cli import main
+from birange.linalg import eye
 from helpers import (
     bi_special_real_case_ii,
     disguise,
@@ -150,10 +153,15 @@ class TestCheck:
 
 
 def run_module(*args):
+    """``python -m birange.cli`` with the package this suite imports on the
+    child's path, whether it came from PYTHONPATH or pytest's pythonpath."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "birange.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -188,6 +196,17 @@ class TestExitCodeContract:
     def test_solve_b_non_finite(self, capsys):
         assert main(["solve-b", "nan", "0", "1", "1"]) == 2
         assert main(["solve-b", "1", "0", "1,inf", "1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "-"], ["boundary", "-"], ["verify", "-"],
+        ["solve-b", "0.1", "0", "0.6,-0.2", "0.4,-0.2"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_tol_criterion_flag_is_usage_error(self, argv, capsys):
+        # Every gate reads forms.TOL; no option loosens the criterion.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol-criterion", "1e6"])
+        assert exc.value.code == 2
+        assert "--tol-criterion" in capsys.readouterr().err
 
     def test_uncaught_exception_exits_3(self, gen_file, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -342,6 +361,19 @@ class TestVerify:
             assert code == 0, out
             assert "[PASS] unitary irreducibility: commutant dimension 2" in out
 
+    def test_central_symmetry_allows_shift_roundoff(self, tmp_path, capsys):
+        # The worked example scaled by 1e-6 and shifted by 1e6: the oracle's
+        # antipodal mismatch is a few eps * |shift|, which the gate admits,
+        # so verify exits 1 like check.
+        m = 1e-6 * general_example_matrix() + 1e6 * eye(4)
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(raw_doc(m)))
+        code = main(["verify", str(path), "--samples", "512"])
+        out = capsys.readouterr().out
+        assert "[PASS] central symmetry" in out
+        assert code == 1
+        assert main(["check", str(path), "--samples", "512"]) == 1
+
     def test_vectorized_geometry_checks_match_loops(self, gen_file, capsys):
         assert main(["verify", gen_file, "--samples", "512"]) == 0
         out = capsys.readouterr().out
@@ -368,10 +400,23 @@ class TestVerify:
 
 
 class TestOracleSafetyNet:
+    @pytest.fixture(autouse=True)
+    def forced_positive(self, monkeypatch):
+        """Zero the criterion value T and the determinant-identity residual,
+        so the classifier accepts matrices whose range is not bi-elliptical."""
+        criterion_t = criteria.criterion_T
+        pair_residual = criteria._pair_residual
+        monkeypatch.setattr(
+            criteria, "criterion_T",
+            lambda sf: dataclasses.replace(criterion_t(sf), reT=0.0, imT=0.0),
+        )
+        monkeypatch.setattr(
+            criteria, "_pair_residual", lambda *a: (0.0, pair_residual(*a)[1])
+        )
+
     @staticmethod
     def forced_doc(tmp_path):
-        """The wrong coupling under an absurd criterion tolerance: the
-        classifier accepts a matrix whose range is not bi-elliptical."""
+        """The wrong coupling, which the forced classifier accepts."""
         doc = special_doc(fig_left_special())
         doc["b"] = 2.0
         path = tmp_path / "forced.json"
@@ -380,7 +425,7 @@ class TestOracleSafetyNet:
 
     def test_one_hull_row_per_document(self, tmp_path, capsys):
         path = self.forced_doc(tmp_path)
-        code = main(["verify", path, "--tol-criterion", "1e6", "--samples", "512"])
+        code = main(["verify", path, "--samples", "512"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 3
         hull_fails = [ln for ln in lines if ln.startswith("[FAIL]") and "Hausdorff" in ln]
@@ -392,13 +437,12 @@ class TestOracleSafetyNet:
 
     def test_json_failures_are_failed_consistency_checks(self, tmp_path, capsys):
         path = self.forced_doc(tmp_path)
-        code = main(["check", path, "--format", "json", "--tol-criterion", "1e6",
-                     "--samples", "512"])
+        code = main(["check", path, "--format", "json", "--samples", "512"])
         report = json.loads(capsys.readouterr().out)
         assert code == 3
         with open(path) as fh:
             bf = cli.parse_matrix_spec(json.load(fh))[1].to_block()
-        verdict = criteria.check_general(bf, tol_criterion=1e6)
+        verdict = criteria.check_general(bf)
         audited = verify.audit(bf, verdict, 512)
         failed = [c.detail for c in audited.checks if not c.passed]
         assert len(failed) >= 2
@@ -408,16 +452,10 @@ class TestOracleSafetyNet:
                    for msg in failed)
 
     def test_forced_misclassification_exits_3(self, tmp_path, capsys):
-        # An absurd criterion tolerance makes the classifier accept a matrix
-        # whose range is not bi-elliptical; the hull oracle must catch the
-        # disagreement and turn it into the internal-failure exit code.
-        sf = fig_left_special()
-        doc = special_doc(sf)
-        doc["b"] = 2.0
-        path = tmp_path / "forced.json"
-        path.write_text(json.dumps(doc))
-        code = main(["check", str(path), "--tol-criterion", "1e6",
-                     "--samples", "512"])
+        # The forced classifier accepts a matrix whose range is not
+        # bi-elliptical; the hull oracle must catch the disagreement and turn
+        # it into the internal-failure exit code.
+        code = main(["check", self.forced_doc(tmp_path), "--samples", "512"])
         out = capsys.readouterr().out
         assert code == 3
         assert "CONSISTENCY FAILURE" in out
@@ -446,10 +484,6 @@ class TestEntryPoint:
         doc = {"form": "reciprocal", "a1": 1.0, "a2": 1.0, "a3": 1.0}
         path = tmp_path / "rec.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "birange.cli", "check", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("check", str(path))
         assert proc.returncode == 1
         assert "Neither" in proc.stdout

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from birange import criteria
 from birange.criteria import (
     AlphaZeroError,
     DegenerateEllipseError,
@@ -26,7 +27,7 @@ from birange.criteria import (
 )
 from birange.forms import BlockForm, ReciprocalForm, SpecialForm, from_reciprocal
 from birange.linalg import CMatrix, zeros
-from birange.nrcore import spectrum
+from birange.nrcore import pencil_eigs, spectrum
 from helpers import (
     bi_special_any,
     bi_special_general,
@@ -260,6 +261,32 @@ class TestFindTheta:
             dist = abs((found.theta - theta0 + math.pi / 2) % math.pi - math.pi / 2)
             assert dist <= 1e-9
             assert found.extra_thetas == ()
+
+
+class TestDeterminantIdentityAtSizeTwo:
+    """check_general's 2x2 closed forms against LAPACK on the 4x4 matrix."""
+
+    @staticmethod
+    def cases(rng, count=100):
+        for _ in range(count):
+            bf = random_block(rng, scale=10.0 ** rng.uniform(-3.0, 3.0))
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            a = np.array(bf.normalized_matrix().rows)
+            yield bf, theta, a, bf.scale()
+
+    def test_im_square_pairs_match_eigvalsh(self, rng):
+        for bf, theta, a, scale in self.cases(rng):
+            rot2 = np.exp(-2j * theta) * (a @ a)
+            ref = np.linalg.eigvalsh((rot2 - rot2.conj().T) / 2j)
+            got = criteria._im_square_eigenvalues(bf, theta)
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * scale**2
+
+    def test_sqrt_det_is_pencil_product(self, rng):
+        for bf, theta, a, scale in self.cases(rng):
+            rot = np.exp(-1j * theta) * a
+            det = np.linalg.det((rot - rot.conj().T) / 2j).real
+            lam1, lam2 = pencil_eigs(bf, theta)
+            assert abs(lam1 * lam2 - math.sqrt(det)) <= 1e-12 * scale**2
 
 
 class TestCheckGeneral:
