@@ -45,6 +45,7 @@ from .linalg import (
     sqrt_principal,
 )
 from .nrcore import (
+    Boundary,
     BoundarySample,
     FlatPortion,
     GeneratingPoly,

@@ -233,10 +233,10 @@ def _audit(kind: str, payload, samples: int):
     Returns the block form, the reciprocal shape (None unless the document
     is reciprocal), the verdict and the :class:`verify.AuditReport`.
     """
-    if samples < nrcore.FLAT_MIN_SAMPLES:
+    if samples < nrcore.FLAT_MIN_SAMPLES or samples % 2:
         raise InputError(
-            f"--samples must be at least {nrcore.FLAT_MIN_SAMPLES} for the "
-            "flat-portion oracle"
+            f"--samples must be even and at least {nrcore.FLAT_MIN_SAMPLES} "
+            "for the flat-portion oracle"
         )
     bf, matrix = _block_form_of(kind, payload)
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
@@ -345,18 +345,17 @@ def cmd_check(args) -> int:
     return worst
 
 
-def _boundary_csv(samples) -> str:
+def _boundary_csv(boundary: nrcore.Boundary) -> str:
+    # .tolist() gives Python floats, whose repr is the plain shortest form.
+    columns = (boundary.theta, boundary.points.real, boundary.points.imag,
+               boundary.support, boundary.gap)
     lines = ["theta,re,im,support_value,gap"]
-    for s in samples:
-        lines.append(
-            f"{s.theta!r},{s.point.real!r},{s.point.imag!r},"
-            f"{s.support_value!r},{s.multiplicity_gap!r}"
-        )
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 
-def _boundary_svg(samples, report: dict | None) -> str:
-    pts = [s.point for s in samples]
+def _boundary_svg(points, report: dict | None) -> str:
+    pts = points.tolist()
     xs = [p.real for p in pts]
     ys = [p.imag for p in pts]
     lo_x, hi_x = min(xs), max(xs)
@@ -406,8 +405,8 @@ def _boundary_svg(samples, report: dict | None) -> str:
 
 
 def cmd_boundary(args) -> int:
-    if args.samples < 64:
-        raise InputError("--samples must be at least 64")
+    if args.samples < 64 or args.samples % 2:
+        raise InputError("--samples must be even and at least 64")
     docs = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("boundary export expects a single matrix document")
@@ -418,17 +417,21 @@ def cmd_boundary(args) -> int:
     else:
         _, matrix = _block_form_of(kind, payload)
         structured = True
-    report = None
-    if args.format == "svg" and structured:
-        _, shape, verdict, audited = _audit(
-            kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES)
-        )
-        report = _report(kind, payload, shape, verdict, audited)
-    samples = nrcore.boundary_support(matrix, args.samples)
     if args.format == "csv":
-        text = _boundary_csv(samples)
+        text = _boundary_csv(nrcore.boundary_support(matrix, args.samples))
     else:
-        text = _boundary_svg(samples, report)
+        report = audited = None
+        if structured:
+            _, shape, verdict, audited = _audit(
+                kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES)
+            )
+            report = _report(kind, payload, shape, verdict, audited)
+        # The audit's own samples, unless it needed more than were asked for.
+        if audited is not None and len(audited.points) == args.samples:
+            points = audited.points
+        else:
+            points = nrcore.boundary_support(matrix, args.samples).points
+        text = _boundary_svg(points, report)
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -513,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", default="-",
                        help="JSON matrix document (default: stdin)")
         p.add_argument("--samples", type=int, default=2048,
-                       help="support directions for boundary oracles")
+                       help="support directions for boundary oracles (even)")
 
     p_check = sub.add_parser("check", help="classify a matrix")
     common(p_check)

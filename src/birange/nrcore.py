@@ -23,6 +23,7 @@ __all__ = [
     "Spectrum",
     "GeneratingPoly",
     "BoundarySample",
+    "Boundary",
     "FlatPortion",
     "spectrum",
     "pencil_eigs",
@@ -205,6 +206,29 @@ class BoundarySample:
     multiplicity_gap: float
 
 
+@dataclass(frozen=True, eq=False)
+class Boundary:
+    """Support-function samples of the numerical range boundary, as arrays.
+
+    ``theta`` holds the n directions 2 pi k / n, ``support`` the support
+    values h(theta_k), ``gap`` the gap between the top two eigenvalues of
+    Re(e^{-i theta_k} M) and ``points`` the boundary points.  Iterating
+    yields one :class:`BoundarySample` per direction.
+    """
+
+    theta: np.ndarray
+    support: np.ndarray
+    gap: np.ndarray
+    points: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __iter__(self):
+        rows = (self.theta, self.points, self.support, self.gap)
+        return (BoundarySample(*r) for r in zip(*(x.tolist() for x in rows)))
+
+
 def _as_ndarray(m) -> np.ndarray:
     if isinstance(m, CMatrix):
         return np.array(m.rows, dtype=complex)
@@ -250,47 +274,34 @@ def _top_space_endpoints(
     return h, _field_value(a, hi), _field_value(a, lo)
 
 
-def boundary_support(m, n: int = DEFAULT_SAMPLES) -> list[BoundarySample]:
+def boundary_support(m, n: int = DEFAULT_SAMPLES) -> Boundary:
     """Sample the numerical range boundary at n equispaced support directions.
 
     For each direction theta the support value is the top eigenvalue of
     Re(e^{-i theta} M) and the boundary point is the field value of a top
-    eigenvector.  When the top eigenvalue is (numerically) degenerate the
-    point returned is the endpoint of the flat segment with the larger
-    transverse coordinate, which keeps the sampling deterministic and lets
-    hull comparisons use matched directions even across flats.
+    eigenvector.  Since Re(e^{-i (theta + pi)} M) = -Re(e^{-i theta} M), one
+    batched eigensolve over the n/2 directions in [0, pi) gives both halves:
+    the top eigenpair for theta and the negated bottom one for theta + pi.
+    When the top eigenvalue is (numerically) degenerate the point returned
+    is the endpoint of the flat segment with the larger transverse
+    coordinate, which keeps the sampling deterministic and lets hull
+    comparisons use matched directions even across flats.
     """
-    if n < 8:
-        raise ValueError("need at least 8 support directions")
+    if n < 8 or n % 2:
+        raise ValueError("need an even number of at least 8 support directions")
     a = _as_ndarray(m)
     scale = float(np.linalg.norm(a))
-    thetas = 2.0 * np.pi * np.arange(n) / n
-    e = np.exp(-1j * thetas)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    e = np.exp(-1j * theta[: n // 2])
     herms = 0.5 * (e[:, None, None] * a + np.conj(e)[:, None, None] * a.conj().T)
     w, v = np.linalg.eigh(herms)
-    supports = w[:, 3]
-    gaps = w[:, 3] - w[:, 2]
-    tops = v[:, :, 3]
-    points = np.einsum("ni,ij,nj->n", tops.conj(), a, tops)
-
-    out: list[BoundarySample] = []
-    deg_tol = _DEGENERATE_REL * max(scale, 1e-300)
-    for k in range(n):
-        theta = float(thetas[k])
-        if gaps[k] <= deg_tol:
-            _, hi, _ = _top_space_endpoints(a, theta)
-            point = hi
-        else:
-            point = complex(points[k])
-        out.append(
-            BoundarySample(
-                theta=theta,
-                point=point,
-                support_value=float(supports[k]),
-                multiplicity_gap=float(gaps[k]),
-            )
-        )
-    return out
+    support = np.concatenate((w[:, 3], -w[:, 0]))
+    gap = np.concatenate((w[:, 3] - w[:, 2], w[:, 1] - w[:, 0]))
+    vecs = np.concatenate((v[:, :, 3], v[:, :, 0]))
+    points = np.einsum("ni,ij,nj->n", vecs.conj(), a, vecs)
+    for k in np.flatnonzero(gap <= _DEGENERATE_REL * max(scale, 1e-300)):
+        points[k] = _top_space_endpoints(a, float(theta[k]))[1]
+    return Boundary(theta, support, gap, points)
 
 
 @dataclass(frozen=True)
@@ -308,7 +319,7 @@ def _support_gap(a: np.ndarray, theta: float) -> float:
     return float(w[3] - w[2])
 
 
-def flat_portions(m, samples: list[BoundarySample]) -> list[FlatPortion]:
+def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
     Local minima of the multiplicity gap are refined by golden-section
@@ -318,7 +329,7 @@ def flat_portions(m, samples: list[BoundarySample]) -> list[FlatPortion]:
     Degeneracies that do not open up a segment (repeated eigenvalues of a
     normal matrix, say) are discarded by the ``_FLAT_MIN_LENGTH_REL`` cutoff.
     """
-    n = len(samples)
+    n = len(boundary.theta)
     if n < FLAT_MIN_SAMPLES:
         raise ValueError(
             f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples"
@@ -327,21 +338,19 @@ def flat_portions(m, samples: list[BoundarySample]) -> list[FlatPortion]:
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return []
-    gaps = np.array([s.multiplicity_gap for s in samples])
+    gaps = boundary.gap
     step = 2.0 * math.pi / n
 
     # Refining every local minimum is cheap (a handful per matrix) and
     # avoids guessing how deep an unrefined grid gap can be.
-    candidates = []
-    for k in range(n):
-        g = gaps[k]
-        if g <= gaps[(k - 1) % n] and g <= gaps[(k + 1) % n]:
-            candidates.append(k)
+    candidates = np.flatnonzero(
+        (gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))
+    )
 
     found: list[FlatPortion] = []
     used_thetas: list[float] = []
     for k in candidates:
-        theta0 = samples[k].theta
+        theta0 = float(boundary.theta[k])
         theta_star = golden_min(
             lambda t: _support_gap(a, t), theta0 - step, theta0 + step
         )

@@ -14,7 +14,8 @@ already returns h_W(theta_k) at every sampled direction (Johnson 1978, SIAM
 J. Numer. Anal. 15), so :func:`hull_support_gap` compares the two in O(n)
 with no discretization floor.  :func:`hull_boundary`, :func:`hausdorff` and
 :func:`compare_boundaries` (the earlier O(n^2) point-cloud comparison) are
-kept for one more change as cross-check oracles in the tests.
+cross-check oracles in the tests; they stay until the benchmark's tracer
+(``bench/tracing.py`` ``LAYERS``) stops looking them up (ROADMAP item 1).
 
 :func:`audit` runs the oracles once per matrix and turns their agreement
 with a verdict into consistency :class:`Check` values; :func:`verify_checks`
@@ -85,38 +86,18 @@ def _support_values(e: Ellipse, theta: np.ndarray) -> np.ndarray:
     return e.center.real * np.cos(theta) + e.center.imag * np.sin(theta) + radial
 
 
-def _sample_arrays(
-    samples: Sequence[nrcore.BoundarySample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directions, support values and boundary points of the samples."""
-    n = len(samples)
-    return (
-        np.fromiter((s.theta for s in samples), float, n),
-        np.fromiter((s.support_value for s in samples), float, n),
-        np.fromiter((s.point for s in samples), complex, n),
-    )
-
-
-def _hull_gap(
-    e1: Ellipse, e2: Ellipse, theta: np.ndarray, support: np.ndarray
-) -> float:
-    hull = np.maximum(_support_values(e1, theta), _support_values(e2, theta))
-    return float(np.abs(hull - support).max())
-
-
-def hull_support_gap(
-    e1: Ellipse, e2: Ellipse, samples: Sequence[nrcore.BoundarySample]
-) -> float:
+def hull_support_gap(e1: Ellipse, e2: Ellipse, boundary: nrcore.Boundary) -> float:
     """Hausdorff distance between conv(E1 u E2) and the sampled range.
 
-    The largest |max(h_E1, h_E2) - support_value| over the samples'
-    directions, i.e. the support-function form of the Hausdorff distance
-    restricted to the sampled directions.
+    The largest |max(h_E1, h_E2) - support| over the boundary's directions,
+    i.e. the support-function form of the Hausdorff distance restricted to
+    the sampled directions.
     """
-    if not samples:
+    theta = boundary.theta
+    if len(theta) == 0:
         raise EmptyInputError("need at least one boundary sample")
-    theta, support, _ = _sample_arrays(samples)
-    return _hull_gap(e1, e2, theta, support)
+    hull = np.maximum(_support_values(e1, theta), _support_values(e2, theta))
+    return float(np.abs(hull - boundary.support).max())
 
 
 def hull_boundary(e1: Ellipse, e2: Ellipse, n: int = 2048) -> list[complex]:
@@ -170,13 +151,13 @@ def hausdorff(a: Sequence[complex], b: Sequence[complex]) -> float:
 
 
 def compare_boundaries(
-    hull_pts: Sequence[complex], samples: Sequence[nrcore.BoundarySample]
+    hull_pts: Sequence[complex], boundary: nrcore.Boundary
 ) -> HullComparison:
     """Hausdorff and matched-direction distances between hull and oracle."""
-    oracle = [s.point for s in samples]
+    oracle = boundary.points
     h = hausdorff(hull_pts, oracle)
     if len(hull_pts) == len(oracle):
-        max_pt = max(abs(p - q) for p, q in zip(hull_pts, oracle))
+        max_pt = float(np.abs(np.asarray(hull_pts) - oracle).max())
     else:
         max_pt = h
     return HullComparison(hausdorff=h, max_pointwise=max_pt, samples=len(oracle))
@@ -266,9 +247,9 @@ class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
     ``eigenvalues`` include the trace shift; ``theta``, ``support`` and
-    ``points`` are the boundary samples; ``hull_gap`` is None unless the
-    verdict is positive with ellipses, ``factorization`` None unless the
-    verdict carries a reduced form.
+    ``points`` are the :class:`nrcore.Boundary` arrays; ``hull_gap`` is None
+    unless the verdict is positive with ellipses, ``factorization`` None
+    unless the verdict carries a reduced form.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -335,7 +316,7 @@ def audit(
     boundary = nrcore.boundary_support(matrix, samples)
     flats = tuple(nrcore.flat_portions(matrix, boundary))
     dim = commutant_dim(matrix)
-    theta, support, points = _sample_arrays(boundary)
+    points = boundary.points
     diameter = math.hypot(float(np.ptp(points.real)), float(np.ptp(points.imag)))
 
     checks = []
@@ -346,7 +327,7 @@ def audit(
             "with the general check")))
     hull_gap = fact = None
     if verdict.bielliptical and verdict.ellipses is not None:
-        hull_gap = _hull_gap(*verdict.ellipses, theta, support)
+        hull_gap = hull_support_gap(*verdict.ellipses, boundary)
         ok = hull_gap <= _HULL_REL * diameter
         checks.append(Check(_HULL, ok, f"Hausdorff {hull_gap:.3e}" if ok else (
             f"hull/oracle Hausdorff {hull_gap:.3e} exceeds 1e-6 * diameter")))
@@ -361,8 +342,8 @@ def audit(
     ok = not verdict.diagnostics.get("mismatch")
     checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
                         else "criterion/reduction verdict mismatch"))
-    return AuditReport(eigenvalues, theta, support, points, flats, dim, diameter,
-                       hull_gap, fact, tuple(checks))
+    return AuditReport(eigenvalues, boundary.theta, boundary.support, points, flats,
+                       dim, diameter, hull_gap, fact, tuple(checks))
 
 
 def verify_checks(

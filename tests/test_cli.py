@@ -151,6 +151,14 @@ class TestCheck:
         assert main(["check", gen_file, "--samples", "256"]) == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "verify", "boundary"])
+    def test_odd_samples_is_usage_error(self, command, gen_file, capsys):
+        # The oracle pairs direction k with its antipode k + n/2.
+        assert main([command, gen_file, "--samples", "2047"]) == 2
+        err = capsys.readouterr().err
+        assert "--samples must be even" in err
+        assert "Traceback" not in err
+
 
 def run_module(*args):
     """``python -m birange.cli`` with the package this suite imports on the
@@ -234,9 +242,11 @@ class TestBoundary:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "theta,re,im,support_value,gap"
         assert len(lines) == 65
-        row = lines[1].split(",")
-        assert len(row) == 5
-        float(row[0])
+        for line in lines[1:]:
+            row = line.split(",")
+            assert len(row) == 5
+            for field in row:
+                float(field)
 
     def test_svg_structure(self, gen_file, tmp_path):
         out = tmp_path / "plot.svg"
@@ -382,18 +392,18 @@ class TestVerify:
 
         # The per-sample loops the verify checks are defined by.
         bf = cli.detect_block_structure(general_example_matrix())
-        samples = nrcore.boundary_support(bf.assemble(), 512)
-        n = len(samples)
+        boundary = nrcore.boundary_support(bf.assemble(), 512)
+        points = boundary.points.tolist()
+        n = len(points)
         ref_sym = max(
-            abs((samples[k].point - bf.shift)
-                + (samples[(k + n // 2) % n].point - bf.shift))
+            abs((points[k] - bf.shift) + (points[(k + n // 2) % n] - bf.shift))
             for k in range(n // 2)
         )
         ref_excess = max(
-            (cmath.exp(-1j * s.theta) * (sigma + bf.shift)).real
-            - s.support_value
+            (cmath.exp(-1j * theta) * (sigma + bf.shift)).real - support
             for sigma in nrcore.spectrum(bf).all_eigenvalues
-            for s in samples
+            for theta, support in zip(boundary.theta.tolist(),
+                                      boundary.support.tolist())
         )
         assert sym == pytest.approx(ref_sym, rel=1e-3)
         assert excess == pytest.approx(ref_excess, rel=1e-3)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from birange.forms import BlockForm, SpecialForm, from_reciprocal, ReciprocalForm
-from birange.linalg import CMatrix, hermitian_eig4, zeros
+from birange import nrcore
+from birange.linalg import CMatrix, eye, hermitian_eig4, zeros
 from birange.nrcore import (
     boundary_support,
     flat_portions,
@@ -174,11 +175,10 @@ class TestBoundarySupport:
 
     def test_central_symmetry(self, rng):
         bf = random_block(rng)
-        samples = boundary_support(bf.assemble(), 256)
-        diam = max(abs(s.point) for s in samples) * 2
-        for k in range(128):
-            mismatch = abs(samples[k].point + samples[k + 128].point)
-            assert mismatch <= 1e-8 * diam
+        points = boundary_support(bf.assemble(), 256).points
+        diam = np.abs(points).max() * 2
+        mismatch = np.abs(points[:128] + points[128:])
+        assert mismatch.max() <= 1e-8 * diam
 
     def test_spectrum_containment(self, rng):
         for _ in range(20):
@@ -196,6 +196,60 @@ class TestBoundarySupport:
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
             boundary_support(np.eye(4, dtype=complex), 4)
+
+
+def full_circle_reference(a: np.ndarray, n: int):
+    """Directions, support values, gaps and top-eigenvector field values from
+    one batched eigh of Re(e^{-i theta} A) over all n directions."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    e = np.exp(-1j * theta)[:, None, None]
+    w, v = np.linalg.eigh(0.5 * (e * a + np.conj(e) * a.conj().T))
+    top = v[:, :, 3]
+    points = np.einsum("ni,ij,nj->n", top.conj(), a, top)
+    return theta, w[:, 3], w[:, 3] - w[:, 2], points
+
+
+class TestHalfCircleOracle:
+    """The oracle solves over [0, pi) only and reads theta + pi off the
+    bottom eigenpair; it must agree with the full-circle solve."""
+
+    @staticmethod
+    def degenerate_directions(m, n: int = 2048) -> int:
+        a = np.array(m.rows, dtype=complex)
+        scale = float(np.linalg.norm(a))
+        got = boundary_support(m, n)
+        theta, support, gap, points = full_circle_reference(a, n)
+        assert np.array_equal(got.theta, theta)
+        assert np.abs(got.support - support).max() <= 1e-14 * scale
+        assert np.abs(got.gap - gap).max() <= 1e-14 * scale
+        degenerate = gap <= nrcore._DEGENERATE_REL * scale
+        assert np.array_equal(got.gap <= nrcore._DEGENERATE_REL * scale, degenerate)
+        ok = ~degenerate
+        assert np.abs(got.points[ok] - points[ok]).max() <= 1e-13 * scale
+        # A degenerate direction returns the flat segment's endpoint with the
+        # larger transverse coordinate: on the support line, and no lower
+        # than the reference's top-eigenspace point.
+        turned = np.exp(-1j * theta[degenerate])
+        ends, refs = turned * got.points[degenerate], turned * points[degenerate]
+        assert np.all(np.abs(ends.real - support[degenerate]) <= 1e-13 * scale)
+        assert np.all(ends.imag >= refs.imag - 1e-13 * scale)
+        return int(degenerate.sum())
+
+    def test_random_blocks(self, rng):
+        for _ in range(50):
+            self.degenerate_directions(random_block(rng).assemble())
+
+    def test_degenerate_general_example(self):
+        assert self.degenerate_directions(general_example_matrix()) > 0
+
+    def test_scaled_and_shifted(self, rng):
+        m = 1e-3 * random_block(rng).assemble() + (7 - 3j) * eye(4)
+        self.degenerate_directions(m)
+
+    @pytest.mark.parametrize("n", [9, 1025, 2047])
+    def test_odd_count_rejected(self, n):
+        with pytest.raises(ValueError):
+            boundary_support(np.eye(4, dtype=complex), n)
 
 
 class TestFlatPortions:

@@ -17,7 +17,7 @@ from birange.criteria import (
 )
 from birange.forms import SpecialForm, from_reciprocal
 from birange.linalg import CMatrix
-from birange.nrcore import BoundarySample, boundary_support, generating_poly
+from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
     EmptyInputError,
     audit,
@@ -70,48 +70,50 @@ class TestHullBoundary:
             hull_boundary(e, e, 32)
 
 
-def circle_samples(n, radius):
+def sampled_boundary(support, points, n=512):
+    """A :class:`Boundary` at n equispaced directions from exact support
+    values and boundary points (callables of theta), with unit gaps."""
+    theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return Boundary(
+        theta,
+        np.array([support(t) for t in theta.tolist()]),
+        np.ones(n),
+        np.array([points(t) for t in theta.tolist()], dtype=complex),
+    )
+
+
+def circle_boundary(n, radius):
     """Exact boundary-oracle samples of a disc centered at the origin."""
-    return [
-        BoundarySample(t, radius * cmath.exp(1j * t), radius, 1.0)
-        for t in np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    ]
+    return sampled_boundary(lambda t: radius, lambda t: radius * cmath.exp(1j * t), n)
 
 
-def boundary_diameter(samples):
-    pts = np.array([s.point for s in samples])
+def boundary_diameter(boundary):
+    pts = boundary.points
     return math.hypot(np.ptp(pts.real), np.ptp(pts.imag))
 
 
 class TestHullSupportGap:
     def test_identical_ellipse_pair(self):
         e = Ellipse(center=0.3 - 0.2j, semi_major=2.0, semi_minor=0.5, tilt=0.7)
-        samples = []
-        for k in range(512):
-            t = 2 * math.pi * k / 512
-            samples.append(
-                BoundarySample(t, e.support_point(t), e.support(t), 1.0)
-            )
-        assert hull_support_gap(e, e, samples) <= 1e-14
+        boundary = sampled_boundary(e.support, e.support_point)
+        assert hull_support_gap(e, e, boundary) <= 1e-14
 
     def test_concentric_circles(self):
         e = Ellipse(center=0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
-        gap = hull_support_gap(e, e, circle_samples(512, radius=1.1))
+        gap = hull_support_gap(e, e, circle_boundary(512, radius=1.1))
         assert abs(gap - 0.1) <= 1e-12
 
     def test_stadium(self):
         e1 = Ellipse(center=1 + 0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
         e2 = Ellipse(center=-1 + 0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
-        samples = [
-            BoundarySample(t, 0j, abs(math.cos(t)) + 1.0, 1.0)
-            for t in np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
-        ]
-        assert hull_support_gap(e1, e2, samples) <= 1e-14
+        boundary = sampled_boundary(lambda t: abs(math.cos(t)) + 1.0, lambda t: 0j)
+        assert hull_support_gap(e1, e2, boundary) <= 1e-14
 
     def test_empty_raises(self):
         e = Ellipse(center=0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
+        empty = Boundary(*(np.empty(0) for _ in range(4)))
         with pytest.raises(EmptyInputError):
-            hull_support_gap(e, e, [])
+            hull_support_gap(e, e, empty)
 
 
 class TestSupportGapAgainstPointCloud:
