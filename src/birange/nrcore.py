@@ -34,13 +34,15 @@ __all__ = [
 ]
 
 # Default resolution of the support-function oracle; the flat-portion
-# detector's gap tolerance, sample floor and length cutoff; and the
-# eigenvalue-gap tolerance below which a support direction counts as
-# degenerate.  Tolerances are relative to the matrix norm.
+# detector's gap tolerance, sample floor, length cutoff and cap on its
+# refinement steps; and the eigenvalue-gap tolerance below which a support
+# direction counts as degenerate.  Tolerances are relative to
+# :func:`_oracle_scale`.
 DEFAULT_SAMPLES = 2048
 FLAT_GAP_TOL = 1e-7
 FLAT_MIN_SAMPLES = 512
 _FLAT_MIN_LENGTH_REL = 1e-8
+_RITZ_STEPS = 8
 _DEGENERATE_REL = 1e-11
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -238,40 +240,42 @@ def _as_ndarray(m) -> np.ndarray:
     return a
 
 
-def _real_part_at(a: np.ndarray, theta: float) -> np.ndarray:
-    e = np.exp(-1j * theta)
-    return 0.5 * (e * a + np.conj(e) * a.conj().T)
+def _oracle_scale(a: np.ndarray) -> float:
+    """Yardstick of the oracle gates: the Frobenius norm of A less its trace
+    shift c = tr A / 4, plus 64 eps |c| for the roundoff that the shift
+    leaves in A's entries and eigenvalues.
+
+    The shift comes from the matrix alone, so a raw input and its block form
+    get the same yardstick, and A and tA + c get gates that scale with t.
+    """
+    c = complex(np.trace(a)) / 4.0
+    return (float(np.linalg.norm(a - c * np.eye(4)))
+            + 64 * np.finfo(float).eps * abs(c))
 
 
-def _imag_part_at(a: np.ndarray, theta: float) -> np.ndarray:
+def _imag_part_at(a: np.ndarray, theta) -> np.ndarray:
     e = np.exp(-1j * theta)
     return (e * a - np.conj(e) * a.conj().T) / 2j
 
 
-def _field_value(a: np.ndarray, x: np.ndarray) -> complex:
-    return complex(np.vdot(x, a @ x))
+def _segment_ends(
+    a: np.ndarray, theta: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme field values over a top eigenspace, one per direction.
 
-
-def _top_space_endpoints(
-    a: np.ndarray, theta: float
-) -> tuple[float, complex, complex]:
-    """Support value and extreme field values over the top 2-dim eigenspace.
-
-    At a degenerate support direction the set of attainable field values is
-    a segment; its endpoints are read off the compression of the transverse
-    (imaginary) part onto the top eigenspace of the directional real part.
+    ``basis[j]`` (4 x 2) spans the top 2-dim eigenspace of
+    Re(e^{-i theta_j} A).  At a degenerate support direction the field
+    values attainable there form a segment on the support line; its
+    endpoints are read off the compression of the transverse (imaginary)
+    part onto that space.  Returns the endpoints with the larger and with
+    the smaller transverse coordinate.
     """
-    re_mat = _real_part_at(a, theta)
-    w, v = np.linalg.eigh(re_mat)
-    basis = v[:, 2:4]
-    h = 0.5 * (w[3] + w[2])
-    im_mat = _imag_part_at(a, theta)
-    comp = basis.conj().T @ im_mat @ basis
-    comp = 0.5 * (comp + comp.conj().T)
-    nu, y = np.linalg.eigh(comp)
-    hi = basis @ y[:, 1]
-    lo = basis @ y[:, 0]
-    return h, _field_value(a, hi), _field_value(a, lo)
+    basis_h = basis.conj().transpose(0, 2, 1)
+    comp = basis_h @ _imag_part_at(a, theta[:, None, None]) @ basis
+    _, y = np.linalg.eigh(0.5 * (comp + comp.conj().transpose(0, 2, 1)))
+    ends = basis @ y
+    vals = np.einsum("nic,ij,njc->nc", ends.conj(), a, ends)
+    return vals[:, 1], vals[:, 0]
 
 
 def boundary_support(m, n: int = DEFAULT_SAMPLES) -> Boundary:
@@ -290,17 +294,21 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES) -> Boundary:
     if n < 8 or n % 2:
         raise ValueError("need an even number of at least 8 support directions")
     a = _as_ndarray(m)
-    scale = float(np.linalg.norm(a))
+    half = n // 2
     theta = 2.0 * np.pi * np.arange(n) / n
-    e = np.exp(-1j * theta[: n // 2])
+    e = np.exp(-1j * theta[:half])
     herms = 0.5 * (e[:, None, None] * a + np.conj(e)[:, None, None] * a.conj().T)
     w, v = np.linalg.eigh(herms)
     support = np.concatenate((w[:, 3], -w[:, 0]))
     gap = np.concatenate((w[:, 3] - w[:, 2], w[:, 1] - w[:, 0]))
     vecs = np.concatenate((v[:, :, 3], v[:, :, 0]))
     points = np.einsum("ni,ij,nj->n", vecs.conj(), a, vecs)
-    for k in np.flatnonzero(gap <= _DEGENERATE_REL * max(scale, 1e-300)):
-        points[k] = _top_space_endpoints(a, float(theta[k]))[1]
+    deg = np.flatnonzero(gap <= _DEGENERATE_REL * max(_oracle_scale(a), 1e-300))
+    if deg.size:
+        # The top eigenspace at theta + pi is the bottom one at theta.
+        pairs = v[deg % half]
+        tops = np.where((deg < half)[:, None, None], pairs[:, :, 2:], pairs[:, :, :2])
+        points[deg] = _segment_ends(a, theta[deg], tops)[0]
     return Boundary(theta, support, gap, points)
 
 
@@ -314,20 +322,40 @@ class FlatPortion:
     support_theta: float
 
 
-def _support_gap(a: np.ndarray, theta: float) -> float:
-    w = np.linalg.eigvalsh(_real_part_at(a, theta))
-    return float(w[3] - w[2])
+def _ritz_theta(herm: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """One Rayleigh-Ritz step towards the direction of a flat portion.
+
+    ``herm`` holds H1 = (M + M*) / 2 and H2 = (M - M*) / 2i.  With
+    P = U* H1 U and Q = U* H2 U the compressions onto ``basis`` U, the
+    eigenvalue gap of cos(phi) P + sin(phi) Q is 2 |cos(phi) p + sin(phi) q|,
+    p and q being the traceless 3-vectors ((X00 - X11) / 2, Re X01, Im X01)
+    of P and Q.  It is smallest at
+    phi = atan2(2 p.q, p.p - q.q) / 2 + pi / 2, taken mod pi nearest theta.
+    """
+    comp = basis.conj().transpose(0, 2, 1)[:, None] @ herm @ basis[:, None]
+    d = 0.5 * (comp[..., 0, 0].real - comp[..., 1, 1].real)
+    off = comp[..., 0, 1]
+    dot = d[:, 0] * d[:, 1] + (off[:, 0] * off[:, 1].conj()).real
+    diff = d[:, 0] ** 2 - d[:, 1] ** 2 + np.abs(off[:, 0]) ** 2 - np.abs(off[:, 1]) ** 2
+    phi = 0.5 * np.arctan2(2.0 * dot, diff) + 0.5 * np.pi
+    return phi + np.pi * np.round((theta - phi) / np.pi)
 
 
 def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
-    Local minima of the multiplicity gap are refined by golden-section
-    search; directions whose refined gap stays below ``FLAT_GAP_TOL`` times
-    the matrix norm contribute a segment, whose endpoints come from the
-    compression of the transverse part onto the degenerate top eigenspace.
+    Every local minimum of the sampled multiplicity gap is refined, all at
+    once: each step is one stacked eigensolve of
+    Re(e^{-i theta} M) = cos(theta) H1 + sin(theta) H2 and a Rayleigh-Ritz
+    step on its top-two eigenspace (:func:`_ritz_theta`), until no
+    direction moves by more than 1e-15 relative, for at most
+    ``_RITZ_STEPS`` steps.  A refined direction within one grid step of its
+    sample whose gap is at most ``FLAT_GAP_TOL`` times the oracle scale
+    contributes a segment, unless it lies within 0.75 grid steps of one
+    already taken; the endpoints come from :func:`_segment_ends`.
     Degeneracies that do not open up a segment (repeated eigenvalues of a
-    normal matrix, say) are discarded by the ``_FLAT_MIN_LENGTH_REL`` cutoff.
+    normal matrix, say) are discarded by the ``_FLAT_MIN_LENGTH_REL``
+    cutoff.
     """
     n = len(boundary.theta)
     if n < FLAT_MIN_SAMPLES:
@@ -335,7 +363,7 @@ def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
             f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples"
         )
     a = _as_ndarray(m)
-    scale = float(np.linalg.norm(a))
+    scale = _oracle_scale(a)
     if scale == 0.0:
         return []
     gaps = boundary.gap
@@ -343,36 +371,50 @@ def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
 
     # Refining every local minimum is cheap (a handful per matrix) and
     # avoids guessing how deep an unrefined grid gap can be.
-    candidates = np.flatnonzero(
+    theta0 = boundary.theta[
         (gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))
-    )
+    ]
+    herm = np.stack((0.5 * (a + a.conj().T), (a - a.conj().T) / 2j))
+
+    def eigh_at(theta):
+        c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+        return np.linalg.eigh(c * herm[0] + s * herm[1])
+
+    theta = theta0
+    for _ in range(_RITZ_STEPS):
+        w, v = eigh_at(theta)
+        refined = _ritz_theta(herm, theta, v[:, :, 2:])
+        if np.all(np.abs(refined - theta) <= 1e-15 * np.maximum(1.0, np.abs(theta))):
+            break
+        theta = refined
+    else:
+        w, v = eigh_at(theta)
+    ok = ((w[:, 3] - w[:, 2] <= FLAT_GAP_TOL * scale)
+          & (np.abs(theta - theta0) <= step))
+    if not ok.any():
+        return []
+    theta = theta[ok]
+    hi, lo = _segment_ends(a, theta, v[ok][:, :, 2:])
 
     found: list[FlatPortion] = []
     used_thetas: list[float] = []
-    for k in candidates:
-        theta0 = float(boundary.theta[k])
-        theta_star = golden_min(
-            lambda t: _support_gap(a, t), theta0 - step, theta0 + step
-        )
-        if _support_gap(a, theta_star) > FLAT_GAP_TOL * scale:
-            continue
+    for theta_star, p_hi, p_lo in zip(theta.tolist(), hi.tolist(), lo.tolist()):
         if any(
             abs((theta_star - t + math.pi) % (2 * math.pi) - math.pi) < 0.75 * step
             for t in used_thetas
         ):
             continue
-        h, hi, lo = _top_space_endpoints(a, theta_star)
-        length = abs(hi - lo)
+        length = abs(p_hi - p_lo)
         if length <= _FLAT_MIN_LENGTH_REL * scale:
             continue
         used_thetas.append(theta_star)
-        direction = (hi - lo) / length
+        direction = (p_hi - p_lo) / length
         if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
             direction = -direction
         found.append(
             FlatPortion(
                 direction=direction,
-                endpoints=(hi, lo),
+                endpoints=(p_hi, p_lo),
                 length=length,
                 support_theta=theta_star % (2 * math.pi),
             )

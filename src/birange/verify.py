@@ -62,7 +62,7 @@ __all__ = [
 # Largest hull/oracle support gap accepted, relative to the sampled diameter.
 _HULL_REL = 1e-6
 _HULL = "hull comparison"
-# Singular values below this times the matrix norm span the commutant.
+# Singular values below this times the oracle scale span the commutant.
 _COMMUTANT_TOL = 1e-9
 
 
@@ -218,7 +218,8 @@ def commutant_dim(m) -> int:
 
     The two commutation constraints stack into a 32x16 linear system over
     the vectorized X; its null-space dimension is counted by singular values
-    below ``_COMMUTANT_TOL`` times the matrix norm.
+    below ``_COMMUTANT_TOL`` times the oracle scale (the norm of the matrix
+    less its trace shift, which the commutant does not see).
     """
     a = nrcore._as_ndarray(m)
     if a.shape != (4, 4):
@@ -228,7 +229,7 @@ def commutant_dim(m) -> int:
     bot = np.kron(ident, a.conj().T) - np.kron(a.conj(), ident)
     stacked = np.vstack([top, bot])
     svals = np.linalg.svd(stacked, compute_uv=False)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
+    scale = max(nrcore._oracle_scale(a), 1e-300)
     dim = int(np.sum(svals < _COMMUTANT_TOL * scale))
     return max(dim, 0)
 

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from birange import nrcore
 from birange.criteria import (
     Ellipse,
     EllipsePairParams,
@@ -293,3 +294,57 @@ def fit_conic_ellipse(points) -> Ellipse:
         semi_minor=float(lengths[minor_idx]),
         tilt=_normalize_tilt(tilt),
     )
+
+
+def golden_flat_portions(m, boundary: nrcore.Boundary) -> list[nrcore.FlatPortion]:
+    """Reference flat-portion finder: one scalar golden-section search per
+    local minimum of the sampled gap, on the LAPACK ``eigvalsh`` gap of
+    Re(e^{-i theta} M) over one grid step either side of the sample.
+
+    The acceptance rule is :func:`nrcore.flat_portions`' (gap gate, duplicate
+    distance, length cutoff, all relative to the oracle scale); the segment's
+    endpoints come from a fresh eigensolve at the refined direction.
+    """
+    a = nrcore._as_ndarray(m)
+    scale = nrcore._oracle_scale(a)
+    if scale == 0.0:
+        return []
+
+    def re_part(theta):
+        e = np.exp(-1j * theta)
+        return 0.5 * (e * a + np.conj(e) * a.conj().T)
+
+    def gap(theta):
+        w = np.linalg.eigvalsh(re_part(theta))
+        return float(w[3] - w[2])
+
+    gaps = boundary.gap
+    step = 2.0 * math.pi / len(gaps)
+    candidates = np.flatnonzero((gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1)))
+    found = []
+    used: list[float] = []
+    for k in candidates:
+        theta0 = float(boundary.theta[k])
+        theta = nrcore.golden_min(gap, theta0 - step, theta0 + step)
+        if gap(theta) > nrcore.FLAT_GAP_TOL * scale:
+            continue
+        if any(abs((theta - t + math.pi) % (2 * math.pi) - math.pi) < 0.75 * step
+               for t in used):
+            continue
+        _, v = np.linalg.eigh(re_part(theta))
+        basis = v[:, 2:4]
+        e = np.exp(-1j * theta)
+        im = (e * a - np.conj(e) * a.conj().T) / 2j
+        comp = basis.conj().T @ im @ basis
+        _, y = np.linalg.eigh(0.5 * (comp + comp.conj().T))
+        hi, lo = (complex(np.vdot(x, a @ x)) for x in (basis @ y[:, 1], basis @ y[:, 0]))
+        length = abs(hi - lo)
+        if length <= nrcore._FLAT_MIN_LENGTH_REL * scale:
+            continue
+        used.append(theta)
+        direction = (hi - lo) / length
+        if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
+            direction = -direction
+        found.append(nrcore.FlatPortion(direction, (hi, lo), length, theta % (2 * math.pi)))
+    found.sort(key=lambda f: f.support_theta)
+    return found

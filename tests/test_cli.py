@@ -19,6 +19,7 @@ from helpers import (
     disguise,
     fig_left_special,
     general_example_matrix,
+    random_block,
 )
 
 
@@ -383,6 +384,22 @@ class TestVerify:
         assert "[PASS] central symmetry" in out
         assert code == 1
         assert main(["check", str(path), "--samples", "512"]) == 1
+
+    @pytest.mark.parametrize("k, t, c", [(0, 1e-5, 1e6), (1, 1e-4, 1e7), (3, 1e-3, 1e8)])
+    def test_oracle_gates_blind_to_shift(self, tmp_path, capsys, k, t, c):
+        # A random block scaled by t and shifted by c, as a raw document: the
+        # oracle gates measure against the norm less the trace shift, so at
+        # |c| / t >= 1e10 no direction counts as degenerate and the boundary
+        # stays centrally symmetric.
+        rng = np.random.default_rng(7)
+        bf = [random_block(rng) for _ in range(4)][k]
+        m = t * bf.assemble() + c * eye(4)
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(raw_doc(m)))
+        code = main(["verify", str(path), "--samples", "512"])
+        out = capsys.readouterr().out
+        assert "[PASS] central symmetry" in out
+        assert code == 1, out
 
     def test_vectorized_geometry_checks_match_loops(self, gen_file, capsys):
         assert main(["verify", gen_file, "--samples", "512"]) == 0

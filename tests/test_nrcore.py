@@ -16,9 +16,12 @@ from birange.nrcore import (
     spectrum,
 )
 from helpers import (
+    _BI_FAMILIES,
     char_poly4,
+    disguise,
     general_example_block,
     general_example_matrix,
+    golden_flat_portions,
     random_block,
     random_special,
     reciprocal_two_ellipse,
@@ -222,8 +225,9 @@ class TestHalfCircleOracle:
         assert np.array_equal(got.theta, theta)
         assert np.abs(got.support - support).max() <= 1e-14 * scale
         assert np.abs(got.gap - gap).max() <= 1e-14 * scale
-        degenerate = gap <= nrcore._DEGENERATE_REL * scale
-        assert np.array_equal(got.gap <= nrcore._DEGENERATE_REL * scale, degenerate)
+        tol = nrcore._DEGENERATE_REL * nrcore._oracle_scale(a)
+        degenerate = gap <= tol
+        assert np.array_equal(got.gap <= tol, degenerate)
         ok = ~degenerate
         assert np.abs(got.points[ok] - points[ok]).max() <= 1e-13 * scale
         # A degenerate direction returns the flat segment's endpoint with the
@@ -289,14 +293,88 @@ class TestFlatPortions:
 
     def test_off_grid_flats_found(self, rng):
         # Rotate the square so edge normals fall between grid directions.
-        rot = cmath.exp(1j * 0.1234567)
-        m = np.diag([rot, 1j * rot, -rot, -1j * rot]).astype(complex)
+        m = rotated_square()
         samples = boundary_support(m, 512)
         flats = flat_portions(m, samples)
         assert len(flats) == 4
         for f in flats:
             assert abs(f.length - math.sqrt(2)) < 1e-9
 
+
+
+def rotated_square() -> np.ndarray:
+    """The normal square with its edge normals off the sampling grid."""
+    rot = cmath.exp(1j * 0.1234567)
+    return np.diag([rot, 1j * rot, -rot, -1j * rot]).astype(complex)
+
+
+class TestFlatPortionsAgainstGolden:
+    """The batched top-two-eigenspace refinement against one golden-section
+    search per candidate on the LAPACK gap."""
+
+    @staticmethod
+    def agree(m, exact: bool = True) -> int:
+        a = nrcore._as_ndarray(m)
+        norm = float(np.linalg.norm(a))
+        boundary = boundary_support(a, 2048)
+        got = flat_portions(a, boundary)
+        ref = golden_flat_portions(a, boundary)
+        assert len(got) == len(ref)
+        if exact:
+            for f, g in zip(got, ref):
+                turn = (f.support_theta - g.support_theta + math.pi) % (2 * math.pi)
+                assert abs(turn - math.pi) <= 1e-12
+                for p, q in zip(f.endpoints, g.endpoints):
+                    assert abs(p - q) <= 1e-12 * norm
+                assert abs(f.length - g.length) <= 1e-12 * norm
+        return len(got)
+
+    def test_random_blocks(self, rng):
+        for _ in range(50):
+            self.agree(random_block(rng).assemble())
+
+    @pytest.mark.parametrize("family", _BI_FAMILIES, ids=lambda f: f.__name__)
+    def test_disguised_positive_families(self, rng, family):
+        bf, _ = disguise(rng, family(rng))
+        assert self.agree(bf.assemble()) == 2
+
+    def test_rotated_square(self):
+        assert self.agree(rotated_square()) == 4
+
+    @pytest.mark.parametrize("factor, edges", [(0.1, 4), (10.0, 3)])
+    def test_near_flats(self, factor, edges):
+        # Coupling the vertices 1 and i by eps opens the gap of the edge
+        # between them to exactly eps at theta = pi / 4.
+        m = np.diag([1, 1j, -1, -1j]).astype(complex)
+        m[0, 1] = factor * nrcore.FLAT_GAP_TOL * nrcore._oracle_scale(m)
+        assert self.agree(m, exact=False) == edges
+
+
+class TestFlatPortionsLapackBudget:
+    """No scalar eigensolve: every refinement step is one stacked eigh over
+    all candidates, and the segment endpoints one more."""
+
+    @staticmethod
+    def calls(monkeypatch, m) -> tuple[dict, int]:
+        a = nrcore._as_ndarray(m)
+        boundary = boundary_support(a, 2048)
+        counts = dict.fromkeys(("eigh", "eigvalsh"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        flats = flat_portions(a, boundary)
+        monkeypatch.undo()
+        return counts, len(flats)
+
+    def test_worked_example_and_random_blocks(self, monkeypatch, rng):
+        matrices = [general_example_matrix()]
+        matrices += [random_block(rng).assemble() for _ in range(20)]
+        for m in matrices:
+            counts, flats = self.calls(monkeypatch, m)
+            assert counts["eigvalsh"] == 0
+            assert counts["eigh"] <= nrcore._RITZ_STEPS + 1 + 2 * flats
 
 
 class TestGoldenMin:
