@@ -48,13 +48,18 @@ def _in_range(x: float) -> bool:
     return abs(x) <= _MAX_MAGNITUDE
 
 
+def _is_number(x) -> bool:
+    """An int or float; JSON true/false parse to ``bool``, which is an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         parts = (value, 0.0)
     elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
+        and all(_is_number(x) for x in value)
     ):
         parts = value
     else:
@@ -68,7 +73,7 @@ def _parse_complex(value) -> complex:
 
 
 def _parse_real(value, name: str) -> float:
-    if not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise InputError(f"field {name!r} must be a real number")
     if not _in_range(value):
         raise InputError(
@@ -183,6 +188,8 @@ def _load_documents(path: str) -> list[dict]:
         raise InputError(f"invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         return [data]
+    if data == []:
+        raise InputError("input array holds no matrix documents")
     if isinstance(data, list) and all(isinstance(d, dict) for d in data):
         return data
     raise InputError("input must be a JSON object or an array of objects")
@@ -227,11 +234,12 @@ def _jsonify(obj):
     return obj
 
 
-def _audit(kind: str, payload, samples: int):
+def _audit(kind: str, payload, samples: int, points: bool = True):
     """Classify a parsed document and audit the verdict.
 
     Returns the block form, the reciprocal shape (None unless the document
-    is reciprocal), the verdict and the :class:`verify.AuditReport`.
+    is reciprocal), the verdict and the :class:`verify.AuditReport`, with
+    boundary points unless ``points`` is False.
     """
     if samples < nrcore.FLAT_MIN_SAMPLES or samples % 2:
         raise InputError(
@@ -241,7 +249,8 @@ def _audit(kind: str, payload, samples: int):
     bf, matrix = _block_form_of(kind, payload)
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
     verdict = criteria.check_general(bf)
-    audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
+    audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape,
+                           points=points)
     return bf, shape, verdict, audited
 
 
@@ -327,7 +336,7 @@ def cmd_check(args) -> int:
     outputs = []
     for doc in docs:
         kind, payload = parse_matrix_spec(doc)
-        _, shape, verdict, audited = _audit(kind, payload, args.samples)
+        _, shape, verdict, audited = _audit(kind, payload, args.samples, points=False)
         report = _report(kind, payload, shape, verdict, audited)
         outputs.append(report)
         if report["consistency_failures"]:
@@ -488,12 +497,23 @@ def cmd_reciprocal(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _env_seed() -> int:
+    """The spot-check seed from ``BIRANGE_SEED`` (default 42)."""
+    text = os.environ.get("BIRANGE_SEED", "42")
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(
+            f"environment variable BIRANGE_SEED must be a nonnegative integer, "
+            f"got {text!r}"
+        )
+    return int(text)
+
+
 def cmd_verify(args) -> int:
     docs = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("verify expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])
-    seed = int(os.environ.get("BIRANGE_SEED", "42"))
+    seed = _env_seed()
     bf, _, verdict, audited = _audit(kind, payload, args.samples)
     checks = verify.verify_checks(bf, verdict, audited, seed)
     for check in checks:

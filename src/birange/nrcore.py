@@ -200,10 +200,11 @@ def generating_poly(bf: BlockForm) -> GeneratingPoly:
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """One support-function sample of the numerical range boundary."""
+    """One support-function sample of the numerical range boundary; ``point``
+    is None when the boundary was sampled without points."""
 
     theta: float
-    point: complex
+    point: complex | None
     support_value: float
     multiplicity_gap: float
 
@@ -214,21 +215,24 @@ class Boundary:
 
     ``theta`` holds the n directions 2 pi k / n, ``support`` the support
     values h(theta_k), ``gap`` the gap between the top two eigenvalues of
-    Re(e^{-i theta_k} M) and ``points`` the boundary points.  Iterating
-    yields one :class:`BoundarySample` per direction.
+    Re(e^{-i theta_k} M) and ``points`` the boundary points, or None when
+    they were not asked for.  Iterating yields one :class:`BoundarySample`
+    per direction either way.
     """
 
     theta: np.ndarray
     support: np.ndarray
     gap: np.ndarray
-    points: np.ndarray
+    points: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.theta)
 
     def __iter__(self):
-        rows = (self.theta, self.points, self.support, self.gap)
-        return (BoundarySample(*r) for r in zip(*(x.tolist() for x in rows)))
+        points = [None] * len(self) if self.points is None else self.points.tolist()
+        rows = zip(self.theta.tolist(), points, self.support.tolist(),
+                   self.gap.tolist())
+        return (BoundarySample(*r) for r in rows)
 
 
 def _as_ndarray(m) -> np.ndarray:
@@ -278,7 +282,7 @@ def _segment_ends(
     return vals[:, 1], vals[:, 0]
 
 
-def boundary_support(m, n: int = DEFAULT_SAMPLES) -> Boundary:
+def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Boundary:
     """Sample the numerical range boundary at n equispaced support directions.
 
     For each direction theta the support value is the top eigenvalue of
@@ -289,7 +293,9 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES) -> Boundary:
     When the top eigenvalue is (numerically) degenerate the point returned
     is the endpoint of the flat segment with the larger transverse
     coordinate, which keeps the sampling deterministic and lets hull
-    comparisons use matched directions even across flats.
+    comparisons use matched directions even across flats.  With
+    ``points=False`` the solve is eigenvalues only (``eigvalsh``, no
+    eigenvectors and no segment endpoints) and ``points`` is None.
     """
     if n < 8 or n % 2:
         raise ValueError("need an even number of at least 8 support directions")
@@ -298,18 +304,20 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES) -> Boundary:
     theta = 2.0 * np.pi * np.arange(n) / n
     e = np.exp(-1j * theta[:half])
     herms = 0.5 * (e[:, None, None] * a + np.conj(e)[:, None, None] * a.conj().T)
-    w, v = np.linalg.eigh(herms)
+    w, v = np.linalg.eigh(herms) if points else (np.linalg.eigvalsh(herms), None)
     support = np.concatenate((w[:, 3], -w[:, 0]))
     gap = np.concatenate((w[:, 3] - w[:, 2], w[:, 1] - w[:, 0]))
+    if v is None:
+        return Boundary(theta, support, gap, None)
     vecs = np.concatenate((v[:, :, 3], v[:, :, 0]))
-    points = np.einsum("ni,ij,nj->n", vecs.conj(), a, vecs)
+    pts = np.einsum("ni,ij,nj->n", vecs.conj(), a, vecs)
     deg = np.flatnonzero(gap <= _DEGENERATE_REL * max(_oracle_scale(a), 1e-300))
     if deg.size:
         # The top eigenspace at theta + pi is the bottom one at theta.
         pairs = v[deg % half]
         tops = np.where((deg < half)[:, None, None], pairs[:, :, 2:], pairs[:, :, :2])
-        points[deg] = _segment_ends(a, theta[deg], tops)[0]
-    return Boundary(theta, support, gap, points)
+        pts[deg] = _segment_ends(a, theta[deg], tops)[0]
+    return Boundary(theta, support, gap, pts)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,8 @@ __all__ = [
     "commutant_dim",
 ]
 
-# Largest hull/oracle support gap accepted, relative to the sampled diameter.
+# Largest hull/oracle support gap accepted, relative to the range's diameter
+# (the diagonal of its bounding box, :func:`_box_diameter`).
 _HULL_REL = 1e-6
 _HULL = "hull comparison"
 # Singular values below this times the oracle scale span the commutant.
@@ -248,15 +249,17 @@ class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
     ``eigenvalues`` include the trace shift; ``theta``, ``support`` and
-    ``points`` are the :class:`nrcore.Boundary` arrays; ``hull_gap`` is None
-    unless the verdict is positive with ellipses, ``factorization`` None
-    unless the verdict carries a reduced form.
+    ``points`` are the :class:`nrcore.Boundary` arrays (``points`` None when
+    the audit ran with ``points=False``); ``diameter`` is the diagonal of
+    the range's bounding box; ``hull_gap`` is None unless the verdict is
+    positive with ellipses, ``factorization`` None unless the verdict
+    carries a reduced form.
     """
 
     eigenvalues: tuple[complex, ...]
     theta: np.ndarray
     support: np.ndarray
-    points: np.ndarray
+    points: np.ndarray | None
     flats: tuple[nrcore.FlatPortion, ...]
     commutant_dim: int
     diameter: float
@@ -292,33 +295,47 @@ def _flat_checks(verdict: Verdict, flats) -> list[Check]:
     return checks
 
 
+def _box_diameter(a: np.ndarray) -> float:
+    """Diagonal of the bounding box of W(A).
+
+    The box's sides are the spectral spans of (A + A*) / 2 and
+    (A - A*) / 2i, whose extreme eigenvalues are the support values at
+    theta = 0, pi / 2, pi and 3 pi / 2.  When 4 divides the sample count
+    those directions are sampled, and this is the sampled points' box to
+    roundoff; otherwise it is the exact box, which contains the sampled one.
+    """
+    w = np.linalg.eigvalsh(np.stack((a + a.conj().T, (a - a.conj().T) / 1j)) / 2)
+    return math.hypot(*(w[:, 3] - w[:, 0]).tolist())
+
+
 def audit(
     bf: BlockForm,
     verdict: Verdict,
     samples: int = nrcore.DEFAULT_SAMPLES,
     matrix: CMatrix | None = None,
     reciprocal: ReciprocalShape | None = None,
+    points: bool = True,
 ) -> AuditReport:
     """Run the oracles once on ``bf`` and check its ``check_general`` verdict.
 
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
-    passes itself) in ``samples`` directions.  ``reciprocal`` is the
-    reciprocal classification when ``bf`` came from a reciprocal form and
-    must agree with the verdict.  A positive verdict must have its hull of
-    ellipses within ``1e-6 * diameter`` of the sampled range and flat
-    portions that match the eigenvalue pair sum.  Whenever the verdict
-    carries a reduced form, the generating polynomial must factor into the
-    two claimed quadratics up to a factorization residual of ``TOL``.  Every
-    verdict must be free of a criterion/reduction mismatch.
+    passes itself) in ``samples`` directions.  No audit check reads the
+    boundary points, so ``points=False`` leaves them out of the report and
+    spares the oracle its eigenvectors; :func:`verify_checks` needs them.
+    ``reciprocal`` is the reciprocal classification when ``bf`` came from a
+    reciprocal form and must agree with the verdict.  A positive verdict
+    must have its hull of ellipses within ``1e-6 * diameter`` of the sampled
+    range and flat portions that match the eigenvalue pair sum.  Whenever
+    the verdict carries a reduced form, the generating polynomial must
+    factor into the two claimed quadratics up to a factorization residual of
+    ``TOL``.  Every verdict must be free of a criterion/reduction mismatch.
     """
-    if matrix is None:
-        matrix = bf.assemble()
+    a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
-    boundary = nrcore.boundary_support(matrix, samples)
-    flats = tuple(nrcore.flat_portions(matrix, boundary))
-    dim = commutant_dim(matrix)
-    points = boundary.points
-    diameter = math.hypot(float(np.ptp(points.real)), float(np.ptp(points.imag)))
+    boundary = nrcore.boundary_support(a, samples, points=points)
+    flats = tuple(nrcore.flat_portions(a, boundary))
+    dim = commutant_dim(a)
+    diameter = _box_diameter(a)
 
     checks = []
     if reciprocal is not None:
@@ -343,8 +360,8 @@ def audit(
     ok = not verdict.diagnostics.get("mismatch")
     checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
                         else "criterion/reduction verdict mismatch"))
-    return AuditReport(eigenvalues, boundary.theta, boundary.support, points, flats,
-                       dim, diameter, hull_gap, fact, tuple(checks))
+    return AuditReport(eigenvalues, boundary.theta, boundary.support, boundary.points,
+                       flats, dim, diameter, hull_gap, fact, tuple(checks))
 
 
 def verify_checks(

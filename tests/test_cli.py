@@ -148,6 +148,23 @@ class TestCheck:
         assert report["factorization_residual"]["total"] <= 1e-9
         assert not any(k.startswith("special_fact") for k in report["diagnostics"])
 
+    @pytest.mark.parametrize("argv, points", [
+        (["check"], False), (["check", "--format", "json"], False),
+        (["verify"], True), (["boundary", "--format", "svg"], True),
+    ], ids=["check-text", "check-json", "verify", "boundary-svg"])
+    def test_boundary_points_only_where_read(self, argv, points, gen_file, capsys,
+                                             monkeypatch):
+        asked = []
+
+        def spy(*args, _fn=nrcore.boundary_support, **kwargs):
+            result = _fn(*args, **kwargs)
+            asked.append(result.points is not None)
+            return result
+
+        monkeypatch.setattr(nrcore, "boundary_support", spy)
+        assert main([*argv, gen_file]) == 0
+        assert asked == [points]
+
     def test_too_few_samples_is_usage_error(self, gen_file, capsys):
         assert main(["check", gen_file, "--samples", "256"]) == 2
         assert "--samples" in capsys.readouterr().err
@@ -216,6 +233,38 @@ class TestExitCodeContract:
             main(argv + ["--tol-criterion", "1e6"])
         assert exc.value.code == 2
         assert "--tol-criterion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["check", "--format", "json"], ["verify"], ["boundary"],
+    ], ids=["check-text", "check-json", "verify", "boundary"])
+    def test_empty_batch_is_usage_error(self, argv, tmp_path, capsys):
+        # An empty batch has no verdict, and exit 0 would claim a positive one.
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "no matrix documents" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"form": "special", "u": True, "v": 0, "b1": [0.6, -0.2],
+         "b2": [0.4, -0.2], "b": False},
+        {"form": "special", "u": 0.1, "v": 0, "b1": [True, -0.2],
+         "b2": [0.4, -0.2], "b": 1.0},
+        {"form": "block", "alpha": False, "beta": 0,
+         "C": [[1, 0], [0, 1]], "D": [[1, 0], [0, 1]]},
+    ], ids=["real", "complex_part", "complex"])
+    def test_json_booleans_are_not_numbers(self, doc, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("seed", ["abc", "-1", "1.5", ""])
+    def test_bad_seed_is_usage_error(self, seed, gen_file, capsys, monkeypatch):
+        monkeypatch.setenv("BIRANGE_SEED", seed)
+        assert main(["verify", gen_file]) == 2
+        assert "BIRANGE_SEED" in capsys.readouterr().err
 
     def test_uncaught_exception_exits_3(self, gen_file, capsys, monkeypatch):
         def broken(*args, **kwargs):

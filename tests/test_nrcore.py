@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from birange.forms import BlockForm, SpecialForm, from_reciprocal, ReciprocalForm
-from birange import nrcore
+from birange import nrcore, verify
 from birange.linalg import CMatrix, eye, hermitian_eig4, zeros
 from birange.nrcore import (
     boundary_support,
@@ -254,6 +254,66 @@ class TestHalfCircleOracle:
     def test_odd_count_rejected(self, n):
         with pytest.raises(ValueError):
             boundary_support(np.eye(4, dtype=complex), n)
+
+
+class TestPointsFreeOracle:
+    """``points=False`` solves for eigenvalues only; everything the audit
+    reads must match the solve with eigenvectors."""
+
+    @staticmethod
+    def agree(m, n: int = 2048) -> int:
+        a = nrcore._as_ndarray(m)
+        full = boundary_support(a, n)
+        bare = boundary_support(a, n, points=False)
+        assert bare.points is None
+        assert np.array_equal(bare.theta, full.theta)
+        # eigh and eigvalsh round a shifted spectrum differently by a few
+        # eps |c|, c = tr A / 4, which the oracle scale leaves out.
+        slack = 16 * np.finfo(float).eps * abs(np.trace(a) / 4)
+        tol = 1e-14 * nrcore._oracle_scale(a) + slack
+        assert np.abs(bare.support - full.support).max() <= tol
+        assert np.abs(bare.gap - full.gap).max() <= tol
+        flats = flat_portions(a, full)
+        bare_flats = flat_portions(a, bare)
+        assert len(bare_flats) == len(flats)
+        for f, g in zip(bare_flats, flats):
+            assert abs(f.support_theta - g.support_theta) <= 1e-12
+        # With 4 | n the four axis directions are sampled, so the range's
+        # bounding box is the sampled points' box.
+        box = math.hypot(np.ptp(full.points.real), np.ptp(full.points.imag))
+        assert abs(verify._box_diameter(a) - box) <= 1e-14 * box + slack
+        return len(flats)
+
+    def test_random_blocks(self, rng):
+        for _ in range(50):
+            self.agree(random_block(rng).assemble())
+
+    def test_degenerate_general_example(self):
+        assert self.agree(general_example_matrix()) == 2
+
+    def test_shifted(self, rng):
+        self.agree(random_block(rng).assemble() + 1e6 * eye(4))
+
+    def test_box_contains_sampled_box_when_4_does_not_divide_n(self, rng):
+        # Only theta = pi/2 and 3 pi/2 are missed, by half a step each; the
+        # support point there lies within tan(pi / n) * diameter of the
+        # support line.
+        n = 514
+        for _ in range(20):
+            a = nrcore._as_ndarray(random_block(rng).assemble())
+            pts = boundary_support(a, n).points
+            box = math.hypot(np.ptp(pts.real), np.ptp(pts.imag))
+            diameter = verify._box_diameter(a)
+            assert -1e-14 * box <= diameter - box <= 2 * math.tan(math.pi / n) * diameter
+
+    def test_rows_without_points(self, rng):
+        bare = boundary_support(random_block(rng).assemble(), 64, points=False)
+        rows = list(bare)
+        assert len(rows) == len(bare) == 64
+        assert all(r.point is None for r in rows)
+        assert [r.theta for r in rows] == bare.theta.tolist()
+        assert [r.support_value for r in rows] == bare.support.tolist()
+        assert [r.multiplicity_gap for r in rows] == bare.gap.tolist()
 
 
 class TestFlatPortions:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import math
 
@@ -15,6 +16,7 @@ from birange.criteria import (
     criterion_T,
     ellipse_pair_params,
 )
+from birange import nrcore
 from birange.forms import SpecialForm, from_reciprocal
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
@@ -36,7 +38,9 @@ from helpers import (
     bi_special_real_case_ii,
     disguise,
     fig_left_special,
+    general_example_block,
     general_example_matrix,
+    random_block,
     random_special,
     reciprocal_two_ellipse,
 )
@@ -342,3 +346,57 @@ class TestAudit:
         report = audit(bf, verdict, 512)
         assert report.hull_gap is None and report.factorization is None
         assert report.failures == ["criterion/reduction verdict mismatch"]
+
+
+class TestAuditLapackBudget:
+    """Only ``birange verify`` and ``boundary`` read the boundary points, so
+    the audit of ``birange check`` solves for no eigenvectors there."""
+
+    @staticmethod
+    def calls(monkeypatch, bf, points: bool) -> collections.Counter:
+        """LAPACK calls of one audit, keyed (inside boundary_support, name)."""
+        counts = collections.Counter()
+        inside = [False]
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[inside[0], _name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def oracle(*args, _fn=nrcore.boundary_support, **kwargs):
+            inside[0] = True
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(nrcore, "boundary_support", oracle)
+        audit(bf, check_general(bf), 2048, points=points)
+        monkeypatch.undo()
+        return counts
+
+    def test_points_only_when_asked(self, monkeypatch, rng):
+        # The worked example samples degenerate directions, whose segment
+        # ends take one more eigh; the random blocks sample none.
+        cases = [(general_example_block(), 2)]
+        cases += [(random_block(rng), 1) for _ in range(10)]
+        for bf, eigh_with_points in cases:
+            bare = self.calls(monkeypatch, bf, points=False)
+            full = self.calls(monkeypatch, bf, points=True)
+            assert bare[True, "eigh"] == 0 and bare[True, "eigvalsh"] == 1
+            assert full[True, "eigh"] == eigh_with_points
+            assert full[True, "eigvalsh"] == 0
+            for name in ("eigh", "eigvalsh"):
+                assert bare[False, name] == full[False, name]
+
+    def test_same_report_without_points(self, rng):
+        for bf in [general_example_block()] + [random_block(rng) for _ in range(10)]:
+            verdict = check_general(bf)
+            full = audit(bf, verdict, 2048)
+            bare = audit(bf, verdict, 2048, points=False)
+            assert bare.points is None and full.points is not None
+            assert bare.diameter == full.diameter
+            assert len(bare.flats) == len(full.flats)
+            assert bare.commutant_dim == full.commutant_dim
+            assert [c.name for c in bare.checks] == [c.name for c in full.checks]
+            assert bare.failures == full.failures == []
