@@ -173,7 +173,8 @@ def parse_matrix_spec(doc: dict):
     )
 
 
-def _load_documents(path: str) -> list[dict]:
+def _load_documents(path: str) -> tuple[list[dict], bool]:
+    """The matrix documents in ``path`` and whether they came as an array."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -187,11 +188,11 @@ def _load_documents(path: str) -> list[dict]:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if isinstance(data, dict):
-        return [data]
+        return [data], False
     if data == []:
         raise InputError("input array holds no matrix documents")
     if isinstance(data, list) and all(isinstance(d, dict) for d in data):
-        return data
+        return data, True
     raise InputError("input must be a JSON object or an array of objects")
 
 
@@ -234,12 +235,11 @@ def _jsonify(obj):
     return obj
 
 
-def _audit(kind: str, payload, samples: int, points: bool = True):
+def _audit(kind: str, payload, samples: int):
     """Classify a parsed document and audit the verdict.
 
     Returns the block form, the reciprocal shape (None unless the document
-    is reciprocal), the verdict and the :class:`verify.AuditReport`, with
-    boundary points unless ``points`` is False.
+    is reciprocal), the verdict and the :class:`verify.AuditReport`.
     """
     if samples < nrcore.FLAT_MIN_SAMPLES or samples % 2:
         raise InputError(
@@ -249,8 +249,7 @@ def _audit(kind: str, payload, samples: int, points: bool = True):
     bf, matrix = _block_form_of(kind, payload)
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
     verdict = criteria.check_general(bf)
-    audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape,
-                           points=points)
+    audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
     return bf, shape, verdict, audited
 
 
@@ -331,12 +330,12 @@ def _print_check_report(report: dict) -> None:
 
 
 def cmd_check(args) -> int:
-    docs = _load_documents(args.input)
+    docs, batch = _load_documents(args.input)
     worst = EXIT_POSITIVE
     outputs = []
     for doc in docs:
         kind, payload = parse_matrix_spec(doc)
-        _, shape, verdict, audited = _audit(kind, payload, args.samples, points=False)
+        _, shape, verdict, audited = _audit(kind, payload, args.samples)
         report = _report(kind, payload, shape, verdict, audited)
         outputs.append(report)
         if report["consistency_failures"]:
@@ -344,8 +343,7 @@ def cmd_check(args) -> int:
         elif not verdict.bielliptical:
             worst = max(worst, EXIT_NEGATIVE)
     if args.format == "json":
-        payload_out = outputs if len(outputs) > 1 else outputs[0]
-        print(json.dumps(_jsonify(payload_out), indent=2))
+        print(json.dumps(_jsonify(outputs if batch else outputs[0]), indent=2))
     else:
         for i, report in enumerate(outputs):
             if i:
@@ -416,7 +414,7 @@ def _boundary_svg(points, report: dict | None) -> str:
 def cmd_boundary(args) -> int:
     if args.samples < 64 or args.samples % 2:
         raise InputError("--samples must be even and at least 64")
-    docs = _load_documents(args.input)
+    docs, _ = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("boundary export expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])
@@ -429,18 +427,14 @@ def cmd_boundary(args) -> int:
     if args.format == "csv":
         text = _boundary_csv(nrcore.boundary_support(matrix, args.samples))
     else:
-        report = audited = None
+        report = None
         if structured:
             _, shape, verdict, audited = _audit(
                 kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES)
             )
             report = _report(kind, payload, shape, verdict, audited)
-        # The audit's own samples, unless it needed more than were asked for.
-        if audited is not None and len(audited.points) == args.samples:
-            points = audited.points
-        else:
-            points = nrcore.boundary_support(matrix, args.samples).points
-        text = _boundary_svg(points, report)
+        text = _boundary_svg(nrcore.boundary_support(matrix, args.samples).points,
+                             report)
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -509,7 +503,7 @@ def _env_seed() -> int:
 
 
 def cmd_verify(args) -> int:
-    docs = _load_documents(args.input)
+    docs, _ = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("verify expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])

@@ -236,9 +236,7 @@ class Boundary:
 
 
 def _as_ndarray(m) -> np.ndarray:
-    if isinstance(m, CMatrix):
-        return np.array(m.rows, dtype=complex)
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m.rows if isinstance(m, CMatrix) else m, dtype=complex)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     return a

@@ -223,8 +223,6 @@ def commutant_dim(m) -> int:
     less its trace shift, which the commutant does not see).
     """
     a = nrcore._as_ndarray(m)
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
     ident = np.eye(4, dtype=complex)
     top = np.kron(ident, a) - np.kron(a.T, ident)
     bot = np.kron(ident, a.conj().T) - np.kron(a.conj(), ident)
@@ -248,18 +246,17 @@ class Check:
 class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
-    ``eigenvalues`` include the trace shift; ``theta``, ``support`` and
-    ``points`` are the :class:`nrcore.Boundary` arrays (``points`` None when
-    the audit ran with ``points=False``); ``diameter`` is the diagonal of
-    the range's bounding box; ``hull_gap`` is None unless the verdict is
-    positive with ellipses, ``factorization`` None unless the verdict
-    carries a reduced form.
+    ``eigenvalues`` include the trace shift; ``theta`` and ``support`` are
+    the :class:`nrcore.Boundary` arrays, the support function at n
+    equispaced directions (no boundary points: no check reads them);
+    ``diameter`` is the diagonal of the range's bounding box; ``hull_gap``
+    is None unless the verdict is positive with ellipses, ``factorization``
+    None unless the verdict carries a reduced form.
     """
 
     eigenvalues: tuple[complex, ...]
     theta: np.ndarray
     support: np.ndarray
-    points: np.ndarray | None
     flats: tuple[nrcore.FlatPortion, ...]
     commutant_dim: int
     diameter: float
@@ -314,25 +311,24 @@ def audit(
     samples: int = nrcore.DEFAULT_SAMPLES,
     matrix: CMatrix | None = None,
     reciprocal: ReciprocalShape | None = None,
-    points: bool = True,
 ) -> AuditReport:
     """Run the oracles once on ``bf`` and check its ``check_general`` verdict.
 
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
-    passes itself) in ``samples`` directions.  No audit check reads the
-    boundary points, so ``points=False`` leaves them out of the report and
-    spares the oracle its eigenvectors; :func:`verify_checks` needs them.
-    ``reciprocal`` is the reciprocal classification when ``bf`` came from a
-    reciprocal form and must agree with the verdict.  A positive verdict
-    must have its hull of ellipses within ``1e-6 * diameter`` of the sampled
-    range and flat portions that match the eigenvalue pair sum.  Whenever
-    the verdict carries a reduced form, the generating polynomial must
-    factor into the two claimed quadratics up to a factorization residual of
-    ``TOL``.  Every verdict must be free of a criterion/reduction mismatch.
+    passes itself) in ``samples`` directions.  Every check here and in
+    :func:`verify_checks` reads support values only, so the boundary oracle
+    runs without points (eigenvalues only).  ``reciprocal`` is the
+    reciprocal classification when ``bf`` came from a reciprocal form and
+    must agree with the verdict.  A positive verdict must have its hull of
+    ellipses within ``1e-6 * diameter`` of the sampled range and flat
+    portions that match the eigenvalue pair sum.  Whenever the verdict
+    carries a reduced form, the generating polynomial must factor into the
+    two claimed quadratics up to a factorization residual of ``TOL``.  Every
+    verdict must be free of a criterion/reduction mismatch.
     """
     a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
-    boundary = nrcore.boundary_support(a, samples, points=points)
+    boundary = nrcore.boundary_support(a, samples, points=False)
     flats = tuple(nrcore.flat_portions(a, boundary))
     dim = commutant_dim(a)
     diameter = _box_diameter(a)
@@ -360,8 +356,8 @@ def audit(
     ok = not verdict.diagnostics.get("mismatch")
     checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
                         else "criterion/reduction verdict mismatch"))
-    return AuditReport(eigenvalues, boundary.theta, boundary.support, boundary.points,
-                       flats, dim, diameter, hull_gap, fact, tuple(checks))
+    return AuditReport(eigenvalues, boundary.theta, boundary.support, flats, dim,
+                       diameter, hull_gap, fact, tuple(checks))
 
 
 def verify_checks(
@@ -369,48 +365,60 @@ def verify_checks(
 ) -> list[Check]:
     """The checks ``birange verify`` reports, in order.
 
-    Spot checks on the audit's samples: central symmetry about the shift,
-    eigenvalue containment in the sampled support polytope, and pencil
-    eigenvalues (the closed form against LAPACK ``eigvalsh`` of the 4x4
-    imaginary part) and the generating polynomial at 16 random directions
-    each, drawn from ``seed``.  A positive verdict adds the audit's hull
-    check and unitary irreducibility: commutant dimension 1, or 2 in the
-    paper's real case (ii), whose matrices are reducible.  Every other
-    failed consistency check comes last.
+    Central symmetry about the shift, in two parts: normal, the audit's
+    support value at every sampled direction against its antipode's, and
+    transverse, the field values of the top and bottom eigenvectors of
+    Im(e^{-i theta} A0) (A0 the shift-free matrix) at 16 random directions.
+    Then eigenvalue containment in the sampled support polytope, and pencil
+    eigenvalues (the closed form against the eigenvalues of that same LAPACK
+    ``eigh``) and the generating polynomial at 16 random directions each;
+    the directions are drawn from ``seed``.  A positive verdict adds the
+    audit's hull check and unitary irreducibility: commutant dimension 1,
+    or 2 in the paper's real case (ii), whose matrices are reducible.  Every
+    other failed consistency check comes last.
     """
     rng = np.random.default_rng(seed)
     scale = bf.scale()
 
-    # Sample k against its antipode k + n // 2.
-    centered = report.points - bf.shift
-    half = len(centered) // 2
-    sym = float(np.abs(centered[:half] + centered[half : 2 * half]).max())
+    # W = 2 shift - W iff h(theta) - h(theta + pi) = 2 Re(e^{-i theta} shift)
+    # for every theta (Schneider, section 1.7): direction k against k + n // 2.
+    half = len(report.theta) // 2
+    antipodal = report.support[:half] - report.support[half:]
+    sym = float(np.abs(
+        antipodal - 2.0 * (np.exp(-1j * report.theta[:half]) * bf.shift).real).max())
     eig = np.asarray(report.eigenvalues, dtype=complex)
     excess = (np.exp(-1j * report.theta)[None, :] * eig[:, None]).real - report.support
     worst_out = float(excess.max())
 
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=16)
     a4 = nrcore._as_ndarray(bf.normalized_matrix())
-    vals = np.linalg.eigvalsh(nrcore._imag_part_at(a4, thetas[:, None, None]))
+    vals, vecs = np.linalg.eigh(nrcore._imag_part_at(a4, thetas[:, None, None]))
     expect = np.array([
         sorted((-lam1, -lam2, lam2, lam1))
         for lam1, lam2 in (nrcore.pencil_eigs(bf, float(t)) for t in thetas)
     ])
     worst_pencil = float(np.abs(vals - expect).max())
+    # Im(e^{-i theta} A0) = Re(e^{-i (theta + pi/2)} A0): its top and bottom
+    # eigenvectors have the support points of W(A0) at theta +- pi / 2 as
+    # field values, and those cancel when W(A0) = -W(A0).
+    ends = vecs[:, :, ::3]
+    transverse = float(np.abs(
+        np.einsum("nic,ij,njc->n", ends.conj(), a4, ends)).max())
     gp = nrcore.generating_poly(bf)
     worst_gen = 0.0
     for theta in rng.uniform(0.0, 2.0 * math.pi, size=16):
         for lam in nrcore.pencil_eigs(bf, float(theta)):
             worst_gen = max(worst_gen, abs(gp.evaluate(lam, float(theta))))
 
-    # The sampled points carry the trace shift, so subtracting it leaves a
-    # roundoff of a few eps * |shift|: at most 14 eps * |shift| above the
-    # diameter term on 8 matrices at t = 1e-6..1e3, |shift| = 1..1e8, while
-    # |shift| / t <= 1e10.
+    # The support values carry the trace shift, so subtracting it leaves a
+    # roundoff of a few eps * |shift|: at most 12 eps * |shift| above the
+    # diameter term on 8 random blocks at t = 1e-6..1e3 shifted by 1..1e8
+    # times 1, i or e^{i pi/4}, while |shift| / t <= 1e10.
     sym_bound = (1e-8 * max(report.diameter, 1e-12)
                  + 64 * np.finfo(float).eps * abs(bf.shift))
     checks = [
-        Check("central symmetry", sym <= sym_bound, f"antipodal mismatch {sym:.3e}"),
+        Check("central symmetry", max(sym, transverse) <= sym_bound,
+              f"antipodal mismatch {sym:.3e} normal, {transverse:.3e} transverse"),
         Check("eigenvalue containment", worst_out <= 1e-9 * (scale + abs(bf.shift)),
               f"worst support excess {worst_out:.3e}"),
         Check("pencil eigenvalues", worst_pencil <= 1e-11 * scale,

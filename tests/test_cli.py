@@ -139,6 +139,17 @@ class TestCheck:
         assert code == 1
         assert [r["verdict"] for r in reports] == ["BiElliptical", "NotBiElliptical"]
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["object", "array"])
+    def test_json_output_shape_follows_input(self, batch, tmp_path, capsys):
+        # A one-element array is a batch of one: it prints an array.
+        doc = raw_doc(general_example_matrix())
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps([doc] if batch else doc))
+        assert main(["check", str(path), "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert isinstance(out, list if batch else dict)
+        assert (out[0] if batch else out)["verdict"] == "BiElliptical"
+
     def test_json_report_hull_contract(self, gen_file, capsys):
         assert main(["check", gen_file, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -149,11 +160,13 @@ class TestCheck:
         assert not any(k.startswith("special_fact") for k in report["diagnostics"])
 
     @pytest.mark.parametrize("argv, points", [
-        (["check"], False), (["check", "--format", "json"], False),
-        (["verify"], True), (["boundary", "--format", "svg"], True),
+        (["check"], [False]), (["check", "--format", "json"], [False]),
+        (["verify"], [False]), (["boundary", "--format", "svg"], [False, True]),
     ], ids=["check-text", "check-json", "verify", "boundary-svg"])
     def test_boundary_points_only_where_read(self, argv, points, gen_file, capsys,
                                              monkeypatch):
+        # Only the exported polygon reads boundary points; the audit that
+        # annotates the SVG reads support values, like every other audit.
         asked = []
 
         def spy(*args, _fn=nrcore.boundary_support, **kwargs):
@@ -163,7 +176,7 @@ class TestCheck:
 
         monkeypatch.setattr(nrcore, "boundary_support", spy)
         assert main([*argv, gen_file]) == 0
-        assert asked == [points]
+        assert asked == points
 
     def test_too_few_samples_is_usage_error(self, gen_file, capsys):
         assert main(["check", gen_file, "--samples", "256"]) == 2
@@ -434,6 +447,22 @@ class TestVerify:
         assert code == 1
         assert main(["check", str(path), "--samples", "512"]) == 1
 
+    def test_antipodal_support_mismatch_fails(self, gen_file, capsys, monkeypatch):
+        # One support value moved by 1e-6 * diameter breaks h(theta) =
+        # h(theta + pi) at one pair, a hundred times the gate.
+        def broken(*args, _fn=verify.audit, **kwargs):
+            report = _fn(*args, **kwargs)
+            support = report.support.copy()
+            support[100] += 1e-6 * report.diameter
+            return dataclasses.replace(report, support=support)
+
+        monkeypatch.setattr(verify, "audit", broken)
+        assert main(["verify", gen_file, "--samples", "512"]) == 3
+        out = capsys.readouterr().out
+        assert re.search(r"^\[FAIL\] central symmetry: antipodal mismatch \S+ normal", out,
+                         re.MULTILINE)
+        assert out.count("[FAIL]") == 1
+
     @pytest.mark.parametrize("k, t, c", [(0, 1e-5, 1e6), (1, 1e-4, 1e7), (3, 1e-3, 1e8)])
     def test_oracle_gates_blind_to_shift(self, tmp_path, capsys, k, t, c):
         # A random block scaled by t and shifted by c, as a raw document: the
@@ -453,16 +482,17 @@ class TestVerify:
     def test_vectorized_geometry_checks_match_loops(self, gen_file, capsys):
         assert main(["verify", gen_file, "--samples", "512"]) == 0
         out = capsys.readouterr().out
-        sym = float(re.search(r"antipodal mismatch (\S+)", out).group(1))
+        sym = float(re.search(r"antipodal mismatch (\S+) normal", out).group(1))
         excess = float(re.search(r"worst support excess (\S+)", out).group(1))
 
         # The per-sample loops the verify checks are defined by.
         bf = cli.detect_block_structure(general_example_matrix())
-        boundary = nrcore.boundary_support(bf.assemble(), 512)
-        points = boundary.points.tolist()
-        n = len(points)
+        boundary = nrcore.boundary_support(bf.assemble(), 512, points=False)
+        theta, support = boundary.theta.tolist(), boundary.support.tolist()
+        n = len(theta)
         ref_sym = max(
-            abs((points[k] - bf.shift) + (points[(k + n // 2) % n] - bf.shift))
+            abs(support[k] - support[k + n // 2]
+                - 2 * (cmath.exp(-1j * theta[k]) * bf.shift).real)
             for k in range(n // 2)
         )
         ref_excess = max(

@@ -6,6 +6,7 @@ import pytest
 
 from birange.forms import BlockForm, SpecialForm, from_reciprocal, ReciprocalForm
 from birange import nrcore, verify
+from birange.criteria import check_general
 from birange.linalg import CMatrix, eye, hermitian_eig4, zeros
 from birange.nrcore import (
     boundary_support,
@@ -254,6 +255,22 @@ class TestHalfCircleOracle:
     def test_odd_count_rejected(self, n):
         with pytest.raises(ValueError):
             boundary_support(np.eye(4, dtype=complex), n)
+
+
+@pytest.mark.parametrize("m", [eye(2), np.eye(2), np.eye(4)[:3]],
+                         ids=["CMatrix-2x2", "ndarray-2x2", "ndarray-3x4"])
+def test_oracles_reject_other_shapes(m):
+    bf = general_example_block()
+    boundary = boundary_support(bf.assemble(), 512)
+    oracles = [
+        lambda: boundary_support(m, 64),
+        lambda: flat_portions(m, boundary),
+        lambda: verify.commutant_dim(m),
+        lambda: verify.audit(bf, check_general(bf), 512, matrix=m),
+    ]
+    for oracle in oracles:
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            oracle()
 
 
 class TestPointsFreeOracle:

@@ -2,6 +2,7 @@ import cmath
 import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from birange.criteria import (
     criterion_T,
     ellipse_pair_params,
 )
-from birange import nrcore
+from birange import nrcore, verify
 from birange.forms import SpecialForm, from_reciprocal
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
@@ -317,7 +318,7 @@ class TestAudit:
         bf = from_reciprocal(reciprocal_two_ellipse())
         verdict = check_general(bf)
         report = audit(bf, verdict, 1024, reciprocal=ReciprocalShape.BI_ELLIPTICAL)
-        samples = boundary_support(bf.assemble(), 1024)
+        samples = boundary_support(bf.assemble(), 1024, points=False)
         assert report.hull_gap == hull_support_gap(*verdict.ellipses, samples)
         sf = verdict.diagnostics["reduced_form"]
         assert report.factorization == factorization_residual(
@@ -349,54 +350,86 @@ class TestAudit:
 
 
 class TestAuditLapackBudget:
-    """Only ``birange verify`` and ``boundary`` read the boundary points, so
-    the audit of ``birange check`` solves for no eigenvectors there."""
+    """No audit check reads boundary points, so the oracle solves for
+    eigenvalues only: one batched ``eigvalsh`` over half the circle."""
 
     @staticmethod
-    def calls(monkeypatch, bf, points: bool) -> collections.Counter:
-        """LAPACK calls of one audit, keyed (inside boundary_support, name)."""
+    def calls(monkeypatch, module, where: str, run):
+        """LAPACK calls made inside ``module.where`` while ``run()`` runs,
+        keyed (name, batch shape), and what ``run()`` returned."""
         counts = collections.Counter()
         inside = [False]
         for name in ("eigh", "eigvalsh"):
-            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-                counts[inside[0], _name] += 1
-                return _fn(*args, **kwargs)
+            def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                if inside[0]:
+                    counts[_name, np.shape(a)[:-2]] += 1
+                return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
 
-        def oracle(*args, _fn=nrcore.boundary_support, **kwargs):
+        def region(*args, _fn=getattr(module, where), **kwargs):
             inside[0] = True
             try:
                 return _fn(*args, **kwargs)
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(nrcore, "boundary_support", oracle)
-        audit(bf, check_general(bf), 2048, points=points)
-        monkeypatch.undo()
-        return counts
+        monkeypatch.setattr(module, where, region)
+        try:
+            return counts, run()
+        finally:
+            monkeypatch.undo()
 
-    def test_points_only_when_asked(self, monkeypatch, rng):
+    def test_points_free_oracle(self, monkeypatch, rng):
         # The worked example samples degenerate directions, whose segment
-        # ends take one more eigh; the random blocks sample none.
-        cases = [(general_example_block(), 2)]
-        cases += [(random_block(rng), 1) for _ in range(10)]
-        for bf, eigh_with_points in cases:
-            bare = self.calls(monkeypatch, bf, points=False)
-            full = self.calls(monkeypatch, bf, points=True)
-            assert bare[True, "eigh"] == 0 and bare[True, "eigvalsh"] == 1
-            assert full[True, "eigh"] == eigh_with_points
-            assert full[True, "eigvalsh"] == 0
-            for name in ("eigh", "eigvalsh"):
-                assert bare[False, name] == full[False, name]
-
-    def test_same_report_without_points(self, rng):
+        # ends would take one more eigh with points; the random blocks
+        # sample none.
         for bf in [general_example_block()] + [random_block(rng) for _ in range(10)]:
             verdict = check_general(bf)
-            full = audit(bf, verdict, 2048)
-            bare = audit(bf, verdict, 2048, points=False)
-            assert bare.points is None and full.points is not None
-            assert bare.diameter == full.diameter
-            assert len(bare.flats) == len(full.flats)
-            assert bare.commutant_dim == full.commutant_dim
-            assert [c.name for c in bare.checks] == [c.name for c in full.checks]
-            assert bare.failures == full.failures == []
+            counts, report = self.calls(monkeypatch, nrcore, "boundary_support",
+                                        lambda: audit(bf, verdict, 2048))
+            assert counts == {("eigvalsh", (1024,)): 1}
+            assert not hasattr(report, "points")
+            a = bf.assemble()
+            assert report.diameter == verify._box_diameter(nrcore._as_ndarray(a))
+            assert len(report.flats) == len(
+                nrcore.flat_portions(a, boundary_support(a, 2048)))
+            assert report.commutant_dim == commutant_dim(a)
+            assert report.failures == []
+
+    def test_verify_checks_one_eigh(self, monkeypatch, rng):
+        for bf in [general_example_block()] + [random_block(rng) for _ in range(5)]:
+            verdict = check_general(bf)
+            report = audit(bf, verdict, 512)
+            counts, checks = self.calls(
+                monkeypatch, verify, "verify_checks",
+                lambda: verify.verify_checks(bf, verdict, report, 42))
+            assert counts == {("eigh", (16,)): 1}
+            assert all(c.passed for c in checks)
+
+
+class TestCentralSymmetry:
+    def test_transverse_mismatch_fails(self, monkeypatch):
+        # Turn the top eigenvector of each Im(e^{-i theta} A0) by 1e-3
+        # towards the next one: the eigenvalues, and so the pencil check,
+        # stay; the field values at theta + pi / 2 and theta - pi / 2 no
+        # longer cancel.
+        bf = general_example_block()
+        verdict = check_general(bf)
+        report = audit(bf, verdict, 512)
+        assert verify.verify_checks(bf, verdict, report, 42)[0].passed
+        eigh = np.linalg.eigh
+
+        def turned(a):
+            w, v = eigh(a)
+            v = v.copy()
+            v[..., 3] = math.cos(1e-3) * v[..., 3] + math.sin(1e-3) * v[..., 2]
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", turned)
+        checks = {c.name: c for c in verify.verify_checks(bf, verdict, report, 42)}
+        sym = checks["central symmetry"]
+        assert not sym.passed
+        normal, transverse = map(float, re.findall(r"(\S+) (?:normal|transverse)",
+                                                   sym.detail))
+        assert normal <= 1e-12 < 1e-6 * report.diameter <= transverse
+        assert checks["pencil eigenvalues"].passed
