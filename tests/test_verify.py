@@ -379,20 +379,41 @@ class TestAuditLapackBudget:
         finally:
             monkeypatch.undo()
 
-    def test_points_free_oracle(self, monkeypatch, rng):
-        # The worked example samples degenerate directions, whose segment
-        # ends would take one more eigh with points; the random blocks
-        # sample none.
-        for bf in [general_example_block()] + [random_block(rng) for _ in range(10)]:
+    def test_points_only_when_asked(self, monkeypatch, rng):
+        # The audit never asks for points: one eigvalsh over half the circle
+        # and no eigh inside the oracle.  Asked directly, the oracle solves
+        # with eigh; the worked example samples degenerate directions, whose
+        # segment ends take one more eigh, and the random blocks sample none.
+        cases = [(general_example_block(), 2)]
+        cases += [(random_block(rng), 1) for _ in range(10)]
+        for bf, eigh_with_points in cases:
             verdict = check_general(bf)
             counts, report = self.calls(monkeypatch, nrcore, "boundary_support",
                                         lambda: audit(bf, verdict, 2048))
             assert counts == {("eigvalsh", (1024,)): 1}
             assert not hasattr(report, "points")
             a = bf.assemble()
+            counts, full = self.calls(monkeypatch, nrcore, "boundary_support",
+                                      lambda: nrcore.boundary_support(a, 2048))
+            by_name = collections.Counter()
+            for (name, _), k in counts.items():
+                by_name[name] += k
+            assert by_name == {"eigh": eigh_with_points}
+            assert full.points is not None
+
+    def test_same_report_without_points(self, rng):
+        # The points-free audit reports what the sampled points give: the
+        # box diagonal (4 divides 2048, so the box's directions are
+        # sampled), the flat portions and the commutant.
+        for bf in [general_example_block()] + [random_block(rng) for _ in range(10)]:
+            verdict = check_general(bf)
+            report = audit(bf, verdict, 2048)
+            a = bf.assemble()
+            full = boundary_support(a, 2048)
             assert report.diameter == verify._box_diameter(nrcore._as_ndarray(a))
-            assert len(report.flats) == len(
-                nrcore.flat_portions(a, boundary_support(a, 2048)))
+            span = np.ptp(full.points.real), np.ptp(full.points.imag)
+            assert report.diameter == pytest.approx(math.hypot(*span), rel=1e-12)
+            assert len(report.flats) == len(nrcore.flat_portions(a, full))
             assert report.commutant_dim == commutant_dim(a)
             assert report.failures == []
 
