@@ -10,13 +10,16 @@ Exit codes: 0 positive verdict, 1 negative verdict, 2 input or usage error
 (including non-finite or out-of-range numbers), 3 internal failure (an
 oracle disagreed with a verdict, or an exception escaped; either signals a
 bug).  No exception leaves ``main`` with exit 1, which means "not
-bi-elliptical".
+bi-elliptical".  A reader that closes standard output early ends the
+output; the exit code stays the command's.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -535,39 +538,48 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="classify a matrix")
     common(p_check)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=lambda a: cmd_check(a))
 
     p_boundary = sub.add_parser("boundary", help="export boundary samples")
     common(p_boundary)
     p_boundary.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_boundary.add_argument("--output", default=None, help="output path")
-    p_boundary.set_defaults(func=cmd_boundary)
+    p_boundary.set_defaults(func=lambda a: cmd_boundary(a))
 
     p_solve = sub.add_parser("solve-b", help="solve for the coupling entry b")
     p_solve.add_argument("u", type=float)
     p_solve.add_argument("v", type=float)
     p_solve.add_argument("b1", help="complex as 're' or 're,im'")
     p_solve.add_argument("b2", help="complex as 're' or 're,im'")
-    p_solve.set_defaults(func=cmd_solve_b)
+    p_solve.set_defaults(func=lambda a: cmd_solve_b(a))
 
     p_rec = sub.add_parser("reciprocal", help="classify a reciprocal matrix")
     p_rec.add_argument("a1", type=float)
     p_rec.add_argument("a2", type=float)
     p_rec.add_argument("a3", type=float)
-    p_rec.set_defaults(func=cmd_reciprocal)
+    p_rec.set_defaults(func=lambda a: cmd_reciprocal(a))
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")
     common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=lambda a: cmd_verify(a))
 
     return parser
 
 
+# Built once per process, at import.  Each subcommand's function is looked
+# up by name when it runs, so a ``cmd_*`` attribute patched later is the one
+# that gets called.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        # The command's output is written once it has its exit code, which
+        # a closed pipe must not change.
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -583,6 +595,17 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, which ends the output.  Standard
+        # output then points at the null device, so the interpreter's final
+        # flush of what is left finds no broken pipe either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ underneath, so agreement between the two sides is a genuine cross-check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import BlockForm
-from .linalg import CMatrix, eig2, herm_eig2, sqrt_principal
+from .linalg import CMatrix, eig2, sqrt_principal
 
 __all__ = [
     "Spectrum",
@@ -100,18 +99,45 @@ def spectrum(bf: BlockForm) -> Spectrum:
     )
 
 
-def pencil_eigs(bf: BlockForm, theta: float) -> tuple[float, float]:
+def pencil_eigs(bf: BlockForm, theta):
     """Nonnegative eigenvalues of Im(e^{-i theta} A), largest first.
 
     The four eigenvalues are +-lambda_j with
     lambda_j = sqrt(Im(e^{-i theta} alpha)^2 + mu_j / 4) and mu_j the
-    (nonnegative) eigenvalues of H - e^{-2i theta} Z - e^{2i theta} Z*.
+    (nonnegative) eigenvalues of H - e^{-2i theta} Z - e^{2i theta} Z*,
+    taken from the closed form of :func:`linalg.herm_eig2` written
+    elementwise.  ``theta`` is one direction, giving two floats, or an
+    array of directions, giving two arrays of its shape.
     """
-    e2 = cmath.exp(-2j * theta)
-    mu_lo, mu_hi = herm_eig2(bf.H - e2 * bf.Z - e2.conjugate() * bf.Z.H)
-    base = (cmath.exp(-1j * theta) * bf.alpha).imag ** 2
-    lam1 = math.sqrt(base + max(mu_hi, 0.0) / 4.0)
-    lam2 = math.sqrt(base + max(mu_lo, 0.0) / 4.0)
+    # Complex products are spelled out in real arithmetic, as Python's
+    # complex type computes them.  numpy's complex array loops may fuse
+    # multiply-adds, so a direction would get other bits in an array than
+    # alone, and other bits than the scalar 2x2 arithmetic of linalg.
+    theta = np.asarray(theta, dtype=float)
+    e2 = np.exp(-2j * theta)
+    e2r, e2i = e2.real, e2.imag
+
+    def re_e2(w: complex):
+        return w.real * e2r - w.imag * e2i
+
+    def im_e2(w: complex):
+        return w.real * e2i + w.imag * e2r
+
+    (h00, h01), (_, h11) = bf.H.rows
+    (z00, z01), (z10, z11) = bf.Z.rows
+    m00 = h00.real - re_e2(z00) - re_e2(z00)
+    m11 = h11.real - re_e2(z11) - re_e2(z11)
+    m01 = np.hypot(h01.real - re_e2(z01) - re_e2(z10),
+                   h01.imag - im_e2(z01) + im_e2(z10))
+    mean = 0.5 * (m00 + m11)
+    r = np.hypot(0.5 * (m00 - m11), m01)
+    e1 = np.exp(-1j * theta)
+    im_alpha = e1.real * bf.alpha.imag + e1.imag * bf.alpha.real
+    base = im_alpha * im_alpha
+    lam1 = np.sqrt(base + np.maximum(mean + r, 0.0) / 4.0)
+    lam2 = np.sqrt(base + np.maximum(mean - r, 0.0) / 4.0)
+    if theta.ndim == 0:
+        return float(lam1), float(lam2)
     return lam1, lam2
 
 
@@ -122,6 +148,7 @@ class GeneratingPoly:
     The characteristic polynomial of Im(e^{-i theta} A) is
     ``lam^4 - xi1(theta) lam^2 + xi2(theta)``; xi1 is a degree-2 and 16*xi2
     a degree-4 trigonometric polynomial whose coefficients are stored here.
+    ``xi1``, ``xi2`` and ``evaluate`` take floats or arrays, elementwise.
     """
 
     xi1_const: float
@@ -135,23 +162,23 @@ class GeneratingPoly:
     zeta1: complex
     zeta2: complex
 
-    def xi1(self, theta: float) -> float:
+    def xi1(self, theta):
         return (
             self.xi1_const
-            + self.xi1_cos2 * math.cos(2 * theta)
-            + self.xi1_sin2 * math.sin(2 * theta)
+            + self.xi1_cos2 * np.cos(2 * theta)
+            + self.xi1_sin2 * np.sin(2 * theta)
         )
 
-    def xi2(self, theta: float) -> float:
+    def xi2(self, theta):
         return (
             self.xi2_const_x16
-            + self.xi2_cos2_x16 * math.cos(2 * theta)
-            + self.xi2_sin2_x16 * math.sin(2 * theta)
-            + self.xi2_cos4_x16 * math.cos(4 * theta)
-            + self.xi2_sin4_x16 * math.sin(4 * theta)
+            + self.xi2_cos2_x16 * np.cos(2 * theta)
+            + self.xi2_sin2_x16 * np.sin(2 * theta)
+            + self.xi2_cos4_x16 * np.cos(4 * theta)
+            + self.xi2_sin4_x16 * np.sin(4 * theta)
         ) / 16.0
 
-    def evaluate(self, lam: float, theta: float) -> float:
+    def evaluate(self, lam, theta):
         l2 = lam * lam
         return l2 * l2 - self.xi1(theta) * l2 + self.xi2(theta)
 

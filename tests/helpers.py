@@ -348,3 +348,40 @@ def golden_flat_portions(m, boundary: nrcore.Boundary) -> list[nrcore.FlatPortio
         found.append(nrcore.FlatPortion(direction, (hi, lo), length, theta % (2 * math.pi)))
     found.sort(key=lambda f: f.support_theta)
     return found
+
+
+def kron_commutant_system(a: np.ndarray) -> np.ndarray:
+    """Reference for ``verify._commutant_system``: the commutation
+    constraints XA = AX and XA* = A*X stacked from ``np.kron``."""
+    ident = np.eye(4, dtype=complex)
+    top = np.kron(ident, a) - np.kron(a.T, ident)
+    bot = np.kron(ident, a.conj().T) - np.kron(a.conj(), ident)
+    return np.vstack([top, bot])
+
+
+def loop_factorization_residual(
+    bf: BlockForm, params: EllipsePairParams, grid: int = 64
+) -> tuple[float, float, float]:
+    """Reference for ``verify.factorization_residual``: (total, linear_max,
+    quadratic_max) from one scalar evaluation per grid direction, with the
+    generating polynomial's coefficients read off ``math`` sines and cosines."""
+    gp = nrcore.generating_poly(bf)
+    p, x, y, z = params.p, params.x, params.y, params.z
+    norm2 = bf.scale() ** 2
+    norm4 = norm2 * norm2
+    worst_lin = worst_quad = worst_total = 0.0
+    for k in range(grid):
+        t = 2.0 * math.pi * k / grid
+        c2, s2t, c4, s4 = (math.cos(2 * t), math.sin(2 * t),
+                           math.cos(4 * t), math.sin(4 * t))
+        xi1 = gp.xi1_const + gp.xi1_cos2 * c2 + gp.xi1_sin2 * s2t
+        xi2 = (gp.xi2_const_x16 + gp.xi2_cos2_x16 * c2 + gp.xi2_sin2_x16 * s2t
+               + gp.xi2_cos4_x16 * c4 + gp.xi2_sin4_x16 * s4) / 16.0
+        s2 = (p * math.sin(t)) ** 2
+        omega = x * c2 + y * s2t - z
+        lin = abs(2.0 * (s2 - omega) - xi1)
+        quad = abs((s2 + omega) ** 2 - xi2)
+        worst_lin = max(worst_lin, lin)
+        worst_quad = max(worst_quad, quad)
+        worst_total = max(worst_total, lin / norm2 + quad / norm4)
+    return worst_total, worst_lin / norm2, worst_quad / norm4

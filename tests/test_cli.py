@@ -191,17 +191,18 @@ class TestCheck:
         assert "Traceback" not in err
 
 
-def run_module(*args):
-    """``python -m birange.cli`` with the package this suite imports on the
-    child's path, whether it came from PYTHONPATH or pytest's pythonpath."""
+def module_command(*args) -> dict:
+    """Popen arguments for ``python -m birange.cli`` with the package this
+    suite imports on the child's path, whether it came from PYTHONPATH or
+    pytest's pythonpath."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "birange.cli", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return {"args": [sys.executable, "-m", "birange.cli", *args],
+            "env": {**os.environ, "PYTHONPATH": path}}
+
+
+def run_module(*args):
+    return subprocess.run(**module_command(*args), capture_output=True, text=True)
 
 
 class TestExitCodeContract:
@@ -278,6 +279,27 @@ class TestExitCodeContract:
         monkeypatch.setenv("BIRANGE_SEED", seed)
         assert main(["verify", gen_file]) == 2
         assert "BIRANGE_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, doc, code", [
+        (["check", "--format", "json"], "gen", 0),
+        (["check"], "neither", 1),
+        (["verify"], "gen", 0),
+    ], ids=["check-json", "check-text-negative", "verify"])
+    def test_closed_pipe_keeps_exit_code(self, argv, doc, code, tmp_path):
+        # The reader is gone before the command writes: the output ends
+        # there, with the command's own exit code and nothing on stderr.
+        docs = {"gen": raw_doc(general_example_matrix()),
+                "neither": {"form": "reciprocal", "a1": 1.0, "a2": 1.0, "a3": 1.0}}
+        path = tmp_path / "docs.json"
+        path.write_text(json.dumps(docs[doc]))
+        proc = subprocess.Popen(**module_command(*argv, str(path)),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert err == ""
 
     def test_uncaught_exception_exits_3(self, gen_file, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -586,6 +608,14 @@ class TestUnstructuredRaw:
 
 
 class TestEntryPoint:
+    def test_dispatch_looks_up_the_command_at_call_time(self, gen_file, monkeypatch):
+        # The parser is built once, at import; a ``cmd_*`` patched afterwards
+        # (as the benchmark's tracer does) is the one that runs.
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.input) or 7)
+        assert main(["verify", gen_file]) == 7
+        assert seen == [gen_file]
+
     def test_module_invocation(self, tmp_path):
         doc = {"form": "reciprocal", "a1": 1.0, "a2": 1.0, "a3": 1.0}
         path = tmp_path / "rec.json"

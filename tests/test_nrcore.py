@@ -7,7 +7,7 @@ import pytest
 from birange.forms import BlockForm, SpecialForm, from_reciprocal, ReciprocalForm
 from birange import nrcore, verify
 from birange.criteria import check_general
-from birange.linalg import CMatrix, eye, hermitian_eig4, zeros
+from birange.linalg import CMatrix, eye, zeros
 from birange.nrcore import (
     boundary_support,
     flat_portions,
@@ -82,14 +82,27 @@ class TestPencilEigs:
     def test_matches_hermitian_eigensolve(self, rng):
         for _ in range(100):
             bf = random_block(rng)
-            theta = float(rng.uniform(0, 2 * math.pi))
-            lam1, lam2 = pencil_eigs(bf, theta)
-            rot = cmath.exp(-1j * theta) * bf.normalized_matrix()
-            im = (1 / 2j) * (rot - rot.H)
-            vals = hermitian_eig4(im).values
+            thetas = rng.uniform(0, 2 * math.pi, size=16)
+            lam1, lam2 = pencil_eigs(bf, thetas)
+            a = np.array(bf.normalized_matrix().rows)
+            e = np.exp(-1j * thetas)[:, None, None]
+            vals = np.linalg.eigvalsh((e * a - np.conj(e) * a.conj().T) / 2j)
             scale = 1 + bf.normalized_matrix().frobenius()
-            expect = sorted((-lam1, -lam2, lam2, lam1))
-            assert max(abs(a - b) for a, b in zip(vals, expect)) <= 1e-11 * scale
+            expect = np.stack((-lam1, -lam2, lam2, lam1), axis=1)
+            assert np.abs(vals - expect).max() <= 1e-11 * scale
+
+    def test_array_matches_scalar_calls(self, rng):
+        # An array of directions gives, element for element, the bits of
+        # one call per direction; a lone direction gives Python floats.
+        for _ in range(50):
+            bf = random_block(rng)
+            thetas = rng.uniform(0, 2 * math.pi, size=(4, 4))
+            lam1, lam2 = pencil_eigs(bf, thetas)
+            assert lam1.shape == lam2.shape == thetas.shape
+            for idx, t in np.ndenumerate(thetas):
+                one = pencil_eigs(bf, float(t))
+                assert all(type(x) is float for x in one)
+                assert one == (lam1[idx], lam2[idx])
 
 
 class TestGeneratingPoly:
@@ -130,6 +143,20 @@ class TestGeneratingPoly:
             for t in rng.uniform(0, 2 * math.pi, size=8):
                 for lam in pencil_eigs(bf, float(t)):
                     assert abs(gp.evaluate(lam, float(t))) <= bound
+
+    def test_evaluate_on_arrays_matches_scalar_calls(self, rng):
+        for _ in range(50):
+            bf = random_block(rng)
+            gp = generating_poly(bf)
+            thetas = rng.uniform(0, 2 * math.pi, size=16)
+            lams = np.stack(pencil_eigs(bf, thetas))
+            values = gp.evaluate(lams, thetas)
+            assert values.shape == (2, 16)
+            for (i, k), lam in np.ndenumerate(lams):
+                t = float(thetas[k])
+                assert values[i, k] == gp.evaluate(float(lam), t)
+            assert np.array_equal(gp.xi1(thetas), [gp.xi1(float(t)) for t in thetas])
+            assert np.array_equal(gp.xi2(thetas), [gp.xi2(float(t)) for t in thetas])
 
     def test_worked_example_degenerate_direction(self):
         # Rotating the worked example by pi/4 puts the degenerate direction

@@ -41,6 +41,8 @@ from helpers import (
     fig_left_special,
     general_example_block,
     general_example_matrix,
+    kron_commutant_system,
+    loop_factorization_residual,
     random_block,
     random_special,
     reciprocal_two_ellipse,
@@ -251,6 +253,17 @@ class TestFactorizationResidual:
                 )
                 assert abs(lhs - rhs) <= 32.0 * bound
 
+    def test_matches_loop_reference(self, rng):
+        # The grid is evaluated as arrays; the scalar loop is the reference.
+        for k in range(200):
+            sf = bi_special_any(rng) if k % 2 == 0 else random_special(rng)
+            params = ellipse_pair_params(sf)
+            res = factorization_residual(sf.to_block(), params)
+            ref = loop_factorization_residual(sf.to_block(), params)
+            got = (res.total, res.linear_max, res.quadratic_max)
+            for a, b in zip(got, ref):
+                assert abs(a - b) <= 1e-15 * max(abs(b), 1.0)
+
     def test_grid_guard(self):
         sf = fig_left_special()
         with pytest.raises(ValueError):
@@ -258,6 +271,14 @@ class TestFactorizationResidual:
 
 
 class TestCommutantDim:
+    def test_system_matches_kron(self, rng):
+        cases = [general_example_matrix(), np.eye(4)]
+        cases += [random_block(rng).assemble() for _ in range(50)]
+        for m in cases:
+            a = nrcore._as_ndarray(m)
+            assert (verify._commutant_system(a).tobytes()
+                    == kron_commutant_system(a).tobytes())
+
     def test_distinct_diagonal(self):
         assert commutant_dim(np.diag([1.0, 2.0, 3.0, 4.0])) == 4
 
@@ -418,13 +439,24 @@ class TestAuditLapackBudget:
             assert report.failures == []
 
     def test_verify_checks_one_eigh(self, monkeypatch, rng):
+        # One eigh of the pencil check's 16 matrices and no eigvalsh; the
+        # closed forms come from two array calls of 16 directions each, one
+        # for the pencil check and one for the generating polynomial.
         for bf in [general_example_block()] + [random_block(rng) for _ in range(5)]:
             verdict = check_general(bf)
             report = audit(bf, verdict, 512)
+            shapes = []
+
+            def pencil(bf, theta, _fn=nrcore.pencil_eigs):
+                shapes.append(np.shape(theta))
+                return _fn(bf, theta)
+
+            monkeypatch.setattr(nrcore, "pencil_eigs", pencil)
             counts, checks = self.calls(
                 monkeypatch, verify, "verify_checks",
                 lambda: verify.verify_checks(bf, verdict, report, 42))
             assert counts == {("eigh", (16,)): 1}
+            assert shapes == [(16,), (16,)]
             assert all(c.passed for c in checks)
 
 
