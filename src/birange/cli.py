@@ -538,42 +538,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="classify a matrix")
     common(p_check)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(func=lambda a: cmd_check(a))
+    p_check.set_defaults(func=cmd_check)
 
     p_boundary = sub.add_parser("boundary", help="export boundary samples")
     common(p_boundary)
     p_boundary.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_boundary.add_argument("--output", default=None, help="output path")
-    p_boundary.set_defaults(func=lambda a: cmd_boundary(a))
+    p_boundary.set_defaults(func=cmd_boundary)
 
     p_solve = sub.add_parser("solve-b", help="solve for the coupling entry b")
     p_solve.add_argument("u", type=float)
     p_solve.add_argument("v", type=float)
     p_solve.add_argument("b1", help="complex as 're' or 're,im'")
     p_solve.add_argument("b2", help="complex as 're' or 're,im'")
-    p_solve.set_defaults(func=lambda a: cmd_solve_b(a))
+    p_solve.set_defaults(func=cmd_solve_b)
 
     p_rec = sub.add_parser("reciprocal", help="classify a reciprocal matrix")
     p_rec.add_argument("a1", type=float)
     p_rec.add_argument("a2", type=float)
     p_rec.add_argument("a3", type=float)
-    p_rec.set_defaults(func=lambda a: cmd_reciprocal(a))
+    p_rec.set_defaults(func=cmd_reciprocal)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")
     common(p_verify)
-    p_verify.set_defaults(func=lambda a: cmd_verify(a))
+    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
-# Built once per process, at import.  Each subcommand's function is looked
-# up by name when it runs, so a ``cmd_*`` attribute patched later is the one
-# that gets called.
-_PARSER = build_parser()
-
-
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     out = io.StringIO()
     try:
         # The command's output is written once it has its exit code, which

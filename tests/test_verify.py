@@ -442,15 +442,18 @@ class TestAuditLapackBudget:
         # One eigh of the pencil check's 16 matrices and no eigvalsh; the
         # closed forms come from two array calls of 16 directions each, one
         # for the pencil check and one for the generating polynomial.
+        shapes = []
+
+        def pencil(bf, theta, _fn=nrcore.pencil_eigs):
+            shapes.append(np.shape(theta))
+            return _fn(bf, theta)
+
         for bf in [general_example_block()] + [random_block(rng) for _ in range(5)]:
             verdict = check_general(bf)
             report = audit(bf, verdict, 512)
-            shapes = []
-
-            def pencil(bf, theta, _fn=nrcore.pencil_eigs):
-                shapes.append(np.shape(theta))
-                return _fn(bf, theta)
-
+            shapes.clear()
+            # ``calls`` undoes every patch when it returns, so this one is
+            # put back each time; it always wraps the real function once.
             monkeypatch.setattr(nrcore, "pencil_eigs", pencil)
             counts, checks = self.calls(
                 monkeypatch, verify, "verify_checks",
