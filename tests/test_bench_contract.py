@@ -64,9 +64,9 @@ def test_traced_check_records_spans_and_restores(tracing, gen_file, capsys):
 
 
 def test_traced_verify_reaches_the_patched_command(tracing, gen_file, capsys):
-    # The parser is built at import; the tracer patches ``cli.cmd_verify``
-    # later, and the call still goes through the patch.  The pencil closed
-    # forms take one call for the decision and one array call per spot check.
+    # ``cli.main`` dispatches to the ``cli.cmd_verify`` the tracer patched
+    # in.  The pencil closed forms take one call for the decision and one
+    # array call per spot check.
     code, tracer = traced_main(tracing, ["verify", gen_file])
     assert code == 0
     assert capsys.readouterr().out.endswith("verdict: BiElliptical\n")
