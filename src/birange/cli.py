@@ -190,6 +190,8 @@ def _load_documents(path: str) -> tuple[list[dict], bool]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
     if isinstance(data, dict):
         return [data], False
     if data == []:
@@ -521,54 +523,86 @@ def cmd_verify(args) -> int:
     return EXIT_POSITIVE if verdict.bielliptical else EXIT_NEGATIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p) -> None:
+    p.add_argument("input", nargs="?", default="-",
+                   help="JSON matrix document (default: stdin)")
+    p.add_argument("--samples", type=int, default=2048,
+                   help="support directions for boundary oracles (even)")
+
+
+def _add_check(sub) -> None:
+    p = sub.add_parser("check", help="classify a matrix")
+    _common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_check)
+
+
+def _add_boundary(sub) -> None:
+    p = sub.add_parser("boundary", help="export boundary samples")
+    _common(p)
+    p.add_argument("--format", choices=("csv", "svg"), default="csv")
+    p.add_argument("--output", default=None, help="output path")
+    p.set_defaults(func=cmd_boundary)
+
+
+def _add_solve_b(sub) -> None:
+    p = sub.add_parser("solve-b", help="solve for the coupling entry b")
+    p.add_argument("u", type=float)
+    p.add_argument("v", type=float)
+    p.add_argument("b1", help="complex as 're' or 're,im'")
+    p.add_argument("b2", help="complex as 're' or 're,im'")
+    p.set_defaults(func=cmd_solve_b)
+
+
+def _add_reciprocal(sub) -> None:
+    p = sub.add_parser("reciprocal", help="classify a reciprocal matrix")
+    p.add_argument("a1", type=float)
+    p.add_argument("a2", type=float)
+    p.add_argument("a3", type=float)
+    p.set_defaults(func=cmd_reciprocal)
+
+
+def _add_verify(sub) -> None:
+    p = sub.add_parser("verify", help="run the oracle suite")
+    _common(p)
+    p.set_defaults(func=cmd_verify)
+
+
+# Subcommand name -> its declaration, in the order the help lists them.
+_SUBCOMMANDS = {
+    "check": _add_check,
+    "boundary": _add_boundary,
+    "solve-b": _add_solve_b,
+    "reciprocal": _add_reciprocal,
+    "verify": _add_verify,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``birange`` parser, with only ``command``'s subparser when
+    ``command`` names a subcommand and with all of them otherwise.
+
+    Every help, usage and error text is the same either way: the usage line
+    lists all subcommands, and a text that lists them, or names the missing
+    command, is only printed when no single subcommand was named.
+    """
     parser = argparse.ArgumentParser(
         prog="birange",
         description="Decide whether structured 4x4 matrices have a "
         "bi-elliptical numerical range; export and verify boundaries.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("input", nargs="?", default="-",
-                       help="JSON matrix document (default: stdin)")
-        p.add_argument("--samples", type=int, default=2048,
-                       help="support directions for boundary oracles (even)")
-
-    p_check = sub.add_parser("check", help="classify a matrix")
-    common(p_check)
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(func=cmd_check)
-
-    p_boundary = sub.add_parser("boundary", help="export boundary samples")
-    common(p_boundary)
-    p_boundary.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p_boundary.add_argument("--output", default=None, help="output path")
-    p_boundary.set_defaults(func=cmd_boundary)
-
-    p_solve = sub.add_parser("solve-b", help="solve for the coupling entry b")
-    p_solve.add_argument("u", type=float)
-    p_solve.add_argument("v", type=float)
-    p_solve.add_argument("b1", help="complex as 're' or 're,im'")
-    p_solve.add_argument("b2", help="complex as 're' or 're,im'")
-    p_solve.set_defaults(func=cmd_solve_b)
-
-    p_rec = sub.add_parser("reciprocal", help="classify a reciprocal matrix")
-    p_rec.add_argument("a1", type=float)
-    p_rec.add_argument("a2", type=float)
-    p_rec.add_argument("a3", type=float)
-    p_rec.set_defaults(func=cmd_reciprocal)
-
-    p_verify = sub.add_parser("verify", help="run the oracle suite")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
+    one = command in _SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
+    for name in [command] if one else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     out = io.StringIO()
     try:
         # The command's output is written once it has its exit code, which

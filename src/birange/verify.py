@@ -17,9 +17,11 @@ with no discretization floor.  :func:`hull_boundary`, :func:`hausdorff` and
 cross-check oracles in the tests; they stay until the benchmark's tracer
 (``bench/tracing.py`` ``LAYERS``) stops looking them up (ROADMAP item 1).
 
-:func:`audit` runs the oracles once per matrix and turns their agreement
-with a verdict into consistency :class:`Check` values; :func:`verify_checks`
-adds the spot checks that only ``birange verify`` runs.
+:func:`audit` samples the boundary once per matrix and turns the oracles'
+agreement with a verdict into consistency :class:`Check` values; the
+flat-portion and commutant oracles run only when their results are read.
+:func:`verify_checks` adds the spot checks that only ``birange verify``
+runs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -249,23 +252,38 @@ class Check:
 class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
-    ``eigenvalues`` include the trace shift; ``theta`` and ``support`` are
-    the :class:`nrcore.Boundary` arrays, the support function at n
-    equispaced directions (no boundary points: no check reads them);
-    ``diameter`` is the diagonal of the range's bounding box; ``hull_gap``
-    is None unless the verdict is positive with ellipses, ``factorization``
-    None unless the verdict carries a reduced form.
+    ``eigenvalues`` include the trace shift; ``matrix`` is the audited
+    matrix; ``theta``, ``support`` and ``gap`` are the
+    :class:`nrcore.Boundary` arrays, the support function and the top
+    eigenvalue gap at n equispaced directions (no boundary points: no check
+    reads them); ``diameter`` is the diagonal of the range's bounding box;
+    ``hull_gap`` is None unless the verdict is positive with ellipses,
+    ``factorization`` None unless the verdict carries a reduced form.
+    ``flats`` and ``commutant_dim`` run their oracle when first read and
+    keep the result: :func:`audit` reads ``flats`` for a positive verdict
+    only, and nothing in it reads ``commutant_dim``.
     """
 
     eigenvalues: tuple[complex, ...]
+    matrix: np.ndarray
     theta: np.ndarray
     support: np.ndarray
-    flats: tuple[nrcore.FlatPortion, ...]
-    commutant_dim: int
+    gap: np.ndarray
     diameter: float
     hull_gap: float | None
     factorization: FactorizationResidual | None
-    checks: tuple[Check, ...]
+    checks: list[Check]
+
+    @cached_property
+    def flats(self) -> tuple[nrcore.FlatPortion, ...]:
+        """The flat portions of the boundary (:func:`nrcore.flat_portions`)."""
+        boundary = nrcore.Boundary(self.theta, self.support, self.gap, None)
+        return tuple(nrcore.flat_portions(self.matrix, boundary))
+
+    @cached_property
+    def commutant_dim(self) -> int:
+        """The dimension of the commutant (:func:`commutant_dim`)."""
+        return commutant_dim(self.matrix)
 
     @property
     def failures(self) -> list[str]:
@@ -273,13 +291,14 @@ class AuditReport:
         return [c.detail for c in self.checks if not c.passed]
 
 
-def _flat_checks(verdict: Verdict, flats) -> list[Check]:
+def _flat_checks(verdict: Verdict, report: AuditReport) -> list[Check]:
     """A bi-elliptical boundary has exactly two flat portions, whose length
     and direction match the eigenvalue pair sum singled out by the criterion."""
     combo = verdict.diagnostics.get("sigma_sum_theta")
     if combo is None:
         return []
     expected = cmath.exp(1j * verdict.diagnostics.get("theta", 0.0)) * combo
+    flats = report.flats
     if len(flats) != 2:
         return [Check("flat portions", False,
                       f"expected 2 flat portions, found {len(flats)}")]
@@ -315,43 +334,51 @@ def audit(
     matrix: CMatrix | None = None,
     reciprocal: ReciprocalShape | None = None,
 ) -> AuditReport:
-    """Run the oracles once on ``bf`` and check its ``check_general`` verdict.
+    """Sample ``bf``'s boundary once and check its ``check_general`` verdict.
 
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
-    passes itself) in ``samples`` directions.  Every check here and in
-    :func:`verify_checks` reads support values only, so the boundary oracle
-    runs without points (eigenvalues only).  ``reciprocal`` is the
-    reciprocal classification when ``bf`` came from a reciprocal form and
-    must agree with the verdict.  A positive verdict must have its hull of
-    ellipses within ``1e-6 * diameter`` of the sampled range and flat
-    portions that match the eigenvalue pair sum.  Whenever the verdict
-    carries a reduced form, the generating polynomial must factor into the
-    two claimed quadratics up to a factorization residual of ``TOL``.  Every
-    verdict must be free of a criterion/reduction mismatch.
+    passes itself) in ``samples`` directions, at least
+    ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can run on
+    them.  Every check here and in :func:`verify_checks` reads support
+    values only, so the boundary oracle runs without points (eigenvalues
+    only).  The flat-portion and commutant oracles run when the report's
+    ``flats`` and ``commutant_dim`` are first read, each at most once:
+    here ``flats`` is read for a positive verdict with ellipses only.
+    ``reciprocal`` is the reciprocal classification when ``bf`` came from a
+    reciprocal form and must agree with the verdict.  A positive verdict
+    must have its hull of ellipses within ``1e-6 * diameter`` of the sampled
+    range and flat portions that match the eigenvalue pair sum.  Whenever
+    the verdict carries a reduced form, the generating polynomial must
+    factor into the two claimed quadratics up to a factorization residual of
+    ``TOL``.  Every verdict must be free of a criterion/reduction mismatch.
     """
+    nrcore._require_flat_samples(samples)
     a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
     boundary = nrcore.boundary_support(a, samples, points=False)
-    flats = tuple(nrcore.flat_portions(a, boundary))
-    dim = commutant_dim(a)
     diameter = _box_diameter(a)
+    positive = verdict.bielliptical and verdict.ellipses is not None
+    hull_gap = hull_support_gap(*verdict.ellipses, boundary) if positive else None
+    sf = verdict.diagnostics.get("reduced_form")
+    fact = None if sf is None else factorization_residual(
+        sf.to_block(), ellipse_pair_params(sf))
+    # The flat checks read the report's flats, so the report holds the
+    # checks list before it is filled.
+    checks: list[Check] = []
+    report = AuditReport(eigenvalues, a, boundary.theta, boundary.support,
+                         boundary.gap, diameter, hull_gap, fact, checks)
 
-    checks = []
     if reciprocal is not None:
         ok = (reciprocal is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
         checks.append(Check("reciprocal agreement", ok, (
             f"reciprocal classification {'agrees' if ok else 'disagrees'} "
             "with the general check")))
-    hull_gap = fact = None
-    if verdict.bielliptical and verdict.ellipses is not None:
-        hull_gap = hull_support_gap(*verdict.ellipses, boundary)
+    if positive:
         ok = hull_gap <= _HULL_REL * diameter
         checks.append(Check(_HULL, ok, f"Hausdorff {hull_gap:.3e}" if ok else (
             f"hull/oracle Hausdorff {hull_gap:.3e} exceeds 1e-6 * diameter")))
-        checks += _flat_checks(verdict, flats)
-    sf = verdict.diagnostics.get("reduced_form")
-    if sf is not None:
-        fact = factorization_residual(sf.to_block(), ellipse_pair_params(sf))
+        checks += _flat_checks(verdict, report)
+    if fact is not None:
         ok = fact.total <= TOL
         checks.append(Check("factorization", ok, (
             f"factorization residual {fact.total:.3e}"
@@ -359,8 +386,7 @@ def audit(
     ok = not verdict.diagnostics.get("mismatch")
     checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
                         else "criterion/reduction verdict mismatch"))
-    return AuditReport(eigenvalues, boundary.theta, boundary.support, flats, dim,
-                       diameter, hull_gap, fact, tuple(checks))
+    return report
 
 
 def verify_checks(

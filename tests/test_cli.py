@@ -1,5 +1,7 @@
+import argparse
 import cmath
 import dataclasses
+import io
 import json
 import math
 import os
@@ -306,6 +308,23 @@ class TestExitCodeContract:
         assert proc.wait(timeout=60) == code
         assert err == ""
 
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_json_exits_2(self, command, source, tmp_path, capsys,
+                                        monkeypatch):
+        # json.loads raises RecursionError, not JSONDecodeError, on nesting
+        # deeper than the interpreter's recursion limit.
+        text = "[" * 100000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            arg = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            arg = "-"
+        assert main([command, arg]) == 2
+        assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
     def test_uncaught_exception_exits_3(self, gen_file, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("oracle exploded")
@@ -315,6 +334,39 @@ class TestExitCodeContract:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: internal failure: RuntimeError")
+
+
+class TestParserText:
+    """``main`` declares only the subcommand it runs, and every help, usage
+    and error text stays that of the parser with all five declared."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return out, err, exc.value.code
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "--help"] for name in cli._SUBCOMMANDS),
+        ["--help"], [], ["frobnicate"], ["verify", "--bogus"], ["solve-b", "1"],
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_same_text_as_full_parser(self, argv, capsys):
+        got = self.outcome(main, argv, capsys)
+        want = self.outcome(cli.build_parser().parse_args, argv, capsys)
+        assert got == want
+        assert got[0] + got[1]
+
+    def test_one_subcommand_declared(self):
+        def declared(parser):
+            (sub,) = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+            return list(sub.choices)
+
+        for name in cli._SUBCOMMANDS:
+            assert declared(cli.build_parser(name)) == [name]
+        for command in (None, "frobnicate", "--help"):
+            assert declared(cli.build_parser(command)) == list(cli._SUBCOMMANDS)
 
 
 class TestBoundary:

@@ -1,6 +1,7 @@
 import cmath
 import collections
 import dataclasses
+import json
 import math
 import re
 
@@ -17,7 +18,7 @@ from birange.criteria import (
     criterion_T,
     ellipse_pair_params,
 )
-from birange import nrcore, verify
+from birange import cli, nrcore, verify
 from birange.forms import SpecialForm, from_reciprocal
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
@@ -461,6 +462,80 @@ class TestAuditLapackBudget:
             assert counts == {("eigh", (16,)): 1}
             assert shapes == [(16,), (16,)]
             assert all(c.passed for c in checks)
+
+
+class TestOracleRuns:
+    """The flat-portion and commutant oracles run when a report's ``flats``
+    and ``commutant_dim`` are first read, and only then: ``birange verify``
+    reads neither on a negative verdict."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Calls of each oracle, looked up where the report looks them up."""
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(nrcore, "flat_portions",
+                            counted("flat_portions", nrcore.flat_portions))
+        monkeypatch.setattr(verify, "commutant_dim",
+                            counted("commutant_dim", verify.commutant_dim))
+        return counts
+
+    def test_negative_verdict_runs_neither(self, runs, rng):
+        for bf in [random_block(rng) for _ in range(5)]:
+            verdict = check_general(bf)
+            assert not verdict.bielliptical
+            report = audit(bf, verdict, 512)
+            checks = verify.verify_checks(bf, verdict, report, 42)
+            assert all(c.passed for c in checks)
+        assert runs == {}
+
+    def test_too_few_samples_rejected_at_call(self, runs, rng):
+        # The flat-portion oracle's sample floor holds even where it never
+        # runs.
+        bf = random_block(rng)
+        with pytest.raises(ValueError, match="flat detection needs"):
+            audit(bf, check_general(bf), 256)
+
+    def test_each_read_runs_once(self, runs, rng):
+        bf = random_block(rng)
+        report = audit(bf, check_general(bf), 512)
+        first = report.flats, report.commutant_dim
+        assert (report.flats, report.commutant_dim) == first
+        assert runs == {"flat_portions": 1, "commutant_dim": 1}
+        a = bf.assemble()
+        fresh = nrcore.flat_portions(a, boundary_support(a, 512, points=False))
+        assert first == (tuple(fresh), commutant_dim(a))
+
+    def test_positive_verdict_runs_each_once(self, runs):
+        bf = general_example_block()
+        verdict = check_general(bf)
+        assert verdict.bielliptical
+        report = audit(bf, verdict, 512)
+        assert runs == {"flat_portions": 1}
+        checks = verify.verify_checks(bf, verdict, report, 42)
+        assert all(c.passed for c in checks)
+        assert runs == {"flat_portions": 1, "commutant_dim": 1}
+
+    def test_check_report_runs_each_once_per_document(self, runs, tmp_path, capsys):
+        # A positive and a negative document: the check report prints both
+        # oracles' results for each.
+        docs = []
+        for bf in (general_example_block(), random_block(np.random.default_rng(3))):
+            m = bf.assemble()
+            docs.append({"form": "raw", "matrix": [
+                [[m[i, j].real, m[i, j].imag] for j in range(4)] for i in range(4)]})
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(docs))
+        assert cli.main(["check", "--format", "json", str(path), "--samples", "512"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["verdict"] for r in reports] == ["BiElliptical", "NotBiElliptical"]
+        assert runs == {"flat_portions": 2, "commutant_dim": 2}
 
 
 class TestCentralSymmetry:
