@@ -18,8 +18,6 @@ from .criteria import (
     ReciprocalShape,
     Verdict,
     check_general,
-    check_imag,
-    check_real,
     check_special,
     criterion_T,
     ellipse_geometry,

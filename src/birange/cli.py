@@ -366,7 +366,7 @@ def _boundary_csv(boundary: nrcore.Boundary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _boundary_svg(points, report: dict | None) -> str:
+def _boundary_svg(points, verdict=None, audited=None) -> str:
     pts = points.tolist()
     xs = [p.real for p in pts]
     ys = [p.imag for p in pts]
@@ -390,8 +390,8 @@ def _boundary_svg(points, report: dict | None) -> str:
         f'<polygon points="{poly}" fill="none" stroke="#1f77b4" '
         f'stroke-width="{stroke:.6g}"/>'
     )
-    if report:
-        for e in report.get("ellipses", []):
+    if audited is not None:
+        for e in verdict.ellipses or ():
             deg = -math.degrees(e.tilt)
             parts.append(
                 f'<ellipse cx="0" cy="0" rx="{e.semi_major:.9g}" '
@@ -400,14 +400,14 @@ def _boundary_svg(points, report: dict | None) -> str:
                 f'rotate({deg:.9g})" fill="none" stroke="#d62728" '
                 f'stroke-width="{stroke:.6g}" stroke-dasharray="{2 * stroke:.6g}"/>'
             )
-        for f in report.get("flat_portions", []):
+        for f in audited.flats:
             a, b = f.endpoints
             parts.append(
                 f'<line x1="{a.real:.9g}" y1="{-a.imag:.9g}" '
                 f'x2="{b.real:.9g}" y2="{-b.imag:.9g}" stroke="#2ca02c" '
                 f'stroke-width="{1.5 * stroke:.6g}"/>'
             )
-        for ev in report.get("eigenvalues", []):
+        for ev in audited.eigenvalues:
             parts.append(
                 f'<circle cx="{ev.real:.9g}" cy="{-ev.imag:.9g}" '
                 f'r="{2 * stroke:.6g}" fill="black"/>'
@@ -432,14 +432,13 @@ def cmd_boundary(args) -> int:
     if args.format == "csv":
         text = _boundary_csv(nrcore.boundary_support(matrix, args.samples))
     else:
-        report = None
+        verdict = audited = None
         if structured:
-            _, shape, verdict, audited = _audit(
+            _, _, verdict, audited = _audit(
                 kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES)
             )
-            report = _report(kind, payload, shape, verdict, audited)
         text = _boundary_svg(nrcore.boundary_support(matrix, args.samples).points,
-                             report)
+                             verdict, audited)
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -6,9 +6,6 @@ The decision chain, in increasing generality:
   splits into two congruent ellipses exactly when the coupling entry is
   nonzero (non-normal B) and a single quartic expression T in the entries
   vanishes.
-* ``check_real`` / ``check_imag`` -- closed-form specializations for real
-  and purely imaginary diagonal parameter; they must agree with
-  ``check_special``.
 * ``check_general`` -- arbitrary block forms: search for the direction that
   turns the off-diagonal block combination into a scalar multiple of a
   unitary, test the determinant identity there, then reduce to the special
@@ -24,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,7 +36,6 @@ from .forms import (
     ZeroMultipleError,
     direction_block,
     eye,
-    from_reciprocal,
     reduce_to_special,
 )
 from .linalg import CMatrix, herm_eig2, sqrt_principal
@@ -55,15 +51,12 @@ __all__ = [
     "ReciprocalShape",
     "AlphaZeroError",
     "DegenerateEllipseError",
-    "NotRealAlphaError",
-    "NotImagAlphaError",
     "criterion_T",
     "ellipse_pair_params",
     "ellipse_geometry",
     "check_special",
-    "check_real",
-    "check_imag",
     "real_case_ii",
+    "real_case_ii_margin",
     "solve_b",
     "find_theta",
     "check_general",
@@ -71,20 +64,10 @@ __all__ = [
 ]
 
 # Every decision gate follows the rule stated at ``forms.TOL``, the quartic
-# criterion equalities (T = 0, the determinant identity and their real and
-# imaginary specializations) included; no parameter sets it.
-# Tolerance for entrywise equalities (eta1 = eta2 and the like).
-_EQ_TOL = 1e-7
+# criterion equalities (T = 0 and the determinant identity) included; no
+# parameter sets it.
 # Directions sampled over [0, pi) before the golden-section refinement.
 _THETA_GRID = 4096
-
-
-class NotRealAlphaError(ValueError):
-    """check_real requires a real diagonal parameter."""
-
-
-class NotImagAlphaError(ValueError):
-    """check_imag requires a purely imaginary, nonzero diagonal parameter."""
 
 
 class AlphaZeroError(ValueError):
@@ -372,69 +355,28 @@ def check_special(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     return _positive_verdict(sf, frame, diagnostics)
 
 
+def real_case_ii_margin(sf: SpecialForm) -> float:
+    """Distance from real case (ii): max(|u|, |v|, |Re b1|, |Re b2|) / scale."""
+    return max(abs(sf.u), abs(sf.v), abs(sf.xi1), abs(sf.xi2)) / sf.scale()
+
+
 def real_case_ii(sf: SpecialForm) -> bool:
     """The paper's real case (ii): u, v and the real parts of b1, b2 vanish.
 
     Such a form is bi-elliptical whenever b != 0, and its matrix is
     unitarily reducible (commutant dimension 2).
     """
-    eq_tol = _EQ_TOL * sf.scale()
-    return max(abs(sf.u), abs(sf.v), abs(sf.xi1), abs(sf.xi2)) <= eq_tol
-
-
-def check_real(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
-    """Real diagonal parameter: coupling plus one of two entry conditions.
-
-    Either the diagonal imaginary parts agree and ``4 b^2 u^2`` matches the
-    squared difference of the squared real parts, or u and both real parts
-    vanish.
-    """
-    if abs(sf.v) > 1e-14:
-        raise NotRealAlphaError("check_real needs Im(alpha) = 0")
-    scale = sf.scale()
-    diagnostics: dict = {"theta_used": 0.0, "b": sf.b}
-    if _b_normal(sf):
-        return Verdict(False, Reason.B_NORMAL, None, diagnostics)
-    eq_tol = _EQ_TOL * scale
-    xi_sq_diff = sf.xi1**2 - sf.xi2**2
-    case_i = (
-        abs(sf.eta1 - sf.eta2) <= eq_tol
-        and abs(4.0 * sf.b**2 * sf.u**2 - xi_sq_diff**2) <= TOL * scale**4
-    )
-    case_ii = real_case_ii(sf)
-    diagnostics["case"] = "i" if case_i else ("ii" if case_ii else None)
-    if not (case_i or case_ii):
-        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-    return _positive_verdict(sf, frame, diagnostics)
-
-
-def check_imag(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
-    """Purely imaginary diagonal parameter: equal moduli and v^2 b^2 match."""
-    if abs(sf.u) > 1e-14:
-        raise NotImagAlphaError("check_imag needs Re(alpha) = 0")
-    if abs(sf.v) <= 1e-14:
-        raise NotImagAlphaError("check_imag needs Im(alpha) != 0")
-    scale = sf.scale()
-    diagnostics: dict = {"theta_used": 0.0, "b": sf.b}
-    if _b_normal(sf):
-        return Verdict(False, Reason.B_NORMAL, None, diagnostics)
-    eq_tol = _EQ_TOL * scale
-    moduli_ok = abs(abs(sf.b1) - abs(sf.b2)) <= eq_tol
-    match_ok = (
-        abs(sf.v**2 * sf.b**2 - (sf.eta1 - sf.eta2) ** 2) <= TOL * scale**4
-    )
-    if not (moduli_ok and match_ok):
-        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-    return _positive_verdict(sf, frame, diagnostics)
+    return real_case_ii_margin(sf) <= TOL
 
 
 def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
     """The unique coupling entry b > 0 yielding a bi-elliptical range, if any.
 
-    For nonzero diagonal parameter there is at most one such b.  Real case:
-    b = |xi1^2 - xi2^2| / (2|u|) provided the diagonal imaginary parts agree.
-    Otherwise the vanishing of Re T is a quadratic in b^2 whose positive root
-    is kept only when the full criterion value vanishes there.
+    For nonzero diagonal parameter there is at most one such b.  Candidates:
+    |xi1^2 - xi2^2| / (2|u|) for real alpha, |eta1 - eta2| / |v| for purely
+    imaginary alpha, otherwise the positive roots of Re T = 0, a quadratic
+    in b^2.  A candidate is returned exactly when ``check_special`` accepts
+    it; the 1e-14 and 1e-12 guards are roundoff guards, not decision gates.
     """
     b1, b2 = complex(b1), complex(b2)
     if abs(u) <= 1e-14 and abs(v) <= 1e-14:
@@ -444,10 +386,10 @@ def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
         )
     eta1, eta2 = b1.imag, b2.imag
     xi1, xi2 = b1.real, b2.real
-    mag = 1.0 + abs(b1) + abs(b2) + abs(u) + abs(v)
+    floor = 1e-12 * SpecialForm(u=u, v=v, b1=b1, b2=b2, b=0.0).scale()
 
     def validated(b: float) -> float | None:
-        if not (b > 1e-12 * mag) or not math.isfinite(b):
+        if not (b > floor) or not math.isfinite(b):
             return None
         sf = SpecialForm(u=u, v=v, b1=b1, b2=b2, b=b)
         if check_special(sf).bielliptical:
@@ -455,13 +397,9 @@ def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
         return None
 
     if abs(v) <= 1e-14:
-        if abs(eta1 - eta2) > _EQ_TOL * mag:
-            return None
         return validated(abs(xi1**2 - xi2**2) / (2.0 * abs(u)))
 
     if abs(u) <= 1e-14:
-        if abs(abs(b1) - abs(b2)) > _EQ_TOL * mag:
-            return None
         return validated(abs(eta1 - eta2) / abs(v))
 
     k = 1.0 + v * v

@@ -13,10 +13,21 @@ from birange import nrcore
 from birange.criteria import (
     Ellipse,
     EllipsePairParams,
+    Reason,
+    Verdict,
+    _b_normal,
     _normalize_tilt,
+    _positive_verdict,
     solve_b,
 )
-from birange.forms import BlockForm, ReciprocalForm, SpecialForm, normalize_block
+from birange.forms import (
+    TOL,
+    BlockForm,
+    Frame,
+    ReciprocalForm,
+    SpecialForm,
+    normalize_block,
+)
 from birange.linalg import CMatrix, eye
 
 
@@ -385,3 +396,64 @@ def loop_factorization_residual(
         worst_quad = max(worst_quad, quad)
         worst_total = max(worst_total, lin / norm2 + quad / norm4)
     return worst_total, worst_lin / norm2, worst_quad / norm4
+
+
+# The paper's "especially simple form" for real or purely imaginary
+# alpha - beta, a corollary of T = 0: reference deciders that
+# ``check_special`` must agree with.  Their linear entry tests read their
+# own tolerance, so they agree with T = 0 only away from its band.
+_EQ_TOL = 1e-7
+
+
+class NotRealAlphaError(ValueError):
+    """check_real requires a real diagonal parameter."""
+
+
+class NotImagAlphaError(ValueError):
+    """check_imag requires a purely imaginary, nonzero diagonal parameter."""
+
+
+def check_real(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
+    """Real diagonal parameter: coupling plus one of two entry conditions.
+
+    Either the diagonal imaginary parts agree and ``4 b^2 u^2`` matches the
+    squared difference of the squared real parts, or u and both real parts
+    vanish.
+    """
+    if abs(sf.v) > 1e-14:
+        raise NotRealAlphaError("check_real needs Im(alpha) = 0")
+    scale = sf.scale()
+    diagnostics: dict = {"theta_used": 0.0, "b": sf.b}
+    if _b_normal(sf):
+        return Verdict(False, Reason.B_NORMAL, None, diagnostics)
+    eq_tol = _EQ_TOL * scale
+    xi_sq_diff = sf.xi1**2 - sf.xi2**2
+    case_i = (
+        abs(sf.eta1 - sf.eta2) <= eq_tol
+        and abs(4.0 * sf.b**2 * sf.u**2 - xi_sq_diff**2) <= TOL * scale**4
+    )
+    case_ii = max(abs(sf.u), abs(sf.v), abs(sf.xi1), abs(sf.xi2)) <= eq_tol
+    diagnostics["case"] = "i" if case_i else ("ii" if case_ii else None)
+    if not (case_i or case_ii):
+        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
+    return _positive_verdict(sf, frame, diagnostics)
+
+
+def check_imag(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
+    """Purely imaginary diagonal parameter: equal moduli and v^2 b^2 match."""
+    if abs(sf.u) > 1e-14:
+        raise NotImagAlphaError("check_imag needs Re(alpha) = 0")
+    if abs(sf.v) <= 1e-14:
+        raise NotImagAlphaError("check_imag needs Im(alpha) != 0")
+    scale = sf.scale()
+    diagnostics: dict = {"theta_used": 0.0, "b": sf.b}
+    if _b_normal(sf):
+        return Verdict(False, Reason.B_NORMAL, None, diagnostics)
+    eq_tol = _EQ_TOL * scale
+    moduli_ok = abs(abs(sf.b1) - abs(sf.b2)) <= eq_tol
+    match_ok = (
+        abs(sf.v**2 * sf.b**2 - (sf.eta1 - sf.eta2) ** 2) <= TOL * scale**4
+    )
+    if not (moduli_ok and match_ok):
+        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
+    return _positive_verdict(sf, frame, diagnostics)

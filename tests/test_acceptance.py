@@ -17,8 +17,6 @@ from birange.criteria import (
     Ellipse,
     Reason,
     check_general,
-    check_imag,
-    check_real,
     check_special,
     criterion_T,
     solve_b,
@@ -32,6 +30,8 @@ from helpers import (
     bi_special_imag,
     bi_special_real_case_i,
     bi_special_real_case_ii,
+    check_imag,
+    check_real,
     disguise,
     fig_left_special,
     fig_right_special,

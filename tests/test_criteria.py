@@ -10,13 +10,9 @@ from birange.criteria import (
     AlphaZeroError,
     DegenerateEllipseError,
     EllipsePairParams,
-    NotImagAlphaError,
-    NotRealAlphaError,
     Reason,
     ReciprocalShape,
     check_general,
-    check_imag,
-    check_real,
     check_special,
     criterion_T,
     ellipse_geometry,
@@ -29,11 +25,15 @@ from birange.forms import BlockForm, ReciprocalForm, SpecialForm, from_reciproca
 from birange.linalg import CMatrix, zeros
 from birange.nrcore import pencil_eigs, spectrum
 from helpers import (
+    NotImagAlphaError,
+    NotRealAlphaError,
     bi_special_any,
     bi_special_general,
     bi_special_imag,
     bi_special_real_case_i,
     bi_special_real_case_ii,
+    check_imag,
+    check_real,
     disguise,
     fig_left_special,
     fig_right_special,
@@ -208,6 +208,33 @@ class TestSolveB:
             b = solve_b(sf.u, sf.v, sf.b1, sf.b2)
             assert b is not None
             assert abs(b - sf.b) <= 1e-9 * (1 + sf.b)
+
+    @pytest.mark.parametrize("branch", ["v_zero", "u_zero"])
+    def test_closed_form_defers_to_check_special(self, branch, rng):
+        # Off the entry conditions eta1 = eta2 (v = 0) and |b1| = |b2|
+        # (u = 0) by 1e-12..1e-4, the closed-form candidate is returned
+        # exactly when check_special accepts it.
+        outcomes = set()
+        for _ in range(300):
+            eps = 10.0 ** rng.uniform(-12, -4)
+            if branch == "v_zero":
+                u, v = float(rng.normal()), 0.0
+                eta = float(rng.normal())
+                b1 = complex(rng.normal(), eta + eps)
+                b2 = complex(rng.normal(), eta)
+                candidate = abs(b1.real**2 - b2.real**2) / (2.0 * abs(u))
+            else:
+                u, v = 0.0, float(rng.normal())
+                r = abs(float(rng.normal())) + 0.3
+                phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+                b1 = r * (1.0 + eps) * cmath.exp(1j * phases[0])
+                b2 = r * cmath.exp(1j * phases[1])
+                candidate = abs(b1.imag - b2.imag) / abs(v)
+            sf = SpecialForm(u=u, v=v, b1=b1, b2=b2, b=candidate)
+            accepted = check_special(sf).bielliptical
+            assert solve_b(u, v, b1, b2) == (candidate if accepted else None)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
 
     def test_generic_complex_alpha_none(self, rng):
         # With generic entries Im T has no root, so no coupling works.

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from birange.cli import main
-from birange.criteria import check_general, check_imag, check_real, criterion_T
+from birange.criteria import check_general, criterion_T
 from birange.forms import SpecialForm, normalize_block
 from birange.linalg import CMatrix
 from helpers import (
@@ -27,6 +27,8 @@ from helpers import (
     bi_special_imag,
     bi_special_real_case_i,
     bi_special_real_case_ii,
+    check_imag,
+    check_real,
     general_example_block,
     load_bench_module,
     random_special,

@@ -17,6 +17,7 @@ from birange.criteria import (
     check_special,
     criterion_T,
     ellipse_pair_params,
+    real_case_ii,
 )
 from birange import cli, nrcore, verify
 from birange.forms import SpecialForm, from_reciprocal
@@ -536,6 +537,53 @@ class TestOracleRuns:
         reports = json.loads(capsys.readouterr().out)
         assert [r["verdict"] for r in reports] == ["BiElliptical", "NotBiElliptical"]
         assert runs == {"flat_portions": 2, "commutant_dim": 2}
+
+    def test_boundary_svg_runs_no_commutant(self, runs, tmp_path):
+        # The SVG draws the ellipses, flat portions and eigenvalues: the
+        # commutant dimension is never read.
+        m = general_example_matrix()
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"form": "raw", "matrix": [
+            [[m[i, j].real, m[i, j].imag] for j in range(4)] for i in range(4)]}))
+        out = tmp_path / "plot.svg"
+        assert cli.main(["boundary", "--format", "svg", str(path),
+                         "--output", str(out)]) == 0
+        assert runs == {"flat_portions": 1}
+        text = out.read_text()
+        assert text.count("<ellipse") == 2
+        assert text.count("<line") == 2
+        assert text.count("<circle") == 4
+
+
+class TestIrreducibilityBand:
+    """Moving a real case (ii) form by delta * scale off it leaves the
+    commutant's extra singular values at c * delta * scale, c from about
+    0.06 to 3, so no one threshold matches the oracle's 1e-9 cut: verify
+    requires dimension 2 at a margin up to TOL / 100, 1 beyond 100 * TOL,
+    and accepts either in between."""
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-11, 1e-10, 2e-9, 1e-8, 1e-7, 1e-6])
+    def test_perturbed_real_case_ii(self, delta):
+        rng = np.random.default_rng(11)
+        for k in range(8):
+            sf = bi_special_real_case_ii(rng)
+            step = delta * sf.scale()
+            # u, v, Re b1 or Re b2 in turn.
+            sf = dataclasses.replace(sf, **[
+                {"u": step}, {"v": step}, {"b1": sf.b1 + step}, {"b2": sf.b2 - step},
+            ][k % 4])
+            assert real_case_ii(sf) == (delta < 1e-9)
+            bf, _ = disguise(rng, sf)
+            verdict = check_general(bf)
+            report = audit(bf, verdict, 512)
+            checks = verify.verify_checks(bf, verdict, report, 42)
+            assert all(c.passed for c in checks), [c.detail for c in checks]
+            row = next(c for c in checks if c.name == "unitary irreducibility")
+            if delta == 0.0:
+                assert row.detail == ("commutant dimension 2 "
+                                      "(real case ii, reducible: 2 expected)")
+            elif delta == 1e-6:
+                assert row.detail == "commutant dimension 1"
 
 
 class TestCentralSymmetry:
