@@ -27,7 +27,7 @@ import sys
 import traceback
 
 from . import criteria, forms, nrcore, verify
-from .linalg import CMatrix
+from .linalg import CMatrix, eye
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -120,9 +120,12 @@ def _require(doc: dict, *names: str):
 
 def detect_block_structure(m: CMatrix) -> forms.BlockForm | None:
     """Split a raw 4x4 matrix into block form if its diagonal blocks are
-    scalar within 1e-10 of the matrix norm."""
-    fro = m.frobenius()
-    tol = _BLOCK_DETECT_REL * max(fro, 1e-300)
+    scalar within 1e-10 of the norm of M - cI, c = tr M / 4, plus the
+    64 eps |c| roundoff that the shift leaves, as in the oracle gates; so
+    M and tM + c get the same answer."""
+    shift = m.trace() / 4
+    tol = (_BLOCK_DETECT_REL * max((m - shift * eye(4)).frobenius(), 1e-300)
+           + 64 * sys.float_info.epsilon * abs(shift))
     alpha = 0.5 * (m[0, 0] + m[1, 1])
     beta = 0.5 * (m[2, 2] + m[3, 3])
     devs = (

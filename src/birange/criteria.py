@@ -55,7 +55,6 @@ __all__ = [
     "ellipse_pair_params",
     "ellipse_geometry",
     "check_special",
-    "real_case_ii",
     "real_case_ii_margin",
     "solve_b",
     "find_theta",
@@ -135,14 +134,13 @@ class EllipsePairParams:
 class CriterionData:
     """Criterion value T = reT + i imT together with the half-spread p.
 
-    ``cross_residual`` is the absolute difference between the entrywise
-    evaluation of T and its trace-level form, a self-test of the formulas.
+    T is evaluated once, entrywise; the test suite checks it against the
+    trace-level form in tr Z, det Z and alpha^2.
     """
 
     p: float
     reT: float
     imT: float
-    cross_residual: float
 
     @property
     def T(self) -> complex:
@@ -185,21 +183,7 @@ def criterion_T(sf: SpecialForm) -> CriterionData:
     im_t = 16.0 * v * (v * (eta1 + eta2) - 2.0 * u) * p2 + 4.0 * (
         xi1 * xi1 - xi2 * xi2
     ) * (eta1 - eta2)
-
-    # Trace-level evaluation of the same quantity: quartic in p, trace and
-    # determinant of Z, and the squared diagonal parameter.
-    zmat = sf.to_block().Z
-    tr_z = zmat.trace()
-    det_z = zmat.det()
-    a2 = sf.alpha * sf.alpha
-    t_mat = (
-        16.0 * p2 * p2
-        - (8.0 * tr_z + 16.0 * a2) * p2
-        + tr_z * tr_z
-        - 4.0 * det_z
-    )
-    cross = abs(t_mat - complex(re_t, im_t))
-    return CriterionData(p=math.sqrt(p2), reT=re_t, imT=im_t, cross_residual=cross)
+    return CriterionData(p=math.sqrt(p2), reT=re_t, imT=im_t)
 
 
 def ellipse_pair_params(sf: SpecialForm) -> EllipsePairParams:
@@ -270,12 +254,6 @@ def ellipse_geometry(
     return mapped(first), mapped(second)
 
 
-def _beta_values(sf: SpecialForm) -> tuple[float, float]:
-    bmat = sf.B
-    imb = (1 / 2j) * (bmat - bmat.H)
-    return herm_eig2(imb)
-
-
 def _pair_residual(
     sig1: complex, sig2: complex, weight: float, rhs: float, scale_k: float
 ) -> tuple[float, complex]:
@@ -284,17 +262,6 @@ def _pair_residual(
     return min(
         ((abs(weight * c * c - rhs) / scale_k, c) for c in (sig1 + sig2, sig1 - sig2)),
         key=lambda res_c: res_c[0],
-    )
-
-
-def _spread_residual(sf: SpecialForm) -> tuple[float, complex]:
-    """Residual of the pre-squared criterion (1+v^2)(sigma1 +- sigma2)^2 =
-    (beta1 - beta2)^2, a quadratic identity, at the best sign combination."""
-    spec = spectrum(sf.to_block())
-    beta1, beta2 = _beta_values(sf)
-    return _pair_residual(
-        spec.sigma1, spec.sigma2, 1.0 + sf.v * sf.v, (beta1 - beta2) ** 2,
-        sf.scale() ** 2,
     )
 
 
@@ -312,17 +279,7 @@ def _positive_verdict(
         return Verdict(
             bielliptical=True, reason=None, ellipses=None, diagnostics=diagnostics
         )
-    spco_res, combo = _spread_residual(sf)
-    diagnostics.update(
-        {
-            "p": params.p,
-            "x": params.x,
-            "y": params.y,
-            "z": params.z,
-            "spread_residual": spco_res,
-            "sigma_combo": combo,
-        }
-    )
+    diagnostics.update({"p": params.p, "x": params.x, "y": params.y, "z": params.z})
     return Verdict(
         bielliptical=True, reason=None, ellipses=ellipses, diagnostics=diagnostics
     )
@@ -349,7 +306,6 @@ def check_special(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     t_norm = abs(data.T) / scale**4
     diagnostics["t_norm"] = t_norm
     diagnostics["t_abs"] = abs(data.T)
-    diagnostics["t_cross_residual"] = data.cross_residual
     if t_norm > TOL:
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
@@ -358,15 +314,6 @@ def check_special(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
 def real_case_ii_margin(sf: SpecialForm) -> float:
     """Distance from real case (ii): max(|u|, |v|, |Re b1|, |Re b2|) / scale."""
     return max(abs(sf.u), abs(sf.v), abs(sf.xi1), abs(sf.xi2)) / sf.scale()
-
-
-def real_case_ii(sf: SpecialForm) -> bool:
-    """The paper's real case (ii): u, v and the real parts of b1, b2 vanish.
-
-    Such a form is bi-elliptical whenever b != 0, and its matrix is
-    unitarily reducible (commutant dimension 2).
-    """
-    return real_case_ii_margin(sf) <= TOL
 
 
 def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:

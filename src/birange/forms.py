@@ -313,7 +313,6 @@ def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
     w = (1.0 / rmu) * m.H
     f = (2.0 / rmu) * cmath.exp(-1j * theta)
     alpha_red = f * bf.alpha
-    c1 = (f * bf.C) @ w
     d1 = w.H @ (f * bf.D)
     bmat = d1 + eye(2)
 

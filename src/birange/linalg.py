@@ -25,7 +25,6 @@ __all__ = [
     "NotHermitianError",
     "eye",
     "zeros",
-    "diag",
     "hermitian_eig4",
     "schur_upper_2x2",
     "sqrt_principal",
@@ -114,18 +113,12 @@ class CMatrix:
     def frobenius(self) -> float:
         return math.sqrt(sum(abs(x) ** 2 for row in self._rows for x in row))
 
-    def max_abs(self) -> float:
-        return max(abs(x) for row in self._rows for x in row)
-
     def det(self) -> complex:
         """Determinant of a 2x2 matrix."""
         if self.n != 2:
             raise ValueError("det expects a 2x2 matrix")
         r = self._rows
         return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-
-    def allclose(self, other: "CMatrix", tol: float) -> bool:
-        return (self - other).max_abs() <= tol
 
 
 def eye(n: int) -> CMatrix:
@@ -136,13 +129,6 @@ def eye(n: int) -> CMatrix:
 
 def zeros(n: int) -> CMatrix:
     return CMatrix(tuple(0j for _ in range(n)) for _ in range(n))
-
-
-def diag(*entries: complex) -> CMatrix:
-    n = len(entries)
-    return CMatrix(
-        tuple(complex(entries[i]) if i == j else 0j for j in range(n)) for i in range(n)
-    )
 
 
 def sqrt_principal(z: complex) -> complex:

@@ -159,8 +159,6 @@ class GeneratingPoly:
     xi2_sin2_x16: float
     xi2_cos4_x16: float
     xi2_sin4_x16: float
-    zeta1: complex
-    zeta2: complex
 
     def xi1(self, theta):
         return (
@@ -220,8 +218,6 @@ def generating_poly(bf: BlockForm) -> GeneratingPoly:
         xi2_sin2_x16=-zeta1.imag,
         xi2_cos4_x16=zeta2.real,
         xi2_sin4_x16=zeta2.imag,
-        zeta1=zeta1,
-        zeta2=zeta2,
     )
 
 

@@ -16,7 +16,9 @@ from birange.criteria import (
     Reason,
     Verdict,
     _b_normal,
+    _four_p_squared,
     _normalize_tilt,
+    _pair_residual,
     _positive_verdict,
     solve_b,
 )
@@ -28,7 +30,7 @@ from birange.forms import (
     SpecialForm,
     normalize_block,
 )
-from birange.linalg import CMatrix, eye
+from birange.linalg import CMatrix, eye, herm_eig2
 
 
 def fig_left_special() -> SpecialForm:
@@ -457,3 +459,41 @@ def check_imag(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     if not (moduli_ok and match_ok):
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
+
+
+# Two more evaluations of the special-case criterion, which ``check_special``
+# evaluates once, entrywise: reference oracles for T = 0.
+
+
+def trace_level_T(sf: SpecialForm) -> complex:
+    """T from the trace and determinant of Z and the squared diagonal
+    parameter, a quartic in the half-spread p."""
+    p2 = _four_p_squared(sf) / 4.0
+    zmat = sf.to_block().Z
+    tr_z = zmat.trace()
+    det_z = zmat.det()
+    a2 = sf.alpha * sf.alpha
+    return (
+        16.0 * p2 * p2
+        - (8.0 * tr_z + 16.0 * a2) * p2
+        + tr_z * tr_z
+        - 4.0 * det_z
+    )
+
+
+def _beta_values(sf: SpecialForm) -> tuple[float, float]:
+    bmat = sf.B
+    imb = (1 / 2j) * (bmat - bmat.H)
+    return herm_eig2(imb)
+
+
+def spread_residual(sf: SpecialForm) -> tuple[float, complex]:
+    """Residual of the pre-squared criterion (1+v^2)(sigma1 +- sigma2)^2 =
+    (beta1 - beta2)^2, a quadratic identity, at the best sign combination,
+    and the combination sigma1 +- sigma2 attaining it."""
+    spec = nrcore.spectrum(sf.to_block())
+    beta1, beta2 = _beta_values(sf)
+    return _pair_residual(
+        spec.sigma1, spec.sigma2, 1.0 + sf.v * sf.v, (beta1 - beta2) ** 2,
+        sf.scale() ** 2,
+    )

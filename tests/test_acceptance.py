@@ -39,6 +39,7 @@ from helpers import (
     random_cmat,
     random_special,
     reciprocal_two_ellipse,
+    spread_residual,
 )
 
 TOL_CRITERION = 1e-9
@@ -271,7 +272,7 @@ def test_criterion_5_identity_suite():
         samples = boundary_support(a, 512)
         flats = flat_portions(a, samples)
         assert len(flats) == 2
-        combo = abs(verdict.diagnostics["sigma_combo"])
+        combo = abs(spread_residual(sf)[1])
         for f in flats:
             assert abs(f.length - combo) <= 1e-6 * combo
         checked += 1

@@ -104,10 +104,16 @@ class TestCheck:
             c2 = complex(*e2["center"])
             assert abs(c1 - c2) <= 1e-9 * (1 + abs(c1))
 
-    def test_unstructured_raw_rejected(self, tmp_path, capsys):
+    # The shifted case: at |c| / t = 1e11 the diagonal blocks' departure
+    # from scalar is far below 1e-10 of the shifted norm, but not of the
+    # norm less the trace shift, which is what detection reads.
+    @pytest.mark.parametrize("t, c", [(1.0, 0.0), (1e-5, 1e6)],
+                             ids=["unshifted", "shifted"])
+    def test_unstructured_raw_rejected(self, tmp_path, capsys, t, c):
         doc = {
             "form": "raw",
-            "matrix": [[[float(i == j) * (i + 1), 0.5] for j in range(4)] for i in range(4)],
+            "matrix": [[[t * float(i == j) * (i + 1) + c * float(i == j), t * 0.5]
+                        for j in range(4)] for i in range(4)],
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -117,7 +117,7 @@ class TestGeneratingPoly:
         assert abs(gp.xi2_const_x16 - 6) < 1e-15
         assert abs(gp.xi2_cos2_x16 - 8) < 1e-15
         assert abs(gp.xi2_cos4_x16 - 2) < 1e-15
-        assert abs(gp.zeta2 - 2) < 1e-15
+        assert abs(complex(gp.xi2_cos4_x16, gp.xi2_sin4_x16) - 2) < 1e-15
         for t in np.linspace(0, 2 * math.pi, 17):
             assert gp.xi1(t) >= -1e-15
 

@@ -17,10 +17,10 @@ from birange.criteria import (
     check_special,
     criterion_T,
     ellipse_pair_params,
-    real_case_ii,
+    real_case_ii_margin,
 )
 from birange import cli, nrcore, verify
-from birange.forms import SpecialForm, from_reciprocal
+from birange.forms import TOL, SpecialForm, from_reciprocal
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
@@ -572,7 +572,7 @@ class TestIrreducibilityBand:
             sf = dataclasses.replace(sf, **[
                 {"u": step}, {"v": step}, {"b1": sf.b1 + step}, {"b2": sf.b2 - step},
             ][k % 4])
-            assert real_case_ii(sf) == (delta < 1e-9)
+            assert (real_case_ii_margin(sf) <= TOL) == (delta < 1e-9)
             bf, _ = disguise(rng, sf)
             verdict = check_general(bf)
             report = audit(bf, verdict, 512)
