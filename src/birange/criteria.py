@@ -433,7 +433,10 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     least-squares polish then removes the roundoff floor of the search.
     Directions where the scalar multiple vanishes are excluded; additional
     accepted minima mod pi are reported for the per-instance uniqueness
-    audit.
+    audit.  The local-minimum scan reads the grid once as Python floats, and
+    a run of equal grid values counts at most once, at its first point, so a
+    deviation that vanishes in every direction (C = U, D = kU*) refines no
+    point besides the best one.
     """
     if _zero_multiples_only(bf):
         return None
@@ -487,10 +490,12 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     mu = 0.5 * (tr_h - 2.0 * (e_star * tr_z).real)
 
     extras: list[float] = []
-    coarse = max(TOL * 10.0, float(dgrid[k_best]) * 10.0)
+    d = dgrid.tolist()
+    coarse = max(TOL * 10.0, d[k_best] * 10.0)
     for k in range(grid):
-        if dgrid[k] <= dgrid[(k - 1) % grid] and dgrid[k] <= dgrid[(k + 1) % grid]:
-            if dgrid[k] > coarse:
+        # Strict on the left: a run of equal values counts at most once.
+        if d[k] < d[k - 1] and d[k] <= d[(k + 1) % grid]:
+            if d[k] > coarse:
                 continue
             t_k, d_k = refine(k)
             sep = abs((t_k - theta_star + math.pi / 2) % math.pi - math.pi / 2)

@@ -186,13 +186,16 @@ def bi_special_any(rng) -> SpecialForm:
 
 
 def disguise(rng, sf: SpecialForm, rotate: bool = True, scale: bool = True,
-             shift: bool = True) -> tuple[BlockForm, float]:
+             shift: bool = True,
+             theta0: float | None = None) -> tuple[BlockForm, float]:
     """Hide a special form behind rotation, scaling, shift and block
-    unitaries; returns the disguised block form and the rotation used."""
+    unitaries; returns the disguised block form and the rotation used.
+    A given ``theta0`` is the rotation, instead of a random one."""
     bf = sf.to_block()
     u1 = random_unitary2(rng)
     u2 = random_unitary2(rng)
-    theta0 = float(rng.uniform(0.0, math.pi)) if rotate else 0.0
+    if theta0 is None:
+        theta0 = float(rng.uniform(0.0, math.pi)) if rotate else 0.0
     t = math.exp(float(rng.uniform(-0.7, 0.7))) if scale else 1.0
     c = complex(rng.normal(), rng.normal()) if shift else 0j
     w = t * cmath.exp(1j * theta0)

@@ -292,6 +292,39 @@ class TestFindTheta:
             assert dist <= 1e-9
             assert found.extra_thetas == ()
 
+    @pytest.mark.parametrize(
+        "theta0", [math.pi - math.pi / 8192, 4095 * math.pi / 4096, math.pi / 8192]
+    )
+    def test_direction_near_grid_wrap(self, rng, theta0):
+        # Directions beside the grid's ends: the scan compares grid point 0
+        # with point 4095, and the result must come back in [0, pi).
+        for _ in range(20):
+            bf, _ = disguise(rng, random_special(rng), theta0=theta0)
+            found = find_theta(bf)
+            assert found is not None
+            assert 0.0 <= found.theta < math.pi
+            dist = abs((found.theta - theta0 + math.pi / 2) % math.pi - math.pi / 2)
+            assert dist <= 1e-9
+            assert found.extra_thetas == ()
+
+    @pytest.mark.parametrize("k", [0.5, 2.5])
+    @pytest.mark.parametrize(
+        "u", [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1j))]
+    )
+    def test_scalar_unitary_everywhere_counts_one_minimum(self, u, k):
+        # C = U, D = kU*: every direction is scalar-unitary, so the sampled
+        # deviation is identically 0 and the whole grid is one flat run,
+        # which must count as one minimum, not 4096.
+        unitary = CMatrix(u)
+        bf = BlockForm(alpha=0.3, C=unitary, D=k * unitary.H)
+        found = find_theta(bf)
+        assert found is not None
+        assert 0.0 <= found.theta < math.pi
+        assert found.extra_thetas == ()
+        verdict = check_general(bf)
+        assert verdict.reason is Reason.PRODUCT_NORMAL
+        assert verdict.diagnostics["theta_extra"] == ()
+
 
 class TestDeterminantIdentityAtSizeTwo:
     """check_general's 2x2 closed forms against LAPACK on the 4x4 matrix."""
