@@ -299,20 +299,6 @@ def _print_check_report(report: dict) -> None:
         print(f"theta: {diag['theta']:.15g}")
     if "mu" in diag:
         print(f"mu: {diag['mu']:.15g}")
-    if "sigma_sum_theta" in diag:
-        print(
-            f"sigma1+sigma2 at theta: {_cformat(diag['sigma_sum_theta'])}"
-            f"  |.| = {abs(diag['sigma_sum_theta']):.15g}"
-        )
-    if "s_diff" in diag:
-        print(f"s1-s2: {diag['s_diff']:.15g}")
-    if "sqrt_det_im" in diag:
-        print(f"sqrt(det Im(e^-i theta A)): {diag['sqrt_det_im']:.15g}")
-    if "gen_lhs" in diag:
-        print(
-            f"determinant identity: lhs={diag['gen_lhs']:.15g} "
-            f"rhs={diag['gen_rhs']:.15g} residual={diag['gen_residual']:.3e}"
-        )
     t_norm = diag.get("special_t_norm", diag.get("t_norm"))
     if t_norm is not None and not (isinstance(t_norm, float) and math.isnan(t_norm)):
         print(f"|T| (normalized): {t_norm:.6e}")

@@ -8,8 +8,8 @@ The decision chain, in increasing generality:
   vanishes.
 * ``check_general`` -- arbitrary block forms: search for the direction that
   turns the off-diagonal block combination into a scalar multiple of a
-  unitary, test the determinant identity there, then reduce to the special
-  case for the geometry.
+  unitary, then reduce to the special case, whose criterion T = 0 decides
+  and whose ellipses are mapped back.
 * ``reciprocal_classify`` -- the tridiagonal reciprocal family, where the
   criteria collapse to equalities between the symmetrized entry functions.
 
@@ -38,8 +38,8 @@ from .forms import (
     eye,
     reduce_to_special,
 )
-from .linalg import CMatrix, herm_eig2, sqrt_principal
-from .nrcore import golden_min, pencil_eigs, spectrum
+from .linalg import CMatrix
+from .nrcore import golden_min
 
 __all__ = [
     "Reason",
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 # Every decision gate follows the rule stated at ``forms.TOL``, the quartic
-# criterion equalities (T = 0 and the determinant identity) included; no
-# parameter sets it.
+# criterion T = 0 included; no parameter sets it.
 # Directions sampled over [0, pi) before the golden-section refinement.
 _THETA_GRID = 4096
 
@@ -252,17 +251,6 @@ def ellipse_geometry(
         )
 
     return mapped(first), mapped(second)
-
-
-def _pair_residual(
-    sig1: complex, sig2: complex, weight: float, rhs: float, scale_k: float
-) -> tuple[float, complex]:
-    """Best of sigma1 +- sigma2: the smallest |weight c^2 - rhs| / scale_k
-    over c = sigma1 + sigma2 and sigma1 - sigma2, and the c attaining it."""
-    return min(
-        ((abs(weight * c * c - rhs) / scale_k, c) for c in (sig1 + sig2, sig1 - sig2)),
-        key=lambda res_c: res_c[0],
-    )
 
 
 def _positive_verdict(
@@ -510,47 +498,15 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     )
 
 
-def _im_square_eigenvalues(
-    bf: BlockForm, theta: float
-) -> tuple[float, float, float, float]:
-    """Eigenvalues (ascending) of Im(e^{-2i theta} A^2), A the shift-free matrix.
-
-    A^2 = diag(alpha^2 I + CD, alpha^2 I + DC) exactly, so they are the two
-    eigenvalue pairs of the imaginary parts of its diagonal blocks.
-    """
-    e2 = cmath.exp(-2j * theta)
-    a2 = (bf.alpha * bf.alpha) * eye(2)
-    values: list[float] = []
-    for prod in (bf.C @ bf.D, bf.Z):
-        rot = e2 * (prod + a2)
-        values += herm_eig2((1 / 2j) * (rot - rot.H))
-    return tuple(sorted(values))
-
-
-def _paired_eigenvalues(
-    values: tuple[float, float, float, float], spread_tol: float
-) -> tuple[float, float]:
-    """Cluster four nearly-coinciding-in-pairs eigenvalues into two values."""
-    lo_spread = values[1] - values[0]
-    hi_spread = values[3] - values[2]
-    if max(lo_spread, hi_spread) > spread_tol:
-        raise ValueError(
-            f"eigenvalues do not pair up (spreads {lo_spread:.3e}, {hi_spread:.3e})"
-        )
-    return 0.5 * (values[0] + values[1]), 0.5 * (values[2] + values[3])
-
-
 def check_general(bf: BlockForm) -> Verdict:
-    """Classify an arbitrary block form.
+    """Classify an arbitrary block form by reduction to the special case.
 
-    Needs (a) a direction theta at which the block combination is a nonzero
-    scalar multiple of a unitary with a non-normal product against D, and
-    (b) the determinant identity
-    ``4 sqrt(det Im(e^{-i theta}A)) (sigma1 + sigma2)^2 = (s1 - s2)^2``
-    at that direction.  On success the geometry is delegated to the special
-    case through the reduction, and the two verdicts are required to agree.
+    Needs a direction theta at which the block combination is a nonzero
+    scalar multiple of a unitary with a non-normal product against D.  The
+    reduction along theta then hands the decision, its reason and the
+    geometry to ``check_special``: the criterion is T = 0 on the reduced
+    form.
     """
-    scale = bf.scale()
     diagnostics: dict = {}
 
     if _zero_multiples_only(bf):
@@ -574,34 +530,6 @@ def check_general(bf: BlockForm) -> Verdict:
     if comm.frobenius() <= TOL * bf.H.trace().real ** 2:
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
 
-    # Determinant identity at theta, from 2x2 closed forms.  Im(e^{-i theta}A)
-    # has eigenvalues +-lambda_j, so sqrt(det Im(e^{-i theta}A)) = lambda1 lambda2.
-    lam1, lam2 = pencil_eigs(bf, theta)
-    sqrt_det = lam1 * lam2
-    diagnostics["sqrt_det_im"] = sqrt_det
-
-    values = _im_square_eigenvalues(bf, theta)
-    try:
-        s_lo, s_hi = _paired_eigenvalues(values, TOL * scale**2)
-    except ValueError as exc:
-        diagnostics["pairing_error"] = str(exc)
-        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-    s_diff = s_hi - s_lo
-    diagnostics["s_diff"] = s_diff
-
-    spec = spectrum(bf)
-    e2 = cmath.exp(-2j * theta)
-    sig1 = sqrt_principal(e2 * (spec.z1 + bf.alpha * bf.alpha))
-    sig2 = sqrt_principal(e2 * (spec.z2 + bf.alpha * bf.alpha))
-    rhs = s_diff * s_diff
-    best_res, best_combo = _pair_residual(sig1, sig2, 4.0 * sqrt_det, rhs, scale**4)
-    diagnostics["sigma_sum_theta"] = best_combo
-    diagnostics["gen_lhs"] = 4.0 * sqrt_det * best_combo * best_combo
-    diagnostics["gen_rhs"] = rhs
-    diagnostics["gen_residual"] = best_res
-    if best_res > TOL:
-        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
-
     try:
         sf, frame = reduce_to_special(bf, theta)
     except ZeroMultipleError:
@@ -609,15 +537,12 @@ def check_general(bf: BlockForm) -> Verdict:
     except NotScalarUnitaryError:
         return Verdict(False, Reason.NO_THETA, None, diagnostics)
     special = check_special(sf, frame)
+    if not special.bielliptical:
+        return Verdict(False, special.reason, None, diagnostics)
     diagnostics.update(
         {f"special_{k}": val for k, val in special.diagnostics.items()}
     )
     diagnostics["reduced_form"] = sf
-    if not special.bielliptical:
-        # The determinant identity held but the reduced criterion did not:
-        # surfaced as a verification mismatch rather than silently decided.
-        diagnostics["mismatch"] = True
-        return Verdict(False, special.reason, None, diagnostics)
     return Verdict(True, None, special.ellipses, diagnostics)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "schur_upper_2x2",
     "sqrt_principal",
     "eig2",
-    "herm_eig2",
 ]
 
 
@@ -155,14 +154,6 @@ def eig2(m: CMatrix) -> tuple[complex, complex]:
     small = det / big if big != 0 else 0.5 * (tr - sq)
     pair = sorted((big, small), key=lambda z: (z.real, z.imag))
     return pair[0], pair[1]
-
-
-def herm_eig2(m: CMatrix) -> tuple[float, float]:
-    """Eigenvalues (ascending) of a 2x2 Hermitian matrix, closed form."""
-    mean = 0.5 * (m[0, 0].real + m[1, 1].real)
-    half = 0.5 * (m[0, 0].real - m[1, 1].real)
-    r = math.hypot(half, abs(m[0, 1]))
-    return mean - r, mean + r
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,13 @@ def pencil_eigs(bf: BlockForm, theta):
 
     The four eigenvalues are +-lambda_j with
     lambda_j = sqrt(Im(e^{-i theta} alpha)^2 + mu_j / 4) and mu_j the
-    (nonnegative) eigenvalues of H - e^{-2i theta} Z - e^{2i theta} Z*,
-    taken from the closed form of :func:`linalg.herm_eig2` written
-    elementwise.  ``theta`` is one direction, giving two floats, or an
-    array of directions, giving two arrays of its shape.
+    (nonnegative) eigenvalues of M = H - e^{-2i theta} Z - e^{2i theta} Z*,
+    a 2x2 Hermitian matrix.  The larger is mean + r, from M's diagonal mean
+    and the radius r of its closed-form eigenvalues.  M = N*N for
+    N = e^{-i theta} C - e^{i theta} D*, so the smaller is
+    |det N|^2 / (mean + r), which keeps the digits that mean - r cancels
+    away when the two are close.  ``theta`` is one direction, giving two
+    floats, or an array of directions, giving two arrays of its shape.
     """
     # Complex products are spelled out in real arithmetic, as Python's
     # complex type computes them.  numpy's complex array loops may fuse
@@ -129,13 +132,29 @@ def pencil_eigs(bf: BlockForm, theta):
     m11 = h11.real - re_e2(z11) - re_e2(z11)
     m01 = np.hypot(h01.real - re_e2(z01) - re_e2(z10),
                    h01.imag - im_e2(z01) + im_e2(z10))
-    mean = 0.5 * (m00 + m11)
-    r = np.hypot(0.5 * (m00 - m11), m01)
+    top = np.maximum(0.5 * (m00 + m11) + np.hypot(0.5 * (m00 - m11), m01), 0.0)
+
     e1 = np.exp(-1j * theta)
-    im_alpha = e1.real * bf.alpha.imag + e1.imag * bf.alpha.real
+    e1r, e1i = e1.real, e1.imag
+
+    def n_entry(c: complex, d: complex):
+        # e^{-i theta} c - conj(e^{-i theta} d), as (real, imaginary) parts.
+        return (c.real * e1r - c.imag * e1i - (d.real * e1r - d.imag * e1i),
+                c.real * e1i + c.imag * e1r + d.real * e1i + d.imag * e1r)
+
+    (c00, c01), (c10, c11) = bf.C.rows
+    (d00, d01), (d10, d11) = bf.D.rows
+    (ar, ai), (br, bi) = n_entry(c00, d00), n_entry(c01, d10)
+    (cr, ci), (dr, di) = n_entry(c10, d01), n_entry(c11, d11)
+    det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
+    low = np.divide(det_r * det_r + det_i * det_i, top,
+                    out=np.zeros_like(top), where=top > 0.0)
+
+    im_alpha = e1r * bf.alpha.imag + e1i * bf.alpha.real
     base = im_alpha * im_alpha
-    lam1 = np.sqrt(base + np.maximum(mean + r, 0.0) / 4.0)
-    lam2 = np.sqrt(base + np.maximum(mean - r, 0.0) / 4.0)
+    lam1 = np.sqrt(base + top / 4.0)
+    lam2 = np.sqrt(base + low / 4.0)
     if theta.ndim == 0:
         return float(lam1), float(lam2)
     return lam1, lam2

@@ -297,12 +297,12 @@ class AuditReport:
 
 
 def _flat_checks(verdict: Verdict, report: AuditReport) -> list[Check]:
-    """A bi-elliptical boundary has exactly two flat portions, whose length
-    and direction match the eigenvalue pair sum singled out by the criterion."""
-    combo = verdict.diagnostics.get("sigma_sum_theta")
-    if combo is None:
-        return []
-    expected = cmath.exp(1j * verdict.diagnostics.get("theta", 0.0)) * combo
+    """A bi-elliptical boundary has exactly two flat portions.  The hull of
+    two translated congruent ellipses meets each of its flat edges at a pair
+    of points the translation maps onto each other, so every flat portion
+    has the length and direction of the offset between the two centers."""
+    e1, e2 = verdict.ellipses
+    expected = e1.center - e2.center
     flats = report.flats
     if len(flats) != 2:
         return [Check("flat portions", False,
@@ -315,7 +315,7 @@ def _flat_checks(verdict: Verdict, report: AuditReport) -> list[Check]:
         checks.append(Check("flat portions", ok, (
             f"flat portion (length {f.length:.9g}) "
             f"{'matches' if ok else 'does not match'} "
-            f"sigma pair sum {abs(expected):.9g}")))
+            f"center offset {abs(expected):.9g}")))
     return checks
 
 
@@ -352,10 +352,10 @@ def audit(
     ``reciprocal`` is the reciprocal classification when ``bf`` came from a
     reciprocal form and must agree with the verdict.  A positive verdict
     must have its hull of ellipses within ``1e-6 * diameter`` of the sampled
-    range and flat portions that match the eigenvalue pair sum.  Whenever
-    the verdict carries a reduced form, the generating polynomial must
-    factor into the two claimed quadratics up to a factorization residual of
-    ``TOL``.  Every verdict must be free of a criterion/reduction mismatch.
+    range and two flat portions that match the offset between the ellipse
+    centers.  Whenever the verdict carries a reduced form, the generating
+    polynomial must factor into the two claimed quadratics up to a
+    factorization residual of ``TOL``.
     """
     nrcore._require_flat_samples(samples)
     a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
@@ -388,9 +388,6 @@ def audit(
         checks.append(Check("factorization", ok, (
             f"factorization residual {fact.total:.3e}"
             + ("" if ok else f" exceeds {TOL:g}"))))
-    ok = not verdict.diagnostics.get("mismatch")
-    checks.append(Check("criterion/reduction agreement", ok, "no mismatch" if ok
-                        else "criterion/reduction verdict mismatch"))
     return report
 
 

@@ -4,6 +4,7 @@ import cmath
 import importlib.util
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,7 +19,6 @@ from birange.criteria import (
     _b_normal,
     _four_p_squared,
     _normalize_tilt,
-    _pair_residual,
     _positive_verdict,
     solve_b,
 )
@@ -30,7 +30,7 @@ from birange.forms import (
     SpecialForm,
     normalize_block,
 )
-from birange.linalg import CMatrix, eye, herm_eig2
+from birange.linalg import CMatrix, eye, sqrt_principal
 
 
 def fig_left_special() -> SpecialForm:
@@ -462,6 +462,102 @@ def check_imag(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     if not (moduli_ok and match_ok):
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
+
+
+def herm_eig2(m: CMatrix) -> tuple[float, float]:
+    """Eigenvalues (ascending) of a 2x2 Hermitian matrix, closed form."""
+    mean = 0.5 * (m[0, 0].real + m[1, 1].real)
+    half = 0.5 * (m[0, 0].real - m[1, 1].real)
+    r = math.hypot(half, abs(m[0, 1]))
+    return mean - r, mean + r
+
+
+def _pair_residual(
+    sig1: complex, sig2: complex, weight: float, rhs: float, scale_k: float
+) -> tuple[float, complex]:
+    """Best of sigma1 +- sigma2: the smallest |weight c^2 - rhs| / scale_k
+    over c = sigma1 + sigma2 and sigma1 - sigma2, and the c attaining it."""
+    return min(
+        ((abs(weight * c * c - rhs) / scale_k, c) for c in (sig1 + sig2, sig1 - sig2)),
+        key=lambda res_c: res_c[0],
+    )
+
+
+# The determinant identity at the reduction direction theta, a second
+# implementation of the general criterion, which ``check_general`` decides
+# by T = 0 on the reduced form: a reference oracle that must agree with it
+# away from the band around real case (ii).
+
+
+@dataclass(frozen=True)
+class DeterminantIdentity:
+    """Both sides of ``4 sqrt(det Im(e^{-i theta}A)) c^2 = (s1 - s2)^2`` at
+    c = ``sigma_sum``, the sigma pair combination with the smaller
+    ``residual`` (their difference over scale^4)."""
+
+    sqrt_det: float
+    s_diff: float
+    sigma_sum: complex
+    residual: float
+
+    @property
+    def lhs(self) -> complex:
+        return 4.0 * self.sqrt_det * self.sigma_sum * self.sigma_sum
+
+    @property
+    def rhs(self) -> float:
+        return self.s_diff * self.s_diff
+
+
+def _im_square_eigenvalues(
+    bf: BlockForm, theta: float
+) -> tuple[float, float, float, float]:
+    """Eigenvalues (ascending) of Im(e^{-2i theta} A^2), A the shift-free matrix.
+
+    A^2 = diag(alpha^2 I + CD, alpha^2 I + DC) exactly, so they are the two
+    eigenvalue pairs of the imaginary parts of its diagonal blocks.
+    """
+    e2 = cmath.exp(-2j * theta)
+    a2 = (bf.alpha * bf.alpha) * eye(2)
+    values: list[float] = []
+    for prod in (bf.C @ bf.D, bf.Z):
+        rot = e2 * (prod + a2)
+        values += herm_eig2((1 / 2j) * (rot - rot.H))
+    return tuple(sorted(values))
+
+
+def _paired_eigenvalues(
+    values: tuple[float, float, float, float], spread_tol: float
+) -> tuple[float, float]:
+    """Cluster four nearly-coinciding-in-pairs eigenvalues into two values."""
+    lo_spread = values[1] - values[0]
+    hi_spread = values[3] - values[2]
+    if max(lo_spread, hi_spread) > spread_tol:
+        raise ValueError(
+            f"eigenvalues do not pair up (spreads {lo_spread:.3e}, {hi_spread:.3e})"
+        )
+    return 0.5 * (values[0] + values[1]), 0.5 * (values[2] + values[3])
+
+
+def determinant_identity(bf: BlockForm, theta: float) -> DeterminantIdentity:
+    """The determinant identity at ``theta``, from 2x2 closed forms.
+
+    Im(e^{-i theta}A) has eigenvalues +-lambda_j, so
+    sqrt(det Im(e^{-i theta}A)) = lambda1 lambda2.  Raises ValueError when
+    the eigenvalues of Im(e^{-2i theta} A^2) do not pair up within
+    ``TOL * scale**2``, where the identity fails.
+    """
+    scale = bf.scale()
+    lam1, lam2 = nrcore.pencil_eigs(bf, theta)
+    sqrt_det = lam1 * lam2
+    s_lo, s_hi = _paired_eigenvalues(_im_square_eigenvalues(bf, theta), TOL * scale**2)
+    s_diff = s_hi - s_lo
+    spec = nrcore.spectrum(bf)
+    e2 = cmath.exp(-2j * theta)
+    sig1 = sqrt_principal(e2 * (spec.z1 + bf.alpha * bf.alpha))
+    sig2 = sqrt_principal(e2 * (spec.z2 + bf.alpha * bf.alpha))
+    residual, combo = _pair_residual(sig1, sig2, 4.0 * sqrt_det, s_diff * s_diff, scale**4)
+    return DeterminantIdentity(sqrt_det, s_diff, combo, residual)
 
 
 # Two more evaluations of the special-case criterion, which ``check_special``

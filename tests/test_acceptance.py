@@ -32,6 +32,7 @@ from helpers import (
     bi_special_real_case_ii,
     check_imag,
     check_real,
+    determinant_identity,
     disguise,
     fig_left_special,
     fig_right_special,
@@ -70,13 +71,14 @@ def test_criterion_1_worked_example():
     assert verdict.bielliptical
     d = verdict.diagnostics
     assert abs(d["theta"] - 3 * math.pi / 4) <= 1e-10
+    ident = determinant_identity(bf, d["theta"])
     want_sigma = 5 * math.sqrt(2)
-    assert abs(abs(d["sigma_sum_theta"]) - want_sigma) <= 1e-9 * want_sigma
+    assert abs(abs(ident.sigma_sum) - want_sigma) <= 1e-9 * want_sigma
     want_s = 20 * math.sqrt(29)
-    assert abs(d["s_diff"] - want_s) <= 1e-9 * want_s
-    assert abs(d["sqrt_det_im"] - 58.0) <= 1e-9 * 58.0
-    assert abs(d["gen_lhs"] - 11600.0) <= 1e-9 * 11600.0
-    assert abs(d["gen_rhs"] - 11600.0) <= 1e-9 * 11600.0
+    assert abs(ident.s_diff - want_s) <= 1e-9 * want_s
+    assert abs(ident.sqrt_det - 58.0) <= 1e-9 * 58.0
+    assert abs(ident.lhs - 11600.0) <= 1e-9 * 11600.0
+    assert abs(ident.rhs - 11600.0) <= 1e-9 * 11600.0
     assert elapsed < 0.1
     print(
         f"\n[PASS] criterion 1: worked example "
@@ -115,7 +117,7 @@ def test_criterion_3_reciprocal_example():
 
     verdict = check_general(bf)
     assert verdict.bielliptical
-    assert abs(verdict.diagnostics["s_diff"] ** 2 - 4.0) <= 1e-10
+    assert abs(determinant_identity(bf, verdict.diagnostics["theta"]).s_diff ** 2 - 4.0) <= 1e-10
     a = bf.assemble()
     im = (1 / 2j) * (a - a.H)
     assert abs(np.linalg.det(np.array(im.rows)).real - 1.0) <= 1e-10

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from birange import criteria
 from birange.criteria import (
     AlphaZeroError,
     DegenerateEllipseError,
@@ -21,12 +20,13 @@ from birange.criteria import (
     reciprocal_classify,
     solve_b,
 )
-from birange.forms import BlockForm, ReciprocalForm, SpecialForm, from_reciprocal
+from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm, from_reciprocal
 from birange.linalg import CMatrix, zeros
 from birange.nrcore import pencil_eigs, spectrum
 from helpers import (
     NotImagAlphaError,
     NotRealAlphaError,
+    _im_square_eigenvalues,
     bi_special_any,
     bi_special_general,
     bi_special_imag,
@@ -34,11 +34,13 @@ from helpers import (
     bi_special_real_case_ii,
     check_imag,
     check_real,
+    determinant_identity,
     disguise,
     fig_left_special,
     fig_right_special,
     fit_conic_ellipse,
     general_example_block,
+    herm_eig2,
     random_block,
     random_cmat,
     random_special,
@@ -327,7 +329,8 @@ class TestFindTheta:
 
 
 class TestDeterminantIdentityAtSizeTwo:
-    """check_general's 2x2 closed forms against LAPACK on the 4x4 matrix."""
+    """The determinant identity's 2x2 closed forms against LAPACK on the 4x4
+    matrix."""
 
     @staticmethod
     def cases(rng, count=100):
@@ -341,7 +344,7 @@ class TestDeterminantIdentityAtSizeTwo:
         for bf, theta, a, scale in self.cases(rng):
             rot2 = np.exp(-2j * theta) * (a @ a)
             ref = np.linalg.eigvalsh((rot2 - rot2.conj().T) / 2j)
-            got = criteria._im_square_eigenvalues(bf, theta)
+            got = _im_square_eigenvalues(bf, theta)
             assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * scale**2
 
     def test_sqrt_det_is_pencil_product(self, rng):
@@ -350,6 +353,36 @@ class TestDeterminantIdentityAtSizeTwo:
             det = np.linalg.det((rot - rot.conj().T) / 2j).real
             lam1, lam2 = pencil_eigs(bf, theta)
             assert abs(lam1 * lam2 - math.sqrt(det)) <= 1e-12 * scale**2
+
+    def test_herm_eig2(self, rng):
+        for _ in range(200):
+            m = random_cmat(rng, 2)
+            h = 0.5 * (m + m.H)
+            lo, hi = herm_eig2(h)
+            ref = np.linalg.eigvalsh(np.array(h.rows))
+            assert abs(lo - ref[0]) < 1e-12 * (1 + abs(ref[0]))
+            assert abs(hi - ref[1]) < 1e-12 * (1 + abs(ref[1]))
+
+    def test_identity_holds_exactly_when_check_general_accepts(self, rng):
+        # Away from the band around real case (ii), the identity at the
+        # reduction direction and T = 0 on the reduced form are one
+        # criterion: a failed eigenvalue pairing counts as a failed identity.
+        # These families meet the band nowhere but at real case (ii) itself.
+        decided = positives = 0
+        for k in range(300):
+            sf = bi_special_any(rng) if k % 3 == 0 else random_special(rng)
+            bf, _ = disguise(rng, sf)
+            verdict = check_general(bf)
+            if not (verdict.bielliptical or verdict.reason is Reason.T_NONZERO):
+                continue
+            try:
+                holds = determinant_identity(bf, verdict.diagnostics["theta"]).residual <= TOL
+            except ValueError:
+                holds = False
+            assert holds == verdict.bielliptical
+            decided += 1
+            positives += verdict.bielliptical
+        assert decided >= 250 and 50 <= positives < decided
 
 
 class TestCheckGeneral:
@@ -363,11 +396,12 @@ class TestCheckGeneral:
         assert verdict.bielliptical
         d = verdict.diagnostics
         assert abs(d["theta"] - 3 * math.pi / 4) <= 1e-10
-        assert abs(abs(d["sigma_sum_theta"]) - 5 * math.sqrt(2)) <= 1e-9 * 5 * math.sqrt(2)
-        assert abs(d["s_diff"] - 20 * math.sqrt(29)) <= 1e-9 * 20 * math.sqrt(29)
-        assert abs(d["sqrt_det_im"] - 58.0) <= 1e-9 * 58.0
-        assert abs(d["gen_lhs"] - 11600.0) <= 1e-9 * 11600.0
-        assert abs(d["gen_rhs"] - 11600.0) <= 1e-9 * 11600.0
+        ident = determinant_identity(general_example_block(), d["theta"])
+        assert abs(abs(ident.sigma_sum) - 5 * math.sqrt(2)) <= 1e-9 * 5 * math.sqrt(2)
+        assert abs(ident.s_diff - 20 * math.sqrt(29)) <= 1e-9 * 20 * math.sqrt(29)
+        assert abs(ident.sqrt_det - 58.0) <= 1e-9 * 58.0
+        assert abs(ident.lhs - 11600.0) <= 1e-9 * 11600.0
+        assert abs(ident.rhs - 11600.0) <= 1e-9 * 11600.0
 
     def test_embedded_first_figure(self):
         for sf in (fig_left_special(), fig_right_special()):
@@ -375,7 +409,8 @@ class TestCheckGeneral:
             assert verdict.bielliptical
             assert abs(verdict.diagnostics["theta"]) <= 1e-9 or \
                 abs(verdict.diagnostics["theta"] - math.pi) <= 1e-9
-            assert abs(verdict.diagnostics["sqrt_det_im"] - (1 + sf.v**2)) <= 1e-9
+            ident = determinant_identity(sf.to_block(), verdict.diagnostics["theta"])
+            assert abs(ident.sqrt_det - (1 + sf.v**2)) <= 1e-9
 
     def test_zero_multiple_rejected(self, rng):
         theta0 = 1.1
@@ -404,8 +439,6 @@ class TestCheckGeneral:
             want = check_special(sf).bielliptical
             got = check_general(bf)
             assert got.bielliptical == want
-            if got.bielliptical:
-                assert not got.diagnostics.get("mismatch", False)
 
     def test_ellipses_transform_with_frame(self, rng):
         sf = bi_special_any(rng)

@@ -10,7 +10,6 @@ from birange.linalg import (
     NotHermitianError,
     eig2,
     eye,
-    herm_eig2,
     hermitian_eig4,
     schur_upper_2x2,
     sqrt_principal,
@@ -207,12 +206,3 @@ class TestEig2:
             )
             for x, y in zip(mine, ref):
                 assert abs(x - y) <= 1e-11 * (1 + abs(y))
-
-    def test_herm_eig2(self, rng):
-        for _ in range(200):
-            m = random_cmat(rng, 2)
-            h = 0.5 * (m + m.H)
-            lo, hi = herm_eig2(h)
-            ref = np.linalg.eigvalsh(np.array(h.rows))
-            assert abs(lo - ref[0]) < 1e-12 * (1 + abs(ref[0]))
-            assert abs(hi - ref[1]) < 1e-12 * (1 + abs(ref[1]))

@@ -91,6 +91,21 @@ class TestPencilEigs:
             expect = np.stack((-lam1, -lam2, lam2, lam1), axis=1)
             assert np.abs(vals - expect).max() <= 1e-11 * scale
 
+    def test_near_double_eigenvalue_dense_scan(self, rng):
+        # Im(alpha) ~ 4e-9 and |b1| ~ |b2|: at many directions the two
+        # eigenvalues of M nearly coincide, and mean - r cancels about half
+        # the digits of the smaller one (errors up to 4e-11 * scale).
+        sf = SpecialForm(u=0.0, v=4.18e-9, b1=-1.126j, b2=1.118j, b=2.056)
+        thetas = np.linspace(0.0, 2 * math.pi, 20001)
+        e = np.exp(-1j * thetas)[:, None, None]
+        for _ in range(20):
+            bf, _ = disguise(rng, sf)
+            a = np.array(bf.normalized_matrix().rows)
+            vals = np.linalg.eigvalsh((e * a - np.conj(e) * a.conj().T) / 2j)
+            lam1, lam2 = pencil_eigs(bf, thetas)
+            expect = np.stack((-lam1, -lam2, lam2, lam1), axis=1)
+            assert np.abs(vals - expect).max() <= 1e-13 * bf.scale()
+
     def test_array_matches_scalar_calls(self, rng):
         # An array of directions gives, element for element, the bits of
         # one call per direction; a lone direction gives Python floats.

@@ -10,9 +10,7 @@ import pytest
 
 from birange.criteria import (
     Ellipse,
-    Reason,
     ReciprocalShape,
-    Verdict,
     check_general,
     check_special,
     criterion_T,
@@ -352,7 +350,7 @@ class TestAudit:
         assert report.failures == []
         assert {c.name for c in report.checks} == {
             "reciprocal agreement", "hull comparison", "flat portions",
-            "factorization", "criterion/reduction agreement",
+            "factorization",
         }
 
     def test_reciprocal_disagreement_fails(self):
@@ -361,15 +359,6 @@ class TestAudit:
         assert report.failures == [
             "reciprocal classification disagrees with the general check"
         ]
-
-    def test_criterion_reduction_mismatch_fails(self):
-        # check_general flags a mismatch on a negative verdict, so the audit
-        # must look at it for negatives too.
-        bf = from_reciprocal(reciprocal_two_ellipse())
-        verdict = Verdict(False, Reason.T_NONZERO, None, {"mismatch": True})
-        report = audit(bf, verdict, 512)
-        assert report.hull_gap is None and report.factorization is None
-        assert report.failures == ["criterion/reduction verdict mismatch"]
 
 
 class TestAuditLapackBudget:
