@@ -412,6 +412,14 @@ def _zero_multiples_only(bf: BlockForm) -> bool:
     return tr_h - 2.0 * abs(bf.Z.trace()) <= TOL * tr_h
 
 
+def _grid_minima(d: np.ndarray, coarse: float) -> np.ndarray:
+    """Ascending indices of the local minima of the periodic grid d that do
+    not exceed coarse.  Strict on the left: a run of equal values counts at
+    most once, at its first point, and none counts if it covers the grid."""
+    mask = (d < np.roll(d, 1)) & (d <= np.roll(d, -1)) & (d <= coarse)
+    return np.flatnonzero(mask)
+
+
 def find_theta(bf: BlockForm) -> ThetaSearch | None:
     """Direction theta in [0, pi) making e^{-i t}C - e^{i t}D* scalar-unitary.
 
@@ -421,10 +429,10 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     least-squares polish then removes the roundoff floor of the search.
     Directions where the scalar multiple vanishes are excluded; additional
     accepted minima mod pi are reported for the per-instance uniqueness
-    audit.  The local-minimum scan reads the grid once as Python floats, and
-    a run of equal grid values counts at most once, at its first point, so a
+    audit.  The local minima come from one boolean mask over the grid, and a
+    run of equal grid values counts at most once, at its first point, so a
     deviation that vanishes in every direction (C = U, D = kU*) refines no
-    point besides the best one.
+    point besides the best one.  Each selected minimum is refined once.
     """
     if _zero_multiples_only(bf):
         return None
@@ -478,21 +486,19 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     mu = 0.5 * (tr_h - 2.0 * (e_star * tr_z).real)
 
     extras: list[float] = []
-    d = dgrid.tolist()
-    coarse = max(TOL * 10.0, d[k_best] * 10.0)
-    for k in range(grid):
-        # Strict on the left: a run of equal values counts at most once.
-        if d[k] < d[k - 1] and d[k] <= d[(k + 1) % grid]:
-            if d[k] > coarse:
-                continue
-            t_k, d_k = refine(k)
-            sep = abs((t_k - theta_star + math.pi / 2) % math.pi - math.pi / 2)
-            if d_k <= TOL and sep > 1e-6:
-                if all(
-                    abs((t_k - t + math.pi / 2) % math.pi - math.pi / 2) > 1e-6
-                    for t in extras
-                ):
-                    extras.append(t_k)
+    coarse = max(TOL * 10.0, float(dgrid[k_best]) * 10.0)
+    for k in _grid_minima(dgrid, coarse).tolist():
+        if k == k_best:
+            # Refined above; again it would give theta_star itself.
+            continue
+        t_k, d_k = refine(k)
+        sep = abs((t_k - theta_star + math.pi / 2) % math.pi - math.pi / 2)
+        if d_k <= TOL and sep > 1e-6:
+            if all(
+                abs((t_k - t + math.pi / 2) % math.pi - math.pi / 2) > 1e-6
+                for t in extras
+            ):
+                extras.append(t_k)
     return ThetaSearch(
         theta=theta_star, mu=mu, residual=d_min, extra_thetas=tuple(sorted(extras))
     )

@@ -366,6 +366,23 @@ def golden_flat_portions(m, boundary: nrcore.Boundary) -> list[nrcore.FlatPortio
     return found
 
 
+def reference_grid_minima(d, coarse: float) -> list[int]:
+    """Reference for ``criteria._grid_minima``: the direction-grid scan that
+    ``find_theta`` ran as a loop over Python floats.  A point counts when it
+    lies strictly below its left neighbour, at most at its right one (the
+    grid wraps from its last point to its first) and not above ``coarse``."""
+    d = np.asarray(d, dtype=float).tolist()
+    grid = len(d)
+    out = []
+    for k in range(grid):
+        # Strict on the left: a run of equal values counts at most once.
+        if d[k] < d[k - 1] and d[k] <= d[(k + 1) % grid]:
+            if d[k] > coarse:
+                continue
+            out.append(k)
+    return out
+
+
 def kron_commutant_system(a: np.ndarray) -> np.ndarray:
     """Reference for ``verify._commutant_system``: the commutation
     constraints XA = AX and XA* = A*X stacked from ``np.kron``."""

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from birange import criteria
 from birange.criteria import (
     AlphaZeroError,
     DegenerateEllipseError,
@@ -45,6 +48,7 @@ from helpers import (
     random_cmat,
     random_special,
     reciprocal_two_ellipse,
+    reference_grid_minima,
     spread_residual,
     tangent_envelope_points,
     trace_level_T,
@@ -326,6 +330,129 @@ class TestFindTheta:
         verdict = check_general(bf)
         assert verdict.reason is Reason.PRODUCT_NORMAL
         assert verdict.diagnostics["theta_extra"] == ()
+
+
+grid_scan = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+# Few distinct levels, so that drawn grids hold plateaus, ties across the
+# wrap and runs of inf.
+levels = st.sampled_from([0.0, 1e-12, 0.5, 1.0, math.inf])
+grid_values = st.floats(0.0, 1e3) | st.just(math.inf)
+
+
+class TestGridMinima:
+    """``find_theta``'s mask selects the indices of the Python-float scan."""
+
+    @staticmethod
+    def assert_same(d, coarse):
+        got = criteria._grid_minima(np.asarray(d, dtype=float), coarse).tolist()
+        assert got == reference_grid_minima(d, coarse)
+
+    @grid_scan
+    @given(st.lists(grid_values, min_size=1, max_size=64), grid_values)
+    def test_random_grids(self, d, coarse):
+        self.assert_same(d, coarse)
+
+    @grid_scan
+    @given(st.lists(levels, min_size=1, max_size=64), levels)
+    def test_plateau_grids(self, d, coarse):
+        self.assert_same(d, coarse)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, math.inf])
+    def test_all_equal_grid(self, value):
+        d = [value] * 4096
+        assert reference_grid_minima(d, math.inf) == []
+        self.assert_same(d, math.inf)
+
+    @pytest.mark.parametrize("run, first", [
+        ((4095, 0), 4095), ((4095, 0, 1), 4095), ((4094, 4095, 0, 1), 4094),
+    ])
+    def test_tie_across_wrap(self, run, first):
+        # A run of equal minima across the wrap counts once, at its first
+        # point walking up the grid, which lies before the wrap.
+        d = np.linspace(0.0, 1.0, 4096)
+        d = np.minimum(d, d[::-1]) + 0.25
+        d[list(run)] = 0.0
+        assert reference_grid_minima(d, 1.0) == [first]
+        self.assert_same(d, 1.0)
+
+    def test_random_4096_grids(self, rng):
+        for _ in range(20):
+            d = rng.random(4096)
+            for grid in (d, np.round(d, 1)):
+                for coarse in (0.0, 0.1, 0.5, math.inf):
+                    self.assert_same(grid, coarse)
+
+    def test_grids_holding_inf(self, rng):
+        for _ in range(20):
+            d = rng.random(4096)
+            d[rng.random(4096) < 0.3] = math.inf
+            for coarse in (0.5, math.inf):
+                self.assert_same(d, coarse)
+        d = np.full(4096, math.inf)
+        d[[7, 8, 2000]] = 1.0
+        assert reference_grid_minima(d, 1.0) == [7, 2000]
+        self.assert_same(d, 1.0)
+
+
+class TestRefineOnce:
+    """``find_theta`` runs one golden-section search per selected grid
+    minimum, the best grid point included once."""
+
+    @staticmethod
+    def forms(rng):
+        yield general_example_block()
+        # C = U, D = kU*: one flat run, no selected minimum, one search.
+        ident = CMatrix(((1, 0), (0, 1)))
+        yield BlockForm(alpha=0.3, C=ident, D=2.5 * ident)
+        # C = I, D = [[0, b], [c, 0]] with |b| = |c|: the traceless residual
+        # runs along a segment through 0 and back, so two directions mod pi
+        # are accepted and two grid minima selected, the best among them.
+        yield BlockForm(alpha=0.3, C=ident, D=CMatrix(((0, 1), (1j, 0))))
+        for k in range(40):
+            sf = bi_special_any(rng) if k % 2 else random_special(rng)
+            yield disguise(rng, sf)[0]
+
+    @staticmethod
+    def spy_golden(monkeypatch) -> list[tuple[float, float]]:
+        brackets = []
+        golden = criteria.golden_min
+
+        def counted(f, lo, hi):
+            brackets.append((lo, hi))
+            return golden(f, lo, hi)
+
+        monkeypatch.setattr(criteria, "golden_min", counted)
+        return brackets
+
+    def test_no_bracket_searched_twice(self, rng, monkeypatch):
+        brackets = self.spy_golden(monkeypatch)
+        for bf in self.forms(rng):
+            brackets.clear()
+            assert find_theta(bf) is not None
+            assert brackets
+            assert len(set(brackets)) == len(brackets)
+
+    def test_one_search_per_selected_minimum(self, rng, monkeypatch):
+        brackets = self.spy_golden(monkeypatch)
+        scans = []
+        grid_minima = criteria._grid_minima
+
+        def recorded(d, coarse):
+            selected = grid_minima(d, coarse)
+            scans.append((d, coarse, selected))
+            return selected
+
+        monkeypatch.setattr(criteria, "_grid_minima", recorded)
+        for bf in self.forms(rng):
+            brackets.clear()
+            scans.clear()
+            assert find_theta(bf) is not None
+            ((d, coarse, selected),) = scans
+            assert selected.tolist() == reference_grid_minima(d, coarse)
+            want = sorted(set(selected.tolist()) | {int(np.argmin(d))})
+            step = math.pi / len(d)
+            assert len(brackets) == len(want)
+            assert sorted(round(0.5 * (lo + hi) / step) for lo, hi in brackets) == want
 
 
 class TestDeterminantIdentityAtSizeTwo:
