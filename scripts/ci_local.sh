@@ -5,22 +5,15 @@
 #
 # Usage, from anywhere:
 #
-#     scripts/ci_local.sh [--workflow FILE] [STEP NAME ...]
+#     scripts/ci_local.sh
 #
-# With step names, only those steps run.  --workflow reads the steps from
-# another workflow file (by default .github/workflows/tier1.yml); they still
-# run on this checkout.  A temporary `birange` wrapper on PATH stands in for
-# the installed console script: it runs `python3 -m birange.cli` with this
-# checkout's src on PYTHONPATH, so nothing is installed.  Prints PASS or
-# FAIL with the exit code per step and exits 1 if any step failed.
+# A temporary `birange` wrapper on PATH stands in for the installed console
+# script: it runs `python3 -m birange.cli` with this checkout's src on
+# PYTHONPATH, so nothing is installed.  Prints PASS or FAIL with the exit
+# code per step and exits 1 if any step failed.
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-workflow=$root/.github/workflows/tier1.yml
-if [[ ${1:-} == --workflow ]]; then
-    workflow=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
-    shift 2
-fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -34,7 +27,7 @@ chmod +x "$work/bin/birange"
 # Write each step after "Install" that has a `run:` to steps/NN.sh, with its
 # name in steps/NN.name.  The parser knows only what the workflow uses:
 # `- name:` items, one-line `run:` values and `run: |` blocks.
-python3 - "$workflow" "$work/steps" <<'EOF'
+python3 - "$root/.github/workflows/tier1.yml" "$work/steps" <<'EOF'
 import sys
 from pathlib import Path
 
@@ -84,18 +77,8 @@ export RUNNER_TEMP=$work/runner_temp
 export OPENBLAS_NUM_THREADS=1
 
 failed=0
-ran=0
 for script in "$work"/steps/*.sh; do
-    [[ -e $script ]] || break
     name=$(cat "${script%.sh}.name")
-    if (($# > 0)); then
-        wanted=0
-        for want in "$@"; do
-            [[ $name == "$want" ]] && wanted=1
-        done
-        ((wanted)) || continue
-    fi
-    ran=$((ran + 1))
     code=0
     (cd "$root" && bash -eo pipefail "$script") || code=$?
     if ((code == 0)); then
@@ -105,8 +88,4 @@ for script in "$work"/steps/*.sh; do
         failed=1
     fi
 done
-if ((ran == 0)); then
-    echo "no step matched" >&2
-    exit 1
-fi
 exit $failed

@@ -331,6 +331,22 @@ class TestFindTheta:
         assert verdict.reason is Reason.PRODUCT_NORMAL
         assert verdict.diagnostics["theta_extra"] == ()
 
+    def test_second_direction_kept_as_extra(self):
+        # C = I, D = [[0, 1], [i, 0]]: the traceless residual runs along a
+        # segment through 0 and back, so a second direction, pi/2 from
+        # theta, is accepted besides the best one.
+        ident = CMatrix(((1, 0), (0, 1)))
+        bf = BlockForm(alpha=0.3, C=ident, D=CMatrix(((0, 1), (1j, 0))))
+        found = find_theta(bf)
+        assert found is not None
+        assert len(found.extra_thetas) == 1
+        gap = (found.extra_thetas[0] - found.theta) % math.pi
+        assert abs(gap - math.pi / 2) <= 1e-9
+        verdict = check_general(bf)
+        assert not verdict.bielliptical
+        assert verdict.reason is Reason.PRODUCT_NORMAL
+        assert verdict.diagnostics["theta_extra"] == found.extra_thetas
+
 
 grid_scan = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 # Few distinct levels, so that drawn grids hold plateaus, ties across the
