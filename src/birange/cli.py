@@ -233,7 +233,7 @@ def _jsonify(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if dataclasses.is_dataclass(obj):
-        return _jsonify(dataclasses.asdict(obj))
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -531,13 +531,13 @@ def check_general(bf: BlockForm) -> Verdict:
 
     m = direction_block(bf, theta)
     product = m @ bf.D
-    comm = product @ product.H - product.H @ product
-    diagnostics["product_commutator"] = comm.frobenius()
-    if comm.frobenius() <= TOL * bf.H.trace().real ** 2:
+    comm = (product @ product.H - product.H @ product).frobenius()
+    diagnostics["product_commutator"] = comm
+    if comm <= TOL * bf.H.trace().real ** 2:
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
 
     try:
-        sf, frame = reduce_to_special(bf, theta)
+        sf, frame = reduce_to_special(bf, theta, m)
     except ZeroMultipleError:
         return Verdict(False, Reason.ZERO_MULTIPLE, None, diagnostics)
     except NotScalarUnitaryError:

@@ -81,14 +81,24 @@ def block_diag(tl: CMatrix, br: CMatrix) -> CMatrix:
 class Frame:
     """Affine map from reduced coordinates back to the original plane.
 
-    Points transform as ``w -> shift + scale * w``; the recorded unitary
-    similarity does not move numerical-range points but is kept so callers
-    can reconstruct the reduced matrix exactly.
+    Points transform as ``w -> shift + scale * w``.  A frame made by
+    :func:`reduce_to_special` also keeps the reduction's 2x2 unitaries
+    ``(Q, W)``; they do not move numerical-range points, but the block-unitary
+    :attr:`similarity` built from them reconstructs the reduced matrix.
     """
 
     scale: complex = 1 + 0j
     shift: complex = 0j
-    similarity: CMatrix | None = None
+    unitaries: tuple[CMatrix, CMatrix] | None = None
+
+    @cached_property
+    def similarity(self) -> CMatrix | None:
+        """diag(Q, WQ), built when first read: U* (f A) U is the reduced
+        matrix, with f = exp(-i theta) / |scale| and A the shift-free input."""
+        if self.unitaries is None:
+            return None
+        q, w = self.unitaries
+        return block_diag(q, w @ q)
 
     def map_point(self, w: complex) -> complex:
         return self.shift + self.scale * w
@@ -116,6 +126,10 @@ class BlockForm:
             raise ValueError("blocks C and D must be 2x2")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "shift", complex(self.shift))
+        entries = (self.alpha, self.shift, *self.C.rows[0], *self.C.rows[1],
+                   *self.D.rows[0], *self.D.rows[1])
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError("block form entries must be finite")
 
     @cached_property
     def H(self) -> CMatrix:
@@ -178,13 +192,15 @@ class SpecialForm:
     b: float
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError("coupling entry b must be nonnegative")
         object.__setattr__(self, "b1", complex(self.b1))
         object.__setattr__(self, "b2", complex(self.b2))
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "b", float(self.b))
+        if not all(map(cmath.isfinite, (self.u, self.v, self.b1, self.b2, self.b))):
+            raise ValueError("special form parameters must be finite")
+        if self.b < 0:
+            raise ValueError("coupling entry b must be nonnegative")
 
     @property
     def alpha(self) -> complex:
@@ -220,6 +236,10 @@ class SpecialForm:
         return self.to_block().assemble()
 
     def scale(self) -> float:
+        return self._scale
+
+    @cached_property
+    def _scale(self) -> float:
         return self.to_block().scale()
 
 
@@ -287,14 +307,19 @@ def direction_block(bf: BlockForm, theta: float) -> CMatrix:
     return e * bf.C - e.conjugate() * bf.D.H
 
 
-def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
+def reduce_to_special(
+    bf: BlockForm, theta: float, m: CMatrix | None = None
+) -> tuple[SpecialForm, Frame]:
     """Collapse a block form onto a special form along direction ``theta``.
 
     Requires M = exp(-i theta) C - exp(i theta) D* to satisfy M*M = mu*I with
-    mu > 0.  The returned frame maps reduced-plane geometry back to the
-    original coordinates via ``w -> shift + exp(i theta) (sqrt(mu)/2) w``.
+    mu > 0; a caller that has built M already, as ``direction_block(bf,
+    theta)``, passes it as ``m``.  The returned frame maps reduced-plane
+    geometry back to the original coordinates via ``w -> shift + exp(i
+    theta) (sqrt(mu)/2) w``.
     """
-    m = direction_block(bf, theta)
+    if m is None:
+        m = direction_block(bf, theta)
     s = m.H @ m
     mu = 0.5 * (s[0, 0].real + s[1, 1].real)
     m_norm2 = m.frobenius() ** 2
@@ -323,10 +348,9 @@ def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
     sf = SpecialForm(
         u=alpha_red.real, v=alpha_red.imag, b1=t[0, 0], b2=t[1, 1], b=boff
     )
-    similarity = block_diag(q, w @ q)
     frame = Frame(
         scale=cmath.exp(1j * theta) * (rmu / 2.0),
         shift=bf.shift,
-        similarity=similarity,
+        unitaries=(q, w),
     )
     return sf, frame

@@ -6,6 +6,10 @@ environment dependence.  The rest of the package treats this module as the
 deterministic "implementation side"; LAPACK-backed routines appear only in
 the independent oracles that cross-check it.
 
+Input is validated once: the ``CMatrix`` constructor converts and checks
+what it is given, and the results of operations on valid matrices are not
+checked again.
+
 Contents: an immutable square-matrix value type, closed-form 2x2 eigenvalues,
 a 2x2 Schur triangularization with a fixed phase convention, the principal
 complex square root, and a cyclic Jacobi eigensolver for 4x4 Hermitian
@@ -37,7 +41,14 @@ class NotHermitianError(ValueError):
 
 
 class CMatrix:
-    """Immutable row-major complex matrix of size 2x2 or 4x4."""
+    """Immutable row-major complex matrix of size 2x2 or 4x4.
+
+    The constructor validates its input: every entry goes through
+    ``complex`` and the shape is checked.  Sums, differences, negation,
+    scalar multiples, products and adjoints of valid matrices are valid by
+    construction, so they are built by :func:`_trusted` and not checked
+    again; ``+``, ``-`` and ``@`` reject operands of different sizes.
+    """
 
     __slots__ = ("_rows", "n")
 
@@ -68,23 +79,33 @@ class CMatrix:
         return f"CMatrix([{body}])"
 
     def __add__(self, other: "CMatrix") -> "CMatrix":
-        return CMatrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
+        if other.n != self.n:
+            raise ValueError("size mismatch in matrix sum")
+        return _trusted(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
+                for ra, rb in zip(self._rows, other._rows)
+            ),
+            self.n,
         )
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
-        return CMatrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
+        if other.n != self.n:
+            raise ValueError("size mismatch in matrix difference")
+        return _trusted(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
+                for ra, rb in zip(self._rows, other._rows)
+            ),
+            self.n,
         )
 
     def __neg__(self) -> "CMatrix":
-        return CMatrix(tuple(-a for a in row) for row in self._rows)
+        return _trusted(tuple(tuple(-a for a in row) for row in self._rows), self.n)
 
     def __mul__(self, scalar: complex) -> "CMatrix":
         s = complex(scalar)
-        return CMatrix(tuple(a * s for a in row) for row in self._rows)
+        return _trusted(tuple(tuple(a * s for a in row) for row in self._rows), self.n)
 
     __rmul__ = __mul__
 
@@ -93,17 +114,38 @@ class CMatrix:
         if other.n != n:
             raise ValueError("size mismatch in matrix product")
         a, b = self._rows, other._rows
-        return CMatrix(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
+        if n == 2:
+            (a00, a01), (a10, a11) = a
+            (b00, b01), (b10, b11) = b
+            # Each entry is summed from 0 as ``sum`` does, so that a sum of
+            # negative zeros is +0 in the 2x2 and the 4x4 product alike.
+            return _trusted(
+                (
+                    (0 + a00 * b00 + a01 * b10, 0 + a00 * b01 + a01 * b11),
+                    (0 + a10 * b00 + a11 * b10, 0 + a10 * b01 + a11 * b11),
+                ),
+                2,
+            )
+        return _trusted(
+            tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                for i in range(n)
+            ),
+            n,
         )
 
     @property
     def H(self) -> "CMatrix":
         """Conjugate transpose."""
         n = self.n
-        return CMatrix(
-            tuple(self._rows[j][i].conjugate() for j in range(n)) for i in range(n)
+        r = self._rows
+        if n == 2:
+            (a, b), (c, d) = r
+            return _trusted(
+                ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())), 2
+            )
+        return _trusted(
+            tuple(tuple(r[j][i].conjugate() for j in range(n)) for i in range(n)), n
         )
 
     def trace(self) -> complex:
@@ -118,6 +160,16 @@ class CMatrix:
             raise ValueError("det expects a 2x2 matrix")
         r = self._rows
         return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+
+
+def _trusted(rows: tuple[tuple[complex, ...], ...], n: int) -> CMatrix:
+    """A :class:`CMatrix` on ``rows`` without validation: ``rows`` must be an
+    n x n tuple of tuples of ``complex``, n in (2, 4), such as the result of
+    an operation on valid matrices."""
+    m = object.__new__(CMatrix)
+    m._rows = rows
+    m.n = n
+    return m
 
 
 def eye(n: int) -> CMatrix:

@@ -383,6 +383,51 @@ def reference_grid_minima(d, coarse: float) -> list[int]:
     return out
 
 
+class ReferenceArithmetic:
+    """Reference for ``CMatrix``'s arithmetic: the operators as they were
+    before their results were trusted, each result going through the
+    validating constructor and every product entry through ``sum``.  Only
+    for operands of equal size: ``+`` and ``-`` here truncate to the smaller
+    one."""
+
+    @staticmethod
+    def add(x: CMatrix, y: CMatrix) -> CMatrix:
+        return CMatrix(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(x.rows, y.rows)
+        )
+
+    @staticmethod
+    def sub(x: CMatrix, y: CMatrix) -> CMatrix:
+        return CMatrix(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(x.rows, y.rows)
+        )
+
+    @staticmethod
+    def neg(x: CMatrix) -> CMatrix:
+        return CMatrix(tuple(-a for a in row) for row in x.rows)
+
+    @staticmethod
+    def mul(x: CMatrix, scalar: complex) -> CMatrix:
+        s = complex(scalar)
+        return CMatrix(tuple(a * s for a in row) for row in x.rows)
+
+    @staticmethod
+    def matmul(x: CMatrix, y: CMatrix) -> CMatrix:
+        n = x.n
+        a, b = x.rows, y.rows
+        return CMatrix(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    @staticmethod
+    def adjoint(x: CMatrix) -> CMatrix:
+        n = x.n
+        return CMatrix(
+            tuple(x.rows[j][i].conjugate() for j in range(n)) for i in range(n)
+        )
+
+
 def kron_commutant_system(a: np.ndarray) -> np.ndarray:
     """Reference for ``verify._commutant_system``: the commutation
     constraints XA = AX and XA* = A*X stacked from ``np.kron``."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birange import criteria
+from birange import criteria, forms
 from birange.criteria import (
     AlphaZeroError,
     DegenerateEllipseError,
@@ -469,6 +469,61 @@ class TestRefineOnce:
             step = math.pi / len(d)
             assert len(brackets) == len(want)
             assert sorted(round(0.5 * (lo + hi) / step) for lo, hi in brackets) == want
+
+
+class TestReductionBuiltOnce:
+    """``check_general`` builds the direction block M once, for the
+    product-normality gate and the reduction alike, and assembles no 4x4
+    matrix on either verdict."""
+
+    @staticmethod
+    def forms(rng):
+        yield general_example_block()
+        ident = CMatrix(((1, 0), (0, 1)))
+        yield BlockForm(alpha=0.3, C=ident, D=2.5 * ident)
+        yield BlockForm(alpha=0.3, C=ident, D=CMatrix(((0, 1), (1j, 0))))
+        for k in range(40):
+            sf = bi_special_any(rng) if k % 2 else random_special(rng)
+            yield disguise(rng, sf)[0]
+        for _ in range(5):
+            yield random_block(rng)
+
+    @staticmethod
+    def spy(monkeypatch, owners, name) -> list[int]:
+        calls = [0]
+        original = getattr(owners[0], name)
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_direction_block_no_block4(self, rng, monkeypatch):
+        blocks = self.spy(monkeypatch, (criteria, forms), "direction_block")
+        block4 = self.spy(monkeypatch, (forms,), "_block4")
+        verdicts = set()
+        for bf in self.forms(rng):
+            blocks[0] = block4[0] = 0
+            verdict = check_general(bf)
+            verdicts.add((verdict.bielliptical, verdict.reason))
+            assert blocks[0] == ("theta" in verdict.diagnostics)
+            assert block4[0] == 0
+        assert {(True, None), (False, Reason.T_NONZERO), (False, Reason.NO_THETA),
+                (False, Reason.PRODUCT_NORMAL)} <= verdicts
+
+    def test_similarity_built_when_read(self, rng, monkeypatch):
+        block4 = self.spy(monkeypatch, (forms,), "_block4")
+        sf = bi_special_any(rng)
+        bf, theta0 = disguise(rng, sf, shift=False)
+        _, frame = forms.reduce_to_special(bf, theta0)
+        assert block4[0] == 0
+        first = frame.similarity
+        assert block4[0] == 1
+        assert frame.similarity is first
+        assert block4[0] == 1
 
 
 class TestDeterminantIdentityAtSizeTwo:

@@ -26,6 +26,9 @@ from helpers import (
     random_unitary2,
 )
 
+REAL_NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE = REAL_NON_FINITE + [complex(0.0, math.nan), complex(math.inf, 1.0)]
+
 
 class TestBlockForm:
     def test_normalize_identity_case(self, rng):
@@ -66,6 +69,21 @@ class TestBlockForm:
             imb = (1 / 2j) * (bmat - bmat.H)
             expected = bmat @ bmat.H - eye(2) + 2j * imb
             assert (bf.Z - expected).frobenius() <= 1e-13 * (1 + expected.frobenius())
+
+
+class TestBlockFormValidation:
+    @pytest.mark.parametrize("where", ["alpha", "shift", "C", "D"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, where, value):
+        params = dict(alpha=0.5, C=eye(2), D=CMatrix(((0, 1), (2j, 0))), shift=0.25)
+        if where in ("C", "D"):
+            rows = [list(r) for r in params[where].rows]
+            rows[1][0] = value
+            params[where] = CMatrix(rows)
+        else:
+            params[where] = value
+        with pytest.raises(ValueError, match="finite"):
+            BlockForm(**params)
 
 
 class TestReciprocalForm:
@@ -219,6 +237,34 @@ class TestSpecialFormValidation:
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):
             SpecialForm(u=0.0, v=0.0, b1=0j, b2=0j, b=-0.5)
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, x) for name in ("u", "v", "b") for x in REAL_NON_FINITE),
+        *((name, x) for name in ("b1", "b2") for x in NON_FINITE),
+    ])
+    def test_rejects_non_finite(self, name, value):
+        # NaN fails every gate's comparison, so an unchecked NaN parameter
+        # would pass as a positive verdict.
+        params = dict(u=0.1, v=0.0, b1=0.6 - 0.2j, b2=0.4 - 0.2j, b=1.0)
+        params[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            SpecialForm(**params)
+
+    def test_scale_computed_once(self, monkeypatch):
+        sf = SpecialForm(u=0.1, v=0.2, b1=3 + 4j, b2=-1 - 2j, b=0.5)
+        calls = []
+        to_block = SpecialForm.to_block
+
+        def counted(self):
+            calls.append(self)
+            return to_block(self)
+
+        monkeypatch.setattr(SpecialForm, "to_block", counted)
+        first = sf.scale()
+        assert first == sf.to_block().scale()
+        calls.clear()
+        assert sf.scale() == first
+        assert calls == []
 
     def test_views(self):
         sf = SpecialForm(u=0.1, v=0.2, b1=3 + 4j, b2=-1 - 2j, b=0.5)

@@ -1,8 +1,12 @@
 import cmath
 import math
+import operator
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birange.forms import SpecialForm
 from birange.linalg import (
@@ -15,6 +19,7 @@ from birange.linalg import (
     sqrt_principal,
 )
 from helpers import (
+    ReferenceArithmetic,
     char_poly4,
     inner,
     matvec,
@@ -54,6 +59,76 @@ class TestCMatrix:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             CMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+    def test_rejects_mismatched_sizes(self, op):
+        with pytest.raises(ValueError):
+            op(eye(4), eye(2))
+        with pytest.raises(ValueError):
+            op(eye(2), eye(4))
+
+
+def bits(m: CMatrix):
+    """Size and the IEEE bits of every entry, so that zero signs count."""
+    assert all(type(x) is complex for row in m.rows for x in row)
+    return m.n, tuple(
+        tuple(struct.pack("<2d", x.real, x.imag) for x in row) for row in m.rows
+    )
+
+
+arithmetic = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+# Signed zeros, subnormals and entries whose products overflow.
+components = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1.7976931348623157e308]
+)
+entries = st.builds(complex, components, components)
+
+
+def matrices(n: int):
+    row = st.tuples(*[entries] * n)
+    return st.tuples(*[row] * n).map(CMatrix)
+
+
+same_size_pairs = st.sampled_from([2, 4]).flatmap(
+    lambda n: st.tuples(matrices(n), matrices(n))
+)
+
+
+class TestTrustedArithmetic:
+    """Every operator's result matches the validated reference bit for bit,
+    and passes the validating constructor unchanged."""
+
+    @staticmethod
+    def assert_same(got: CMatrix, want: CMatrix):
+        assert bits(got) == bits(want)
+        assert bits(CMatrix(got.rows)) == bits(got)
+
+    @arithmetic
+    @given(same_size_pairs)
+    def test_binary(self, pair):
+        x, y = pair
+        self.assert_same(x + y, ReferenceArithmetic.add(x, y))
+        self.assert_same(x - y, ReferenceArithmetic.sub(x, y))
+        self.assert_same(x @ y, ReferenceArithmetic.matmul(x, y))
+
+    @arithmetic
+    @given(same_size_pairs, entries)
+    def test_unary(self, pair, scalar):
+        x, _ = pair
+        self.assert_same(-x, ReferenceArithmetic.neg(x))
+        self.assert_same(x.H, ReferenceArithmetic.adjoint(x))
+        self.assert_same(x * scalar, ReferenceArithmetic.mul(x, scalar))
+        self.assert_same(scalar * x, ReferenceArithmetic.mul(x, scalar))
+        self.assert_same(x * 2.0, ReferenceArithmetic.mul(x, 2.0))
+
+    def test_negative_zero_products(self):
+        # Products of signed zeros, whose sums are +0 only when summed from 0.
+        z = complex(-0.0, -0.0)
+        for n in (2, 4):
+            x = CMatrix([[z] * n] * n)
+            y = CMatrix([[complex(1.0, 0.0)] * n] * n)
+            for a, b in ((x, y), (y, x), (x, x)):
+                self.assert_same(a @ b, ReferenceArithmetic.matmul(a, b))
 
 
 class TestHermitianEig4:
