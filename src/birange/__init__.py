@@ -31,7 +31,6 @@ from .forms import (
     Frame,
     ReciprocalForm,
     SpecialForm,
-    from_reciprocal,
     normalize_block,
     reduce_to_special,
 )

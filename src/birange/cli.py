@@ -4,7 +4,9 @@ Input is a JSON document describing one matrix (or an array of them for
 batch runs).  Complex numbers are 2-element arrays ``[re, im]``; plain
 numbers are accepted where a real value is meant.
 
-Numbers must be finite with magnitude at most 1e36.
+Numbers must be finite with magnitude at most 1e36.  A matrix that
+``check``, ``verify`` or ``boundary --format svg`` classifies must, less its
+trace shift, be zero or have Frobenius norm at least 1e-36.
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 input or usage error
 (including non-finite or out-of-range numbers), 3 internal failure (an
@@ -216,13 +218,8 @@ def _block_form_of(kind: str, payload) -> tuple[forms.BlockForm, CMatrix]:
         return bf, payload
     if kind == "block":
         return payload, payload.assemble()
-    if kind == "special":
-        bf = payload.to_block()
-        return bf, bf.assemble()
-    if kind == "reciprocal":
-        bf = forms.from_reciprocal(payload)
-        return bf, bf.assemble()
-    raise InputError(f"unsupported form {kind!r}")
+    bf = payload.to_block()
+    return bf, bf.assemble()
 
 
 def _cformat(z: complex, digits: int = 12) -> str:
@@ -256,7 +253,10 @@ def _audit(kind: str, payload, samples: int):
         )
     bf, matrix = _block_form_of(kind, payload)
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
-    verdict = criteria.check_general(bf)
+    try:
+        verdict = criteria.check_general(bf)
+    except forms.ScaleFloorError as exc:
+        raise InputError(str(exc)) from exc
     audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
     return bf, shape, verdict, audited
 
@@ -299,9 +299,8 @@ def _print_check_report(report: dict) -> None:
         print(f"theta: {diag['theta']:.15g}")
     if "mu" in diag:
         print(f"mu: {diag['mu']:.15g}")
-    t_norm = diag.get("special_t_norm", diag.get("t_norm"))
-    if t_norm is not None and not (isinstance(t_norm, float) and math.isnan(t_norm)):
-        print(f"|T| (normalized): {t_norm:.6e}")
+    if "special_t_norm" in diag:
+        print(f"|T| (normalized): {diag['special_t_norm']:.6e}")
     for i, e in enumerate(report.get("ellipses", []), 1):
         print(
             f"ellipse {i}: center {_cformat(e.center)}, "

@@ -27,11 +27,13 @@ from enum import Enum
 import numpy as np
 
 from .forms import (
+    MIN_SCALE,
     TOL,
     BlockForm,
     Frame,
     NotScalarUnitaryError,
     ReciprocalForm,
+    ScaleFloorError,
     SpecialForm,
     ZeroMultipleError,
     direction_block,
@@ -44,7 +46,6 @@ from .nrcore import golden_min
 __all__ = [
     "Reason",
     "Verdict",
-    "CriterionData",
     "EllipsePairParams",
     "Ellipse",
     "ThetaSearch",
@@ -74,10 +75,6 @@ class AlphaZeroError(ValueError):
 
 class DegenerateEllipseError(ValueError):
     """The quadratic factor does not describe a non-degenerate ellipse."""
-
-    def __init__(self, message: str, foci: tuple[complex, complex] | None = None):
-        super().__init__(message)
-        self.foci = foci
 
 
 class Reason(str, Enum):
@@ -130,23 +127,6 @@ class EllipsePairParams:
 
 
 @dataclass(frozen=True)
-class CriterionData:
-    """Criterion value T = reT + i imT together with the half-spread p.
-
-    T is evaluated once, entrywise; the test suite checks it against the
-    trace-level form in tr Z, det Z and alpha^2.
-    """
-
-    p: float
-    reT: float
-    imT: float
-
-    @property
-    def T(self) -> complex:
-        return complex(self.reT, self.imT)
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Classification outcome with audit data."""
 
@@ -165,8 +145,8 @@ def _four_p_squared(sf: SpecialForm) -> float:
     return (d_eta * d_eta + sf.b * sf.b) / (1.0 + sf.v * sf.v)
 
 
-def criterion_T(sf: SpecialForm) -> CriterionData:
-    """Half-spread p and criterion value T for a special form.
+def criterion_T(sf: SpecialForm) -> complex:
+    """Criterion value T for a special form, evaluated entrywise.
 
     T vanishes exactly when the boundary curve splits into two congruent
     non-concentric ellipses (given a nonzero coupling entry).
@@ -182,7 +162,7 @@ def criterion_T(sf: SpecialForm) -> CriterionData:
     im_t = 16.0 * v * (v * (eta1 + eta2) - 2.0 * u) * p2 + 4.0 * (
         xi1 * xi1 - xi2 * xi2
     ) * (eta1 - eta2)
-    return CriterionData(p=math.sqrt(p2), reT=re_t, imT=im_t)
+    return complex(re_t, im_t)
 
 
 def ellipse_pair_params(sf: SpecialForm) -> EllipsePairParams:
@@ -225,15 +205,7 @@ def ellipse_geometry(
     if z - r < -tol:
         raise DegenerateEllipseError("factor parameters admit no real ellipse")
     if z - r <= tol:
-        phi = 0.5 * math.atan2(y, x)
-        c = math.sqrt(max(2.0 * r, 0.0))
-        foci = (
-            complex(p, 0) + c * cmath.exp(1j * phi),
-            complex(p, 0) - c * cmath.exp(1j * phi),
-        )
-        raise DegenerateEllipseError(
-            "ellipse degenerates into the doubleton of its foci", foci=foci
-        )
+        raise DegenerateEllipseError("ellipse degenerates into the doubleton of its foci")
     a_len = math.sqrt(z + r)
     b_len = math.sqrt(z - r)
     tilt = _normalize_tilt(0.5 * math.atan2(y, x))
@@ -290,10 +262,10 @@ def check_special(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     if _b_normal(sf):
         diagnostics["t_norm"] = math.nan
         return Verdict(False, Reason.B_NORMAL, None, diagnostics)
-    data = criterion_T(sf)
-    t_norm = abs(data.T) / scale**4
+    t_abs = abs(criterion_T(sf))
+    t_norm = t_abs / scale**4
     diagnostics["t_norm"] = t_norm
-    diagnostics["t_abs"] = abs(data.T)
+    diagnostics["t_abs"] = t_abs
     if t_norm > TOL:
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
@@ -511,8 +483,12 @@ def check_general(bf: BlockForm) -> Verdict:
     scalar multiple of a unitary with a non-normal product against D.  The
     reduction along theta then hands the decision, its reason and the
     geometry to ``check_special``: the criterion is T = 0 on the reduced
-    form.
+    form.  Raises :class:`ScaleFloorError` on a nonzero shift-free scale
+    below ``MIN_SCALE``, where the decision's intermediates underflow.
     """
+    if 0.0 < (scale := bf.scale()) < MIN_SCALE:
+        raise ScaleFloorError(f"shift-free matrix scale {scale:.3e} is out of "
+                              f"range: it must be 0 or at least {MIN_SCALE:g}")
     diagnostics: dict = {}
 
     if _zero_multiples_only(bf):

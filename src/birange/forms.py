@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import CMatrix, eye, schur_upper_2x2, zeros
+from .linalg import CMatrix, eye, schur_upper_2x2
 
 __all__ = [
     "BlockForm",
@@ -34,9 +34,9 @@ __all__ = [
     "Frame",
     "NonPositiveEntryError",
     "NotScalarUnitaryError",
+    "ScaleFloorError",
     "ZeroMultipleError",
     "normalize_block",
-    "from_reciprocal",
     "reduce_to_special",
 ]
 
@@ -48,6 +48,11 @@ __all__ = [
 # Both are free of the trace shift and of degree one, so a gate decides A
 # and tA + c alike, and neither grows with |alpha| where alpha is absent.
 TOL = 1e-9
+
+# The smallest nonzero shift-free scale the decision accepts: its degree-8
+# intermediates (the product commutator's squared entries) underflow below
+# about 1e-41, as they overflow above the CLI's entry ceiling of 1e36.
+MIN_SCALE = 1e-36
 
 
 class NonPositiveEntryError(ValueError):
@@ -64,6 +69,10 @@ class ZeroMultipleError(ValueError):
     """The scalar multiple of the unitary vanishes; no reduction exists."""
 
 
+class ScaleFloorError(ValueError):
+    """A nonzero shift-free scale below :data:`MIN_SCALE`."""
+
+
 def _block4(tl: CMatrix, tr: CMatrix, bl: CMatrix, br: CMatrix) -> CMatrix:
     rows = []
     for i in range(2):
@@ -73,32 +82,20 @@ def _block4(tl: CMatrix, tr: CMatrix, bl: CMatrix, br: CMatrix) -> CMatrix:
     return CMatrix(rows)
 
 
-def block_diag(tl: CMatrix, br: CMatrix) -> CMatrix:
-    return _block4(tl, zeros(2), zeros(2), br)
-
-
 @dataclass(frozen=True)
 class Frame:
     """Affine map from reduced coordinates back to the original plane.
 
     Points transform as ``w -> shift + scale * w``.  A frame made by
     :func:`reduce_to_special` also keeps the reduction's 2x2 unitaries
-    ``(Q, W)``; they do not move numerical-range points, but the block-unitary
-    :attr:`similarity` built from them reconstructs the reduced matrix.
+    ``(Q, W)``, which do not move numerical-range points: with
+    U = diag(Q, WQ), f = exp(-i theta) / |scale| and A the shift-free input,
+    U* (f A) U is the reduced matrix.
     """
 
     scale: complex = 1 + 0j
     shift: complex = 0j
     unitaries: tuple[CMatrix, CMatrix] | None = None
-
-    @cached_property
-    def similarity(self) -> CMatrix | None:
-        """diag(Q, WQ), built when first read: U* (f A) U is the reduced
-        matrix, with f = exp(-i theta) / |scale| and A the shift-free input."""
-        if self.unitaries is None:
-            return None
-        q, w = self.unitaries
-        return block_diag(q, w @ q)
 
     def map_point(self, w: complex) -> complex:
         return self.shift + self.scale * w
@@ -150,15 +147,6 @@ class BlockForm:
             self.C,
             self.D,
             CMatrix(((b, 0j), (0j, b))),
-        )
-
-    def normalized_matrix(self) -> CMatrix:
-        """The 4x4 matrix with the shift removed (diagonal blocks +-alpha)."""
-        return _block4(
-            CMatrix(((self.alpha, 0j), (0j, self.alpha))),
-            self.C,
-            self.D,
-            CMatrix(((-self.alpha, 0j), (0j, -self.alpha))),
         )
 
     def scale(self) -> float:
@@ -232,9 +220,6 @@ class SpecialForm:
             alpha=self.alpha, C=bmat.H + eye(2), D=bmat - eye(2), shift=0j
         )
 
-    def assemble(self) -> CMatrix:
-        return self.to_block().assemble()
-
     def scale(self) -> float:
         return self._scale
 
@@ -274,31 +259,12 @@ class ReciprocalForm:
     def A3(self) -> float:
         return 0.5 * (self.a3 * self.a3 + 1.0 / (self.a3 * self.a3))
 
-    def tridiagonal(self) -> CMatrix:
-        a1, a2, a3 = self.a1, self.a2, self.a3
-        return CMatrix(
-            (
-                (0j, complex(a1), 0j, 0j),
-                (complex(1 / a1), 0j, complex(a2), 0j),
-                (0j, complex(1 / a2), 0j, complex(a3)),
-                (0j, 0j, complex(1 / a3), 0j),
-            )
-        )
-
     def to_block(self) -> BlockForm:
-        return from_reciprocal(self)
-
-
-def from_reciprocal(r: ReciprocalForm) -> BlockForm:
-    """Embed a reciprocal tridiagonal matrix into block form.
-
-    Reordering the basis as (e1, e3, e2, e4) turns the tridiagonal matrix
-    into ``[[0, C], [D, 0]]`` with the C, D below; the two matrices are
-    permutation-similar, hence co-spectral.
-    """
-    c = CMatrix(((complex(r.a1), 0j), (complex(1 / r.a2), complex(r.a3))))
-    d = CMatrix(((complex(1 / r.a1), complex(r.a2)), (0j, complex(1 / r.a3))))
-    return BlockForm(alpha=0j, C=c, D=d, shift=0j)
+        """Block form of the tridiagonal matrix: the basis order (e1, e3, e2,
+        e4) turns it into the permutation-similar ``[[0, C], [D, 0]]``."""
+        c = CMatrix(((complex(self.a1), 0j), (complex(1 / self.a2), complex(self.a3))))
+        d = CMatrix(((complex(1 / self.a1), complex(self.a2)), (0j, complex(1 / self.a3))))
+        return BlockForm(alpha=0j, C=c, D=d, shift=0j)
 
 
 def direction_block(bf: BlockForm, theta: float) -> CMatrix:

@@ -19,6 +19,7 @@ matrices that no decision or audit path calls.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -172,7 +173,9 @@ def _trusted(rows: tuple[tuple[complex, ...], ...], n: int) -> CMatrix:
     return m
 
 
+@functools.cache
 def eye(n: int) -> CMatrix:
+    """The n x n identity, built once per size: a ``CMatrix`` is immutable."""
     return CMatrix(
         tuple((1 + 0j) if i == j else 0j for j in range(n)) for i in range(n)
     )

@@ -75,8 +75,6 @@ class Spectrum:
 
     sigma1: complex
     sigma2: complex
-    z1: complex
-    z2: complex
 
     @property
     def all_eigenvalues(self) -> tuple[complex, complex, complex, complex]:
@@ -91,12 +89,7 @@ def spectrum(bf: BlockForm) -> Spectrum:
     """
     z1, z2 = eig2(bf.Z)
     a2 = bf.alpha * bf.alpha
-    return Spectrum(
-        sigma1=sqrt_principal(z1 + a2),
-        sigma2=sqrt_principal(z2 + a2),
-        z1=z1,
-        z2=z2,
-    )
+    return Spectrum(sigma1=sqrt_principal(z1 + a2), sigma2=sqrt_principal(z2 + a2))
 
 
 def pencil_eigs(bf: BlockForm, theta):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -188,23 +188,19 @@ class FactorizationResidual:
     quadratic_max: float
 
 
-def factorization_residual(
-    bf: BlockForm, params: EllipsePairParams, grid: int = 64
-) -> FactorizationResidual:
+def factorization_residual(bf: BlockForm, params: EllipsePairParams) -> FactorizationResidual:
     """How far the generating polynomial is from the two-factor product.
 
     The product ((lam + p sin t)^2 + Omega)((lam - p sin t)^2 + Omega) with
     Omega = x cos 2t + y sin 2t - z matches the generating polynomial iff
     its lambda^2 coefficient equals -xi1 and its constant term equals xi2.
-    Both are compared at the ``grid`` equispaced directions at once.
+    Both are compared at 64 equispaced directions at once.
     """
-    if grid < 16:
-        raise ValueError("need at least 16 grid points")
     gp = nrcore.generating_poly(bf)
     p, x, y, z = params.p, params.x, params.y, params.z
     norm2 = bf.scale() ** 2
     norm4 = norm2 * norm2
-    t = 2.0 * np.pi * np.arange(grid) / grid
+    t = 2.0 * np.pi * np.arange(64) / 64
     s2 = (p * np.sin(t)) ** 2
     omega = x * np.cos(2 * t) + y * np.sin(2 * t) - z
     lin = np.abs(2.0 * (s2 - omega) - gp.xi1(t))
@@ -424,7 +420,7 @@ def verify_checks(
     worst_out = float(excess.max())
 
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=16)
-    a4 = nrcore._as_ndarray(bf.normalized_matrix())
+    a4 = nrcore._as_ndarray(replace(bf, shift=0j).assemble())
     vals, vecs = np.linalg.eigh(nrcore._imag_part_at(a4, thetas[:, None, None]))
     lam1, lam2 = nrcore.pencil_eigs(bf, thetas)
     # lam1 >= lam2 >= 0, so this is eigh's ascending order.

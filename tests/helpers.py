@@ -4,7 +4,7 @@ import cmath
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +30,7 @@ from birange.forms import (
     SpecialForm,
     normalize_block,
 )
-from birange.linalg import CMatrix, eye, sqrt_principal
+from birange.linalg import CMatrix, eig2, eye, sqrt_principal
 
 
 def fig_left_special() -> SpecialForm:
@@ -63,6 +63,36 @@ def general_example_block() -> BlockForm:
 def reciprocal_two_ellipse() -> ReciprocalForm:
     a = math.sqrt(3.0 + 2.0 * math.sqrt(2.0))
     return ReciprocalForm(a1=a, a2=1.0, a3=a)
+
+
+def reciprocal_tridiagonal(rec: ReciprocalForm) -> CMatrix:
+    """The tridiagonal matrix itself, before the basis reordering of
+    :meth:`ReciprocalForm.to_block`."""
+    a1, a2, a3 = rec.a1, rec.a2, rec.a3
+    return CMatrix(
+        (
+            (0j, complex(a1), 0j, 0j),
+            (complex(1 / a1), 0j, complex(a2), 0j),
+            (0j, complex(1 / a2), 0j, complex(a3)),
+            (0j, 0j, complex(1 / a3), 0j),
+        )
+    )
+
+
+def shift_free_matrix(bf: BlockForm) -> CMatrix:
+    """The 4x4 matrix of ``bf`` less its trace shift (diagonal blocks
+    +-alpha), as ``verify_checks`` builds it."""
+    return replace(bf, shift=0j).assemble()
+
+
+def frame_similarity(frame: Frame) -> CMatrix:
+    """diag(Q, WQ) from the frame's unitaries (Q, W): U* (f A) U is the
+    reduced matrix, with f = exp(-i theta) / |scale| and A the shift-free
+    input."""
+    q, w = frame.unitaries
+    wq = w @ q
+    z = (0j, 0j)
+    return CMatrix((q.rows[0] + z, q.rows[1] + z, z + wq.rows[0], z + wq.rows[1]))
 
 
 def random_cmat(rng, n: int = 2, scale: float = 1.0) -> CMatrix:
@@ -614,10 +644,10 @@ def determinant_identity(bf: BlockForm, theta: float) -> DeterminantIdentity:
     sqrt_det = lam1 * lam2
     s_lo, s_hi = _paired_eigenvalues(_im_square_eigenvalues(bf, theta), TOL * scale**2)
     s_diff = s_hi - s_lo
-    spec = nrcore.spectrum(bf)
+    z1, z2 = eig2(bf.Z)
     e2 = cmath.exp(-2j * theta)
-    sig1 = sqrt_principal(e2 * (spec.z1 + bf.alpha * bf.alpha))
-    sig2 = sqrt_principal(e2 * (spec.z2 + bf.alpha * bf.alpha))
+    sig1 = sqrt_principal(e2 * (z1 + bf.alpha * bf.alpha))
+    sig2 = sqrt_principal(e2 * (z2 + bf.alpha * bf.alpha))
     residual, combo = _pair_residual(sig1, sig2, 4.0 * sqrt_det, s_diff * s_diff, scale**4)
     return DeterminantIdentity(sqrt_det, s_diff, combo, residual)
 

@@ -21,7 +21,7 @@ from birange.criteria import (
     criterion_T,
     solve_b,
 )
-from birange.forms import BlockForm, SpecialForm, from_reciprocal
+from birange.forms import BlockForm, SpecialForm
 from birange.nrcore import boundary_support, flat_portions, spectrum
 from birange.verify import commutant_dim, compare_boundaries, hull_boundary
 from helpers import (
@@ -92,7 +92,7 @@ def test_criterion_2_first_figure_reproductions():
         verdict = check_special(sf)
         assert verdict.bielliptical
         assert verdict.diagnostics["t_norm"] <= 1e-12
-        haus, diam = _hull_distance(verdict, sf.assemble(), 2048)
+        haus, diam = _hull_distance(verdict, sf.to_block().assemble(), 2048)
         elapsed = time.perf_counter() - t0
         assert haus <= 1e-6 * diam
         assert elapsed < 1.0
@@ -107,7 +107,7 @@ def test_criterion_3_reciprocal_example():
     from birange.criteria import ReciprocalShape, reciprocal_classify
 
     assert reciprocal_classify(rec) is ReciprocalShape.BI_ELLIPTICAL
-    bf = from_reciprocal(rec)
+    bf = rec.to_block()
     spec = spectrum(bf)
     golden_hi = (1 + math.sqrt(5)) / 2
     golden_lo = (math.sqrt(5) - 1) / 2
@@ -256,11 +256,11 @@ def test_criterion_5_identity_suite():
             omega = params.x * cos2[i] + params.y * sin2[i] - params.z
             comb = 32.0 * ((p2 * sin_sq[i] + omega) ** 2 - xi2)
             want = (
-                3.0 * data.reT
-                - 4.0 * data.reT * cos2[i]
-                - 2.0 * data.imT * sin2[i]
-                + data.reT * cos4[i]
-                + data.imT * sin4[i]
+                3.0 * data.real
+                - 4.0 * data.real * cos2[i]
+                - 2.0 * data.imag * sin2[i]
+                + data.real * cos4[i]
+                + data.imag * sin4[i]
             )
             assert abs(comb - want) <= 32.0 * 1e-9 * scale4
 
@@ -270,7 +270,7 @@ def test_criterion_5_identity_suite():
         verdict = check_special(sf)
         if not verdict.bielliptical:
             continue
-        a = sf.assemble()
+        a = sf.to_block().assemble()
         samples = boundary_support(a, 512)
         flats = flat_portions(a, samples)
         assert len(flats) == 2
@@ -434,7 +434,7 @@ def test_criterion_8_negative_controls():
     verdict0 = check_special(sf0)
     assert not verdict0.bielliptical
     assert verdict0.reason is Reason.B_NORMAL
-    a0 = sf0.assemble()
+    a0 = sf0.to_block().assemble()
     samples0 = boundary_support(a0, 512)
     diam0 = _diameter([s.point for s in samples0])
     fit0 = _best_pair_fit_error(samples0, diam0)

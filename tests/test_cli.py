@@ -105,7 +105,7 @@ class TestCheck:
         p1 = tmp_path / "special.json"
         p1.write_text(json.dumps(special_doc(sf)))
         p2 = tmp_path / "raw.json"
-        p2.write_text(json.dumps(raw_doc(sf.assemble())))
+        p2.write_text(json.dumps(raw_doc(sf.to_block().assemble())))
 
         assert main(["check", str(p1), "--format", "json"]) == 0
         rep1 = json.loads(capsys.readouterr().out)
@@ -254,6 +254,25 @@ class TestExitCodeContract:
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("argv, t", [
+        (["check"], 1e-45),
+        (["verify"], 1e-80),
+        (["boundary", "--format", "svg"], 1e-45),
+    ])
+    def test_matrix_below_the_scale_floor_exits_2(self, argv, t, tmp_path, capsys):
+        # The worked example below forms.MIN_SCALE, where the decision's
+        # degree-8 terms underflow: unguarded, check read it as
+        # ProductNormal (exit 1) and verify failed its pencil rows (exit 3).
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw_doc(t * general_example_matrix())))
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 1e-36" in captured.err
+        # The boundary samples need no decision.
+        assert main(["boundary", str(path), "--samples", "64"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 65
 
     def test_reciprocal_entry_out_of_range(self, capsys):
         assert main(["reciprocal", "1e-300", "1", "1"]) == 2
@@ -628,11 +647,7 @@ class TestOracleSafetyNet:
     def forced_positive(self, monkeypatch):
         """Zero the criterion value T, so the classifier accepts matrices
         whose range is not bi-elliptical."""
-        criterion_t = criteria.criterion_T
-        monkeypatch.setattr(
-            criteria, "criterion_T",
-            lambda sf: dataclasses.replace(criterion_t(sf), reT=0.0, imT=0.0),
-        )
+        monkeypatch.setattr(criteria, "criterion_T", lambda sf: 0j)
 
     @staticmethod
     def forced_doc(tmp_path):

@@ -23,7 +23,7 @@ from birange.criteria import (
     reciprocal_classify,
     solve_b,
 )
-from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm, from_reciprocal
+from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm
 from birange.linalg import CMatrix, zeros
 from birange.nrcore import pencil_eigs, spectrum
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     random_special,
     reciprocal_two_ellipse,
     reference_grid_minima,
+    shift_free_matrix,
     spread_residual,
     tangent_envelope_points,
     trace_level_T,
@@ -57,26 +58,27 @@ from helpers import (
 
 class TestCriterionT:
     def test_first_figure_left(self):
-        data = criterion_T(fig_left_special())
-        assert abs(data.p - 0.5) < 1e-15
+        sf = fig_left_special()
+        t = criterion_T(sf)
+        assert abs(ellipse_pair_params(sf).p - 0.5) < 1e-15
         # 9/25 - 1/25 - 8/25 = 0
-        assert abs(data.reT) < 1e-14
-        assert abs(data.imT) < 1e-14
+        assert abs(t.real) < 1e-14
+        assert abs(t.imag) < 1e-14
 
     def test_first_figure_right(self):
-        data = criterion_T(fig_right_special())
-        assert abs(data.p - 0.5) < 1e-15
+        sf = fig_right_special()
+        t = criterion_T(sf)
+        assert abs(ellipse_pair_params(sf).p - 0.5) < 1e-15
         # 0.25 - 0.25 and 0.028 - 0.028
-        assert abs(data.reT) < 1e-14
-        assert abs(data.imT) < 1e-14
+        assert abs(t.real) < 1e-14
+        assert abs(t.imag) < 1e-14
 
     def test_normal_degenerate_case(self):
         # b = 0 with zero entries: T vanishes but the matrix data is normal,
         # so classification must still reject it.
         sf = SpecialForm(u=1.0, v=0.0, b1=0j, b2=0j, b=0.0)
-        data = criterion_T(sf)
-        assert abs(data.p) < 1e-15
-        assert abs(data.T) < 1e-13
+        assert abs(ellipse_pair_params(sf).p) < 1e-15
+        assert abs(criterion_T(sf)) < 1e-13
         verdict = check_special(sf)
         assert not verdict.bielliptical
         assert verdict.reason is Reason.B_NORMAL
@@ -84,8 +86,7 @@ class TestCriterionT:
     def test_entrywise_matches_trace_level(self, rng):
         for _ in range(300):
             sf = random_special(rng)
-            data = criterion_T(sf)
-            assert abs(trace_level_T(sf) - data.T) <= 1e-10 * (1 + sf.scale() ** 4)
+            assert abs(trace_level_T(sf) - criterion_T(sf)) <= 1e-10 * (1 + sf.scale() ** 4)
 
 
 class TestCheckSpecial:
@@ -261,7 +262,7 @@ class TestFindTheta:
         # Real-case examples have their direction at 0 mod pi, where a tiny
         # negative search result must not wrap onto pi itself.
         for bf in (fig_left_special().to_block(), fig_right_special().to_block(),
-                   from_reciprocal(reciprocal_two_ellipse())):
+                   reciprocal_two_ellipse().to_block()):
             found = find_theta(bf)
             assert 0.0 <= found.theta < math.pi
 
@@ -518,12 +519,9 @@ class TestReductionBuiltOnce:
         block4 = self.spy(monkeypatch, (forms,), "_block4")
         sf = bi_special_any(rng)
         bf, theta0 = disguise(rng, sf, shift=False)
-        _, frame = forms.reduce_to_special(bf, theta0)
+        forms.reduce_to_special(bf, theta0)
+        # The reduction assembles no 4x4 matrix.
         assert block4[0] == 0
-        first = frame.similarity
-        assert block4[0] == 1
-        assert frame.similarity is first
-        assert block4[0] == 1
 
 
 class TestDeterminantIdentityAtSizeTwo:
@@ -535,7 +533,7 @@ class TestDeterminantIdentityAtSizeTwo:
         for _ in range(count):
             bf = random_block(rng, scale=10.0 ** rng.uniform(-3.0, 3.0))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            a = np.array(bf.normalized_matrix().rows)
+            a = np.array(shift_free_matrix(bf).rows)
             yield bf, theta, a, bf.scale()
 
     def test_im_square_pairs_match_eigvalsh(self, rng):
@@ -619,6 +617,19 @@ class TestCheckGeneral:
         assert not verdict.bielliptical
         assert verdict.reason is Reason.PRODUCT_NORMAL
 
+    def test_scale_floor(self):
+        # A nonzero shift-free scale below MIN_SCALE raises, whatever the
+        # shift; zero and a scale just above the floor are decided.
+        base = general_example_block()
+        for t in (1e-42 / base.scale(), 0.99 * forms.MIN_SCALE / base.scale()):
+            bf = BlockForm(t * base.alpha, t * base.C, t * base.D, shift=1.0)
+            with pytest.raises(forms.ScaleFloorError, match="at least 1e-36"):
+                check_general(bf)
+        t = 1.01 * forms.MIN_SCALE / base.scale()
+        assert check_general(BlockForm(t * base.alpha, t * base.C, t * base.D)).bielliptical
+        zero = check_general(BlockForm(0j, zeros(2), zeros(2), shift=1.0))
+        assert zero.reason is Reason.PRODUCT_NORMAL
+
     def test_generic_rejected_no_theta(self, rng):
         verdict = check_general(random_block(rng))
         assert verdict.reason is Reason.NO_THETA
@@ -684,14 +695,14 @@ class TestReciprocalClassify:
         for _ in range(40):
             rec = ReciprocalForm(*np.exp(rng.uniform(-0.8, 0.8, size=3)))
             shape = reciprocal_classify(rec)
-            verdict = check_general(from_reciprocal(rec))
+            verdict = check_general(rec.to_block())
             assert (shape is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
         # and on the positive family
         for _ in range(20):
             a = math.exp(float(rng.uniform(0.1, 0.8)))
             rec = ReciprocalForm(a, 1.0, a)
             assert reciprocal_classify(rec) is ReciprocalShape.BI_ELLIPTICAL
-            assert check_general(from_reciprocal(rec)).bielliptical
+            assert check_general(rec.to_block()).bielliptical
 
 
 class TestEllipseGeometry:
@@ -705,9 +716,8 @@ class TestEllipseGeometry:
 
     def test_degenerate_flagged(self):
         params = EllipsePairParams(p=0.5, x=0.6, y=0.8, z=1.0)
-        with pytest.raises(DegenerateEllipseError) as err:
+        with pytest.raises(DegenerateEllipseError, match="doubleton of its foci"):
             ellipse_geometry(params)
-        assert err.value.foci is not None
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(DegenerateEllipseError):

@@ -11,7 +11,6 @@ from birange.forms import (
     ReciprocalForm,
     SpecialForm,
     ZeroMultipleError,
-    from_reciprocal,
     normalize_block,
     reduce_to_special,
 )
@@ -20,10 +19,13 @@ from birange.linalg import CMatrix, eye
 from helpers import (
     char_poly4,
     disguise,
+    frame_similarity,
     general_example_block,
     random_cmat,
     random_special,
     random_unitary2,
+    reciprocal_tridiagonal,
+    shift_free_matrix,
 )
 
 REAL_NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -88,7 +90,7 @@ class TestBlockFormValidation:
 
 class TestReciprocalForm:
     def test_all_ones_blocks(self):
-        bf = from_reciprocal(ReciprocalForm(1, 1, 1))
+        bf = ReciprocalForm(1, 1, 1).to_block()
         assert bf.C == CMatrix(((1, 0), (1, 1)))
         assert bf.D == CMatrix(((1, 1), (0, 1)))
         assert bf.alpha == 0j
@@ -97,7 +99,7 @@ class TestReciprocalForm:
         # With equal outer entries and unit middle entry, the product block
         # has the golden-ratio pair (3 +- sqrt(5))/2 as eigenvalues.
         a = 1.7
-        bf = from_reciprocal(ReciprocalForm(a, 1.0, a))
+        bf = ReciprocalForm(a, 1.0, a).to_block()
         z = bf.Z
         tr, det = z.trace(), z.det()
         assert abs(tr - 3) < 1e-14
@@ -110,8 +112,8 @@ class TestReciprocalForm:
     def test_permutation_similarity_spectra(self, rng):
         for _ in range(50):
             rec = ReciprocalForm(*np.exp(rng.uniform(-1, 1, size=3)))
-            tri = rec.tridiagonal()
-            blk = from_reciprocal(rec).assemble()
+            tri = reciprocal_tridiagonal(rec)
+            blk = rec.to_block().assemble()
             c1 = np.array(char_poly4(tri))
             c2 = np.array(char_poly4(blk))
             scale = 1 + np.max(np.abs(c1))
@@ -119,8 +121,8 @@ class TestReciprocalForm:
 
     def test_singular_values_preserved(self, rng):
         rec = ReciprocalForm(*np.exp(rng.uniform(-1, 1, size=3)))
-        tri = np.array(rec.tridiagonal().rows)
-        blk = np.array(from_reciprocal(rec).assemble().rows)
+        tri = np.array(reciprocal_tridiagonal(rec).rows)
+        blk = np.array(rec.to_block().assemble().rows)
         s1 = np.linalg.svd(tri, compute_uv=False)
         s2 = np.linalg.svd(blk, compute_uv=False)
         assert np.max(np.abs(s1 - s2)) <= 1e-12 * (1 + s1[0])
@@ -190,9 +192,9 @@ class TestReduceToSpecial:
         bf, theta0 = disguise(rng, sf, shift=False)
         out, frame = reduce_to_special(bf, theta0)
         f = 2.0 / (2.0 * abs(frame.scale)) * cmath.exp(-1j * theta0)
-        u = frame.similarity
-        lhs = u.H @ (f * bf.normalized_matrix()) @ u
-        assert (lhs - out.assemble()).frobenius() <= 1e-10 * (1 + lhs.frobenius())
+        u = frame_similarity(frame)
+        lhs = u.H @ (f * shift_free_matrix(bf)) @ u
+        assert (lhs - out.to_block().assemble()).frobenius() <= 1e-10 * (1 + lhs.frobenius())
 
     def test_product_block_trace_det_invariant(self, rng):
         # The product block transforms by similarity (up to the known scalar)

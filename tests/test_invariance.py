@@ -71,7 +71,7 @@ def base_case(family, seed):
     invariance claim covers verdicts outside that band."""
     sf = FAMILIES[family](np.random.default_rng(seed))
     if family == "negative":
-        assume(abs(criterion_T(sf).T) / sf.scale() ** 4 > 1e-6)
+        assume(abs(criterion_T(sf)) / sf.scale() ** 4 > 1e-6)
     verdict = check_general(sf.to_block())
     assert verdict.bielliptical == (family != "negative")
     return sf, (verdict.bielliptical, verdict.reason)
@@ -149,6 +149,21 @@ def test_cli_audits_a_tiny_shifted_matrix(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out and "verdict: BiElliptical" in out
+
+
+@pytest.mark.parametrize("t", [1e-36, 1e35])
+def test_benchmark_classify_corpus_at_the_ends_of_the_range(t):
+    # The benchmark's ``classify`` families (shift-free scales 1.2 to 28 at
+    # seed 101) scaled to the floor forms.MIN_SCALE and to the entry
+    # ceiling 1e36 of the CLI: every verdict still matches its label.
+    corpus = load_bench_module("corpus")
+    failed = []
+    for k, inst in enumerate(corpus.generate(101, 2000)):
+        bf = normalize_block(t * inst["alpha"], t * inst["beta"],
+                             t * CMatrix(inst["C"]), t * CMatrix(inst["D"]))
+        if check_general(bf).bielliptical != inst["label"]:
+            failed.append((k, inst["family"]))
+    assert failed == []
 
 
 def test_benchmark_affine_corpus_replays_without_failure():

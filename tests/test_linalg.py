@@ -145,7 +145,7 @@ class TestHermitianEig4:
         # only on the diagonal parameter: eigenvalues +-sqrt(1+v^2), twice.
         v = 0.37
         sf = SpecialForm(u=0.0, v=v, b1=1.3 - 0.4j, b2=-0.2 + 0.9j, b=0.7)
-        a = sf.assemble()
+        a = sf.to_block().assemble()
         im = (1 / 2j) * (a - a.H)
         vals = hermitian_eig4(im).values
         s = math.sqrt(1 + v * v)

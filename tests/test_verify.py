@@ -18,7 +18,7 @@ from birange.criteria import (
     real_case_ii_margin,
 )
 from birange import cli, nrcore, verify
-from birange.forms import TOL, SpecialForm, from_reciprocal
+from birange.forms import TOL, SpecialForm
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
@@ -220,7 +220,7 @@ class TestFactorizationResidual:
         for k in range(200):
             sf = bi_special_any(rng) if k % 2 == 0 else random_special(rng)
             res = factorization_residual(sf.to_block(), ellipse_pair_params(sf))
-            t_norm = abs(criterion_T(sf).T) / sf.scale() ** 4
+            t_norm = abs(criterion_T(sf)) / sf.scale() ** 4
             if t_norm <= 1e-12:
                 assert res.total <= 1e-9
             elif t_norm >= 1e-6:
@@ -245,11 +245,11 @@ class TestFactorizationResidual:
                 )
                 lhs = 32.0 * ((s2 + omega) ** 2 - gp.xi2(t))
                 rhs = (
-                    3.0 * data.reT
-                    - 4.0 * data.reT * math.cos(2 * t)
-                    - 2.0 * data.imT * math.sin(2 * t)
-                    + data.reT * math.cos(4 * t)
-                    + data.imT * math.sin(4 * t)
+                    3.0 * data.real
+                    - 4.0 * data.real * math.cos(2 * t)
+                    - 2.0 * data.imag * math.sin(2 * t)
+                    + data.real * math.cos(4 * t)
+                    + data.imag * math.sin(4 * t)
                 )
                 assert abs(lhs - rhs) <= 32.0 * bound
 
@@ -263,11 +263,6 @@ class TestFactorizationResidual:
             got = (res.total, res.linear_max, res.quadratic_max)
             for a, b in zip(got, ref):
                 assert abs(a - b) <= 1e-15 * max(abs(b), 1.0)
-
-    def test_grid_guard(self):
-        sf = fig_left_special()
-        with pytest.raises(ValueError):
-            factorization_residual(sf.to_block(), ellipse_pair_params(sf), grid=8)
 
 
 class TestCommutantDim:
@@ -315,7 +310,7 @@ class TestHullAgainstOracle:
     def test_first_figure_left(self):
         sf = fig_left_special()
         verdict = check_special(sf)
-        samples = boundary_support(sf.assemble(), 2048)
+        samples = boundary_support(sf.to_block().assemble(), 2048)
         hull = hull_boundary(*verdict.ellipses, 2048)
         cmp = compare_boundaries(hull, samples)
         pts = [s.point for s in samples]
@@ -323,7 +318,7 @@ class TestHullAgainstOracle:
         assert cmp.hausdorff <= 1e-6 * diam
 
     def test_reciprocal_example(self):
-        bf = from_reciprocal(reciprocal_two_ellipse())
+        bf = reciprocal_two_ellipse().to_block()
         verdict = check_general(bf)
         assert verdict.bielliptical
         samples = boundary_support(bf.assemble(), 2048)
@@ -336,7 +331,7 @@ class TestHullAgainstOracle:
 
 class TestAudit:
     def test_positive_matches_the_oracles(self):
-        bf = from_reciprocal(reciprocal_two_ellipse())
+        bf = reciprocal_two_ellipse().to_block()
         verdict = check_general(bf)
         report = audit(bf, verdict, 1024, reciprocal=ReciprocalShape.BI_ELLIPTICAL)
         samples = boundary_support(bf.assemble(), 1024, points=False)
@@ -354,7 +349,7 @@ class TestAudit:
         }
 
     def test_reciprocal_disagreement_fails(self):
-        bf = from_reciprocal(reciprocal_two_ellipse())
+        bf = reciprocal_two_ellipse().to_block()
         report = audit(bf, check_general(bf), 512, reciprocal=ReciprocalShape.NEITHER)
         assert report.failures == [
             "reciprocal classification disagrees with the general check"
