@@ -6,7 +6,9 @@ numbers are accepted where a real value is meant.
 
 Numbers must be finite with magnitude at most 1e36.  A matrix that
 ``check``, ``verify`` or ``boundary --format svg`` classifies must, less its
-trace shift, be zero or have Frobenius norm at least 1e-36.
+trace shift, be zero or have Frobenius norm at least 1e-36
+(``forms.MIN_SCALE``); that bound on the entries keeps the norm below 6e36,
+under ``forms.MAX_SCALE``.
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 input or usage error
 (including non-finite or out-of-range numbers), 3 internal failure (an
@@ -255,7 +257,7 @@ def _audit(kind: str, payload, samples: int):
     shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
     try:
         verdict = criteria.check_general(bf)
-    except forms.ScaleFloorError as exc:
+    except forms.ScaleRangeError as exc:
         raise InputError(str(exc)) from exc
     audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
     return bf, shape, verdict, audited
@@ -360,7 +362,8 @@ def _boundary_svg(points, verdict=None, audited=None) -> str:
     ys = [p.imag for p in pts]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
+    # A range that is one point gets a unit box around it.
+    span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
     margin = 0.05 * span
     width = hi_x - lo_x + 2 * margin
     height = hi_y - lo_y + 2 * margin
@@ -483,25 +486,13 @@ def cmd_reciprocal(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _env_seed() -> int:
-    """The spot-check seed from ``BIRANGE_SEED`` (default 42)."""
-    text = os.environ.get("BIRANGE_SEED", "42")
-    if not (text.isascii() and text.isdigit()):
-        raise InputError(
-            f"environment variable BIRANGE_SEED must be a nonnegative integer, "
-            f"got {text!r}"
-        )
-    return int(text)
-
-
 def cmd_verify(args) -> int:
     docs, _ = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("verify expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])
-    seed = _env_seed()
     bf, _, verdict, audited = _audit(kind, payload, args.samples)
-    checks = verify.verify_checks(bf, verdict, audited, seed)
+    checks = verify.verify_checks(bf, verdict, audited)
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     print(f"verdict: {verdict.kind}")

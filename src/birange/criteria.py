@@ -27,13 +27,14 @@ from enum import Enum
 import numpy as np
 
 from .forms import (
+    MAX_SCALE,
     MIN_SCALE,
     TOL,
     BlockForm,
     Frame,
     NotScalarUnitaryError,
     ReciprocalForm,
-    ScaleFloorError,
+    ScaleRangeError,
     SpecialForm,
     ZeroMultipleError,
     direction_block,
@@ -483,12 +484,13 @@ def check_general(bf: BlockForm) -> Verdict:
     scalar multiple of a unitary with a non-normal product against D.  The
     reduction along theta then hands the decision, its reason and the
     geometry to ``check_special``: the criterion is T = 0 on the reduced
-    form.  Raises :class:`ScaleFloorError` on a nonzero shift-free scale
-    below ``MIN_SCALE``, where the decision's intermediates underflow.
+    form.  Raises :class:`ScaleRangeError` on a nonzero shift-free scale
+    outside [``MIN_SCALE``, ``MAX_SCALE``], where the decision's
+    intermediates underflow or overflow.
     """
-    if 0.0 < (scale := bf.scale()) < MIN_SCALE:
-        raise ScaleFloorError(f"shift-free matrix scale {scale:.3e} is out of "
-                              f"range: it must be 0 or at least {MIN_SCALE:g}")
+    if not (MIN_SCALE <= (scale := bf.scale()) <= MAX_SCALE or scale == 0.0):
+        raise ScaleRangeError(f"shift-free matrix scale {scale:.3e} is out of range: it must "
+                              f"be 0 or at least {MIN_SCALE:g} and at most {MAX_SCALE:g}")
     diagnostics: dict = {}
 
     if _zero_multiples_only(bf):

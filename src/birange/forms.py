@@ -34,7 +34,7 @@ __all__ = [
     "Frame",
     "NonPositiveEntryError",
     "NotScalarUnitaryError",
-    "ScaleFloorError",
+    "ScaleRangeError",
     "ZeroMultipleError",
     "normalize_block",
     "reduce_to_special",
@@ -49,10 +49,12 @@ __all__ = [
 # and tA + c alike, and neither grows with |alpha| where alpha is absent.
 TOL = 1e-9
 
-# The smallest nonzero shift-free scale the decision accepts: its degree-8
-# intermediates (the product commutator's squared entries) underflow below
-# about 1e-41, as they overflow above the CLI's entry ceiling of 1e36.
+# The range of nonzero shift-free scales the decision accepts: its degree-8
+# intermediates (the product commutator's squared entries, the direction
+# solve's squared Gram trace) underflow below about 1e-41 and overflow above
+# about 1e38.  Entries at the CLI's ceiling of 1e36 give scales below 6e36.
 MIN_SCALE = 1e-36
+MAX_SCALE = 1e37
 
 
 class NonPositiveEntryError(ValueError):
@@ -69,8 +71,8 @@ class ZeroMultipleError(ValueError):
     """The scalar multiple of the unitary vanishes; no reduction exists."""
 
 
-class ScaleFloorError(ValueError):
-    """A nonzero shift-free scale below :data:`MIN_SCALE`."""
+class ScaleRangeError(ValueError):
+    """A nonzero shift-free scale outside [:data:`MIN_SCALE`, :data:`MAX_SCALE`]."""
 
 
 def _block4(tl: CMatrix, tr: CMatrix, bl: CMatrix, br: CMatrix) -> CMatrix:

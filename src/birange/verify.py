@@ -73,6 +73,10 @@ _COMMUTANT_TOL = 1e-9
 _IRREDUCIBILITY = ((TOL / 100, (2,), " (real case ii, reducible: 2 expected)"),
                    (100 * TOL, (1, 2), " (near real case ii: 1 or 2 accepted)"),
                    (math.inf, (1,), ""))
+# The 16 directions of ``birange verify``'s spot checks, 2 pi frac(k / phi)
+# for k = 1..16 with phi the golden ratio: spread evenly over the circle and
+# none within 1e-3 of a multiple of pi / 16, the axis-aligned directions.
+_SPOT_THETAS = 2.0 * np.pi * (np.arange(1, 17) * 2.0 / (1.0 + math.sqrt(5.0)) % 1.0)
 
 
 class EmptyInputError(ValueError):
@@ -254,10 +258,10 @@ class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
     ``eigenvalues`` include the trace shift; ``matrix`` is the audited
-    matrix; ``theta``, ``support`` and ``gap`` are the
-    :class:`nrcore.Boundary` arrays, the support function and the top
-    eigenvalue gap at n equispaced directions (no boundary points: no check
-    reads them); ``diameter`` is the diagonal of the range's bounding box;
+    matrix; ``boundary`` is its :class:`nrcore.Boundary`, the support
+    function and the top eigenvalue gap at n equispaced directions (no
+    boundary points: no check reads them); ``diameter`` is the diagonal of
+    the range's bounding box;
     ``hull_gap`` is None unless the verdict is positive with ellipses,
     ``factorization`` None unless the verdict carries a reduced form.
     ``flats`` and ``commutant_dim`` run their oracle when first read and
@@ -267,9 +271,7 @@ class AuditReport:
 
     eigenvalues: tuple[complex, ...]
     matrix: np.ndarray
-    theta: np.ndarray
-    support: np.ndarray
-    gap: np.ndarray
+    boundary: nrcore.Boundary
     diameter: float
     hull_gap: float | None
     factorization: FactorizationResidual | None
@@ -278,8 +280,7 @@ class AuditReport:
     @cached_property
     def flats(self) -> tuple[nrcore.FlatPortion, ...]:
         """The flat portions of the boundary (:func:`nrcore.flat_portions`)."""
-        boundary = nrcore.Boundary(self.theta, self.support, self.gap, None)
-        return tuple(nrcore.flat_portions(self.matrix, boundary))
+        return tuple(nrcore.flat_portions(self.matrix, self.boundary))
 
     @cached_property
     def commutant_dim(self) -> int:
@@ -306,7 +307,7 @@ def _flat_checks(verdict: Verdict, report: AuditReport) -> list[Check]:
     checks = []
     for f in flats:
         turn = cmath.phase(f.direction) - cmath.phase(expected)
-        ok = (abs(f.length - abs(expected)) <= 1e-6 * max(abs(expected), 1e-12)
+        ok = (abs(f.length - abs(expected)) <= 1e-6 * abs(expected)
               and abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= 1e-6)
         checks.append(Check("flat portions", ok, (
             f"flat portion (length {f.length:.9g}) "
@@ -366,8 +367,7 @@ def audit(
     # The flat checks read the report's flats, so the report holds the
     # checks list before it is filled.
     checks: list[Check] = []
-    report = AuditReport(eigenvalues, a, boundary.theta, boundary.support,
-                         boundary.gap, diameter, hull_gap, fact, checks)
+    report = AuditReport(eigenvalues, a, boundary, diameter, hull_gap, fact, checks)
 
     if reciprocal is not None:
         ok = (reciprocal is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
@@ -387,42 +387,39 @@ def audit(
     return report
 
 
-def verify_checks(
-    bf: BlockForm, verdict: Verdict, report: AuditReport, seed: int
-) -> list[Check]:
+def verify_checks(bf: BlockForm, verdict: Verdict, report: AuditReport) -> list[Check]:
     """The checks ``birange verify`` reports, in order.
 
     Central symmetry about the shift, in two parts: normal, the audit's
     support value at every sampled direction against its antipode's, and
     transverse, the field values of the top and bottom eigenvectors of
-    Im(e^{-i theta} A0) (A0 the shift-free matrix) at 16 random directions.
-    Then eigenvalue containment in the sampled support polytope, and pencil
-    eigenvalues (the closed form against the eigenvalues of that same LAPACK
-    ``eigh``) and the generating polynomial at 16 random directions each;
-    the directions are drawn from ``seed``, and each check evaluates its
-    closed forms once, over all 16 as an array.  A positive verdict adds the
-    audit's hull check and unitary irreducibility: commutant dimension 1,
-    or 2 in the paper's real case (ii), whose matrices are reducible, and
-    either near it (``_IRREDUCIBILITY``).  Every other failed consistency
-    check comes last.
+    Im(e^{-i theta} A0) (A0 the shift-free matrix) at the 16 fixed
+    directions of ``_SPOT_THETAS``.  Then eigenvalue containment in the
+    sampled support polytope, and at those same directions the pencil
+    eigenvalues (the closed form against the eigenvalues of that same
+    LAPACK ``eigh``) and the generating polynomial, which must annihilate
+    them: one closed-form pencil solve over all 16 as an array serves both.
+    A positive verdict adds the audit's hull check and unitary
+    irreducibility: commutant dimension 1, or 2 in the paper's real case
+    (ii), whose matrices are reducible, and either near it
+    (``_IRREDUCIBILITY``).  Every other failed consistency check comes last.
     """
-    rng = np.random.default_rng(seed)
     scale = bf.scale()
+    theta, support = report.boundary.theta, report.boundary.support
 
     # W = 2 shift - W iff h(theta) - h(theta + pi) = 2 Re(e^{-i theta} shift)
     # for every theta (Schneider, section 1.7): direction k against k + n // 2.
-    half = len(report.theta) // 2
-    antipodal = report.support[:half] - report.support[half:]
+    half = len(theta) // 2
+    antipodal = support[:half] - support[half:]
     sym = float(np.abs(
-        antipodal - 2.0 * (np.exp(-1j * report.theta[:half]) * bf.shift).real).max())
+        antipodal - 2.0 * (np.exp(-1j * theta[:half]) * bf.shift).real).max())
     eig = np.asarray(report.eigenvalues, dtype=complex)
-    excess = (np.exp(-1j * report.theta)[None, :] * eig[:, None]).real - report.support
+    excess = (np.exp(-1j * theta)[None, :] * eig[:, None]).real - support
     worst_out = float(excess.max())
 
-    thetas = rng.uniform(0.0, 2.0 * math.pi, size=16)
     a4 = nrcore._as_ndarray(replace(bf, shift=0j).assemble())
-    vals, vecs = np.linalg.eigh(nrcore._imag_part_at(a4, thetas[:, None, None]))
-    lam1, lam2 = nrcore.pencil_eigs(bf, thetas)
+    vals, vecs = np.linalg.eigh(nrcore._imag_part_at(a4, _SPOT_THETAS[:, None, None]))
+    lam1, lam2 = nrcore.pencil_eigs(bf, _SPOT_THETAS)
     # lam1 >= lam2 >= 0, so this is eigh's ascending order.
     expect = np.stack((-lam1, -lam2, lam2, lam1), axis=1)
     worst_pencil = float(np.abs(vals - expect).max())
@@ -432,17 +429,14 @@ def verify_checks(
     ends = vecs[:, :, ::3]
     transverse = float(np.abs(
         np.einsum("nic,ij,njc->n", ends.conj(), a4, ends)).max())
-    gen_thetas = rng.uniform(0.0, 2.0 * math.pi, size=16)
-    gen = nrcore.generating_poly(bf).evaluate(
-        np.stack(nrcore.pencil_eigs(bf, gen_thetas)), gen_thetas)
+    gen = nrcore.generating_poly(bf).evaluate(np.stack((lam1, lam2)), _SPOT_THETAS)
     worst_gen = float(np.abs(gen).max())
 
     # The support values carry the trace shift, so subtracting it leaves a
     # roundoff of a few eps * |shift|: at most 12 eps * |shift| above the
     # diameter term on 8 random blocks at t = 1e-6..1e3 shifted by 1..1e8
     # times 1, i or e^{i pi/4}, while |shift| / t <= 1e10.
-    sym_bound = (1e-8 * max(report.diameter, 1e-12)
-                 + 64 * np.finfo(float).eps * abs(bf.shift))
+    sym_bound = 1e-8 * report.diameter + 64 * np.finfo(float).eps * abs(bf.shift)
     checks = [
         Check("central symmetry", max(sym, transverse) <= sym_bound,
               f"antipodal mismatch {sym:.3e} normal, {transverse:.3e} transverse"),

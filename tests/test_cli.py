@@ -318,11 +318,21 @@ class TestExitCodeContract:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("seed", ["abc", "-1", "1.5", ""])
-    def test_bad_seed_is_usage_error(self, seed, gen_file, capsys, monkeypatch):
-        monkeypatch.setenv("BIRANGE_SEED", seed)
-        assert main(["verify", gen_file]) == 2
-        assert "BIRANGE_SEED" in capsys.readouterr().err
+    def test_verify_reads_no_environment_and_draws_nothing(self, gen_file, capsys,
+                                                           monkeypatch):
+        # The spot checks run at one fixed set of directions: no seed
+        # variable is read and no random generator is made.
+        assert main(["verify", gen_file]) == 0
+        want = capsys.readouterr()
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("verify made a random generator")
+
+        monkeypatch.setenv("BIRANGE_SEED", "abc")
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert main(["verify", gen_file]) == 0
+        assert capsys.readouterr() == want
+        assert want.out.count("[PASS]") == 6 and want.err == ""
 
     @pytest.mark.parametrize("argv, doc, read, code", [
         (["check", "--format", "json"], "gen", 0, 0),
@@ -442,6 +452,22 @@ class TestBoundary:
         assert "<ellipse" in text  # bi-elliptical verdict overlays both
         assert "<line" in text
         assert "<script" not in text
+
+    def test_svg_view_box_fits_a_tiny_range(self, tmp_path):
+        # The worked example scaled by 1e-20: the view box pads the drawn
+        # range by 5% of its own span, so the range fills the drawing.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw_doc(1e-20 * general_example_matrix())))
+        out = tmp_path / "plot.svg"
+        assert main(["boundary", str(path), "--format", "svg",
+                     "--output", str(out)]) == 0
+        text = out.read_text()
+        width, height = map(float, re.search(r'viewBox="\S+ \S+ (\S+) (\S+)"',
+                                             text).groups())
+        pts = [complex(*map(float, p.split(",")))
+               for p in re.search(r'<polygon points="([^"]+)"', text).group(1).split()]
+        span = max(np.ptp([p.real for p in pts]), np.ptp([p.imag for p in pts]))
+        assert 0.0 < span <= max(width, height) <= 1.2 * span
 
     def test_refinement_convergence(self, gen_file, capsys):
         assert main(["boundary", gen_file, "--samples", "64"]) == 0
@@ -584,21 +610,39 @@ class TestVerify:
         assert code == 1
         assert main(["check", str(path), "--samples", "512"]) == 1
 
-    def test_antipodal_support_mismatch_fails(self, gen_file, capsys, monkeypatch):
+    def test_antipodal_support_mismatch_fails(self, tmp_path, capsys, monkeypatch):
         # One support value moved by 1e-6 * diameter breaks h(theta) =
-        # h(theta + pi) at one pair, a hundred times the gate.
+        # h(theta + pi) at one pair, a hundred times the gate, whatever the
+        # scale t of the worked example: the gate is relative to the
+        # diameter.
         def broken(*args, _fn=verify.audit, **kwargs):
             report = _fn(*args, **kwargs)
-            support = report.support.copy()
+            support = report.boundary.support.copy()
             support[100] += 1e-6 * report.diameter
-            return dataclasses.replace(report, support=support)
+            return dataclasses.replace(
+                report, boundary=dataclasses.replace(report.boundary, support=support))
 
         monkeypatch.setattr(verify, "audit", broken)
-        assert main(["verify", gen_file, "--samples", "512"]) == 3
-        out = capsys.readouterr().out
-        assert re.search(r"^\[FAIL\] central symmetry: antipodal mismatch \S+ normal", out,
-                         re.MULTILINE)
-        assert out.count("[FAIL]") == 1
+        for t in (1.0, 1e-20):
+            path = tmp_path / "gen.json"
+            path.write_text(json.dumps(raw_doc(t * general_example_matrix())))
+            assert main(["verify", str(path), "--samples", "512"]) == 3
+            out = capsys.readouterr().out
+            assert re.search(r"^\[FAIL\] central symmetry: antipodal mismatch \S+ normal",
+                             out, re.MULTILINE)
+            assert out.count("[FAIL]") == 1
+
+    @pytest.mark.parametrize("c", [0j, 1e6 + 2e6j], ids=["zero", "scalar"])
+    def test_one_point_range_verifies_and_draws(self, c, tmp_path, capsys):
+        # The zero matrix and cI: the range is one point and its diameter
+        # 0, so no gate has a diameter to scale with.
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(raw_doc(c * eye(4))))
+        assert main(["verify", str(path), "--samples", "512"]) == 1
+        assert "[FAIL]" not in capsys.readouterr().out
+        assert main(["boundary", "--format", "svg", str(path)]) == 0
+        box = re.search(r'viewBox="\S+ \S+ (\S+) (\S+)"', capsys.readouterr().out)
+        assert [float(x) for x in box.groups()] == [0.1, 0.1]
 
     @pytest.mark.parametrize("k, t, c", [(0, 1e-5, 1e6), (1, 1e-4, 1e7), (3, 1e-3, 1e8)])
     def test_oracle_gates_blind_to_shift(self, tmp_path, capsys, k, t, c):

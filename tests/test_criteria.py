@@ -623,12 +623,26 @@ class TestCheckGeneral:
         base = general_example_block()
         for t in (1e-42 / base.scale(), 0.99 * forms.MIN_SCALE / base.scale()):
             bf = BlockForm(t * base.alpha, t * base.C, t * base.D, shift=1.0)
-            with pytest.raises(forms.ScaleFloorError, match="at least 1e-36"):
+            with pytest.raises(forms.ScaleRangeError, match="at least 1e-36"):
                 check_general(bf)
         t = 1.01 * forms.MIN_SCALE / base.scale()
         assert check_general(BlockForm(t * base.alpha, t * base.C, t * base.D)).bielliptical
         zero = check_general(BlockForm(0j, zeros(2), zeros(2), shift=1.0))
         assert zero.reason is Reason.PRODUCT_NORMAL
+
+    def test_scale_ceiling(self):
+        # Above MAX_SCALE the direction solve's degree-8 terms overflow (the
+        # worked example at scale 2.2e39 would raise OverflowError), so the
+        # range check raises, naming both ends.  Just under it the verdict
+        # holds.
+        base = general_example_block()
+        for t in (1.01 * forms.MAX_SCALE / base.scale(), 1e38):
+            bf = BlockForm(t * base.alpha, t * base.C, t * base.D, shift=1.0)
+            with pytest.raises(forms.ScaleRangeError,
+                               match=r"at least 1e-36 and at most 1e\+37"):
+                check_general(bf)
+        t = 0.99 * forms.MAX_SCALE / base.scale()
+        assert check_general(BlockForm(t * base.alpha, t * base.C, t * base.D)).bielliptical
 
     def test_generic_rejected_no_theta(self, rng):
         verdict = check_general(random_block(rng))

@@ -151,11 +151,12 @@ def test_cli_audits_a_tiny_shifted_matrix(tmp_path, capsys):
     assert "[FAIL]" not in out and "verdict: BiElliptical" in out
 
 
-@pytest.mark.parametrize("t", [1e-36, 1e35])
+@pytest.mark.parametrize("t", [1e-36, 1e35, 3.5e35])
 def test_benchmark_classify_corpus_at_the_ends_of_the_range(t):
     # The benchmark's ``classify`` families (shift-free scales 1.2 to 28 at
-    # seed 101) scaled to the floor forms.MIN_SCALE and to the entry
-    # ceiling 1e36 of the CLI: every verdict still matches its label.
+    # seed 101) scaled to the floor forms.MIN_SCALE, to the entry ceiling
+    # 1e36 of the CLI and to just under forms.MAX_SCALE (28 * 3.5e35 =
+    # 9.9e36): every verdict still matches its label.
     corpus = load_bench_module("corpus")
     failed = []
     for k, inst in enumerate(corpus.generate(101, 2000)):

@@ -18,7 +18,7 @@ from birange.criteria import (
     real_case_ii_margin,
 )
 from birange import cli, nrcore, verify
-from birange.forms import TOL, SpecialForm
+from birange.forms import TOL, BlockForm, SpecialForm
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
@@ -348,6 +348,22 @@ class TestAudit:
             "factorization",
         }
 
+    @pytest.mark.parametrize("t", [1.0, 1e-12, 1e-20, 1e-30])
+    def test_flat_rows_fail_a_doubled_center_offset(self, t):
+        # The worked example scaled by t, its second ellipse moved to double
+        # the offset between the centers: each flat portion is half the
+        # claimed offset, so both flat rows fail at every scale, their
+        # tolerance being relative to that offset.
+        base = general_example_block()
+        bf = BlockForm(t * base.alpha, t * base.C, t * base.D)
+        verdict = check_general(bf)
+        assert audit(bf, verdict, 512).failures == []
+        e1, e2 = verdict.ellipses
+        moved = dataclasses.replace(e2, center=2 * e2.center - e1.center)
+        report = audit(bf, dataclasses.replace(verdict, ellipses=(e1, moved)), 512)
+        flat_rows = [c.passed for c in report.checks if c.name == "flat portions"]
+        assert flat_rows == [False, False]
+
     def test_reciprocal_disagreement_fails(self):
         bf = reciprocal_two_ellipse().to_block()
         report = audit(bf, check_general(bf), 512, reciprocal=ReciprocalShape.NEITHER)
@@ -426,8 +442,8 @@ class TestAuditLapackBudget:
 
     def test_verify_checks_one_eigh(self, monkeypatch, rng):
         # One eigh of the pencil check's 16 matrices and no eigvalsh; the
-        # closed forms come from two array calls of 16 directions each, one
-        # for the pencil check and one for the generating polynomial.
+        # closed forms come from one array call of the 16 directions, which
+        # the pencil check and the generating polynomial share.
         shapes = []
 
         def pencil(bf, theta, _fn=nrcore.pencil_eigs):
@@ -443,9 +459,9 @@ class TestAuditLapackBudget:
             monkeypatch.setattr(nrcore, "pencil_eigs", pencil)
             counts, checks = self.calls(
                 monkeypatch, verify, "verify_checks",
-                lambda: verify.verify_checks(bf, verdict, report, 42))
+                lambda: verify.verify_checks(bf, verdict, report))
             assert counts == {("eigh", (16,)): 1}
-            assert shapes == [(16,), (16,)]
+            assert shapes == [(16,)]
             assert all(c.passed for c in checks)
 
 
@@ -476,7 +492,7 @@ class TestOracleRuns:
             verdict = check_general(bf)
             assert not verdict.bielliptical
             report = audit(bf, verdict, 512)
-            checks = verify.verify_checks(bf, verdict, report, 42)
+            checks = verify.verify_checks(bf, verdict, report)
             assert all(c.passed for c in checks)
         assert runs == {}
 
@@ -503,7 +519,7 @@ class TestOracleRuns:
         assert verdict.bielliptical
         report = audit(bf, verdict, 512)
         assert runs == {"flat_portions": 1}
-        checks = verify.verify_checks(bf, verdict, report, 42)
+        checks = verify.verify_checks(bf, verdict, report)
         assert all(c.passed for c in checks)
         assert runs == {"flat_portions": 1, "commutant_dim": 1}
 
@@ -560,7 +576,7 @@ class TestIrreducibilityBand:
             bf, _ = disguise(rng, sf)
             verdict = check_general(bf)
             report = audit(bf, verdict, 512)
-            checks = verify.verify_checks(bf, verdict, report, 42)
+            checks = verify.verify_checks(bf, verdict, report)
             assert all(c.passed for c in checks), [c.detail for c in checks]
             row = next(c for c in checks if c.name == "unitary irreducibility")
             if delta == 0.0:
@@ -579,7 +595,7 @@ class TestCentralSymmetry:
         bf = general_example_block()
         verdict = check_general(bf)
         report = audit(bf, verdict, 512)
-        assert verify.verify_checks(bf, verdict, report, 42)[0].passed
+        assert verify.verify_checks(bf, verdict, report)[0].passed
         eigh = np.linalg.eigh
 
         def turned(a):
@@ -589,7 +605,7 @@ class TestCentralSymmetry:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", turned)
-        checks = {c.name: c for c in verify.verify_checks(bf, verdict, report, 42)}
+        checks = {c.name: c for c in verify.verify_checks(bf, verdict, report)}
         sym = checks["central symmetry"]
         assert not sym.passed
         normal, transverse = map(float, re.findall(r"(\S+) (?:normal|transverse)",
