@@ -58,6 +58,7 @@ from .verify import (
     Check,
     HullComparison,
     audit,
+    check_document,
     commutant_dim,
     compare_boundaries,
     factorization_residual,

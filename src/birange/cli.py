@@ -2,7 +2,9 @@
 
 Input is a JSON document describing one matrix (or an array of them for
 batch runs).  Complex numbers are 2-element arrays ``[re, im]``; plain
-numbers are accepted where a real value is meant.
+numbers are accepted where a real value is meant.  This module only parses,
+formats and maps outcomes to exit codes: ``verify.check_document`` audits a
+document, whose raw matrix ``forms.detect_block`` splits into blocks.
 
 Numbers must be finite with magnitude at most 1e36.  A matrix that
 ``check``, ``verify`` or ``boundary --format svg`` classifies must, less its
@@ -31,14 +33,13 @@ import sys
 import traceback
 
 from . import criteria, forms, nrcore, verify
-from .linalg import CMatrix, eye
+from .linalg import CMatrix
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_BLOCK_DETECT_REL = 1e-10
 # Largest accepted magnitude of a matrix entry (real and imaginary parts
 # separately).  The direction solve squares Gram entries that are quartic in
 # the matrix, and degree-8 quantities overflow double precision once entries
@@ -92,10 +93,7 @@ def _parse_real(value, name: str) -> float:
 
 def _reciprocal_form(a1: float, a2: float, a3: float) -> forms.ReciprocalForm:
     """Validated reciprocal form; its entries include 1/a1, 1/a2, 1/a3."""
-    try:
-        rec = forms.ReciprocalForm(a1=a1, a2=a2, a3=a3)
-    except forms.NonPositiveEntryError as exc:
-        raise InputError(str(exc)) from exc
+    rec = forms.ReciprocalForm(a1=a1, a2=a2, a3=a3)
     for a in (rec.a1, rec.a2, rec.a3):
         if not (_in_range(a) and _in_range(1.0 / a)):
             raise InputError(
@@ -106,41 +104,16 @@ def _reciprocal_form(a1: float, a2: float, a3: float) -> forms.ReciprocalForm:
 
 
 def _parse_cmat(value, name: str, size: int) -> CMatrix:
-    if not isinstance(value, list) or len(value) != size:
+    if not (isinstance(value, list) and len(value) == size
+            and all(isinstance(row, list) and len(row) == size for row in value)):
         raise InputError(f"field {name!r} must be a {size}x{size} grid")
-    rows = []
-    for row in value:
-        if not isinstance(row, list) or len(row) != size:
-            raise InputError(f"field {name!r} must be a {size}x{size} grid")
-        rows.append(tuple(_parse_complex(x) for x in row))
-    return CMatrix(rows)
+    return CMatrix([[_parse_complex(x) for x in row] for row in value])
 
 
 def _require(doc: dict, *names: str):
     for name in names:
         if name not in doc:
             raise InputError(f"missing field {name!r}")
-
-
-def detect_block_structure(m: CMatrix) -> forms.BlockForm | None:
-    """Split a raw 4x4 matrix into block form if its diagonal blocks are
-    scalar within 1e-10 of the norm of M - cI, c = tr M / 4, plus the
-    64 eps |c| roundoff that the shift leaves, as in the oracle gates; so
-    M and tM + c get the same answer."""
-    shift = m.trace() / 4
-    tol = (_BLOCK_DETECT_REL * max((m - shift * eye(4)).frobenius(), 1e-300)
-           + 64 * sys.float_info.epsilon * abs(shift))
-    alpha = 0.5 * (m[0, 0] + m[1, 1])
-    beta = 0.5 * (m[2, 2] + m[3, 3])
-    devs = (
-        abs(m[0, 0] - alpha), abs(m[1, 1] - alpha), abs(m[0, 1]), abs(m[1, 0]),
-        abs(m[2, 2] - beta), abs(m[3, 3] - beta), abs(m[2, 3]), abs(m[3, 2]),
-    )
-    if max(devs) > tol:
-        return None
-    c = CMatrix(((m[0, 2], m[0, 3]), (m[1, 2], m[1, 3])))
-    d = CMatrix(((m[2, 0], m[2, 1]), (m[3, 0], m[3, 1])))
-    return forms.normalize_block(alpha, beta, c, d)
 
 
 def parse_matrix_spec(doc: dict):
@@ -208,22 +181,6 @@ def _load_documents(path: str) -> tuple[list[dict], bool]:
     raise InputError("input must be a JSON object or an array of objects")
 
 
-def _block_form_of(kind: str, payload) -> tuple[forms.BlockForm, CMatrix]:
-    """Block form and assembled (shift-included) matrix for a parsed spec."""
-    if kind == "raw":
-        bf = detect_block_structure(payload)
-        if bf is None:
-            raise InputError(
-                "matrix lacks scalar 2x2 diagonal blocks; only the boundary "
-                "subcommand applies to unstructured matrices"
-            )
-        return bf, payload
-    if kind == "block":
-        return payload, payload.assemble()
-    bf = payload.to_block()
-    return bf, bf.assemble()
-
-
 def _cformat(z: complex, digits: int = 12) -> str:
     return f"{z.real:.{digits}g}{z.imag:+.{digits}g}i"
 
@@ -242,32 +199,29 @@ def _jsonify(obj):
     return obj
 
 
-def _audit(kind: str, payload, samples: int):
-    """Classify a parsed document and audit the verdict.
-
-    Returns the block form, the reciprocal shape (None unless the document
-    is reciprocal), the verdict and the :class:`verify.AuditReport`.
-    """
+def _audited(payload, samples: int) -> verify.AuditReport:
+    """The audit report of a parsed document for ``check`` and ``verify``."""
     if samples < nrcore.FLAT_MIN_SAMPLES or samples % 2:
-        raise InputError(
-            f"--samples must be even and at least {nrcore.FLAT_MIN_SAMPLES} "
-            "for the flat-portion oracle"
-        )
-    bf, matrix = _block_form_of(kind, payload)
-    shape = criteria.reciprocal_classify(payload) if kind == "reciprocal" else None
-    try:
-        verdict = criteria.check_general(bf)
-    except forms.ScaleRangeError as exc:
-        raise InputError(str(exc)) from exc
-    audited = verify.audit(bf, verdict, samples, matrix=matrix, reciprocal=shape)
-    return bf, shape, verdict, audited
+        raise InputError(f"--samples must be even and at least {nrcore.FLAT_MIN_SAMPLES} "
+                         "for the flat-portion oracle")
+    report = verify.check_document(payload, samples)
+    if report is None:
+        raise InputError("matrix lacks scalar 2x2 diagonal blocks; only the boundary "
+                         "subcommand applies to unstructured matrices")
+    return report
 
 
-def _report(kind: str, payload, shape, verdict, audited) -> dict:
+def _exit_code(consistent: bool, positive: bool) -> int:
+    """A failed consistency check exits 3, otherwise the verdict 0 or 1."""
+    return EXIT_INTERNAL if not consistent else EXIT_POSITIVE if positive else EXIT_NEGATIVE
+
+
+def _report(kind: str, payload, audited: verify.AuditReport) -> dict:
     """The ``check`` report of one document, printed or serialized."""
+    verdict = audited.verdict
     report: dict = {"form": kind}
-    if shape is not None:
-        report["reciprocal_shape"] = shape.value
+    if audited.reciprocal is not None:
+        report["reciprocal_shape"] = audited.reciprocal.value
         report["reciprocal_A"] = [payload.A1, payload.A2, payload.A3]
     report["verdict"] = verdict.kind
     report["reason"] = verdict.reason.value if verdict.reason else None
@@ -330,13 +284,9 @@ def cmd_check(args) -> int:
     outputs = []
     for doc in docs:
         kind, payload = parse_matrix_spec(doc)
-        _, shape, verdict, audited = _audit(kind, payload, args.samples)
-        report = _report(kind, payload, shape, verdict, audited)
-        outputs.append(report)
-        if report["consistency_failures"]:
-            worst = max(worst, EXIT_INTERNAL)
-        elif not verdict.bielliptical:
-            worst = max(worst, EXIT_NEGATIVE)
+        audited = _audited(payload, args.samples)
+        outputs.append(_report(kind, payload, audited))
+        worst = max(worst, _exit_code(not audited.failures, audited.verdict.bielliptical))
     if args.format == "json":
         print(json.dumps(_jsonify(outputs if batch else outputs[0]), indent=2))
     else:
@@ -356,7 +306,7 @@ def _boundary_csv(boundary: nrcore.Boundary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _boundary_svg(points, verdict=None, audited=None) -> str:
+def _boundary_svg(points, audited: verify.AuditReport | None = None) -> str:
     pts = points.tolist()
     xs = [p.real for p in pts]
     ys = [p.imag for p in pts]
@@ -367,41 +317,39 @@ def _boundary_svg(points, verdict=None, audited=None) -> str:
     margin = 0.05 * span
     width = hi_x - lo_x + 2 * margin
     height = hi_y - lo_y + 2 * margin
-    # SVG y grows downward, so all coordinates are emitted with y negated.
-    view = f"{lo_x - margin:.6g} {-(hi_y + margin):.6g} {width:.6g} {height:.6g}"
+    # SVG y grows downward, so all coordinates are emitted with y negated,
+    # and at round-trip precision (the repr of a Python float).
+    x, y = lo_x - margin, -(hi_y + margin)
     stroke = max(width, height) / 400.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" '
-        f'width="640" height="640">',
-        f'<rect x="{lo_x - margin:.6g}" y="{-(hi_y + margin):.6g}" '
-        f'width="{width:.6g}" height="{height:.6g}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x!r} {y!r} {width!r} '
+        f'{height!r}" width="640" height="640">',
+        f'<rect x="{x!r}" y="{y!r}" width="{width!r}" height="{height!r}" fill="white"/>',
     ]
-    poly = " ".join(f"{p.real:.9g},{-p.imag:.9g}" for p in pts)
+    poly = " ".join(f"{p.real!r},{-p.imag!r}" for p in pts)
     parts.append(
         f'<polygon points="{poly}" fill="none" stroke="#1f77b4" '
-        f'stroke-width="{stroke:.6g}"/>'
+        f'stroke-width="{stroke!r}"/>'
     )
     if audited is not None:
-        for e in verdict.ellipses or ():
-            deg = -math.degrees(e.tilt)
+        for e in audited.verdict.ellipses or ():
             parts.append(
-                f'<ellipse cx="0" cy="0" rx="{e.semi_major:.9g}" '
-                f'ry="{e.semi_minor:.9g}" '
-                f'transform="translate({e.center.real:.9g},{-e.center.imag:.9g}) '
-                f'rotate({deg:.9g})" fill="none" stroke="#d62728" '
-                f'stroke-width="{stroke:.6g}" stroke-dasharray="{2 * stroke:.6g}"/>'
+                f'<ellipse cx="0" cy="0" rx="{e.semi_major!r}" ry="{e.semi_minor!r}" '
+                f'transform="translate({e.center.real!r},{-e.center.imag!r}) '
+                f'rotate({-math.degrees(e.tilt)!r})" fill="none" stroke="#d62728" '
+                f'stroke-width="{stroke!r}" stroke-dasharray="{2 * stroke!r}"/>'
             )
         for f in audited.flats:
             a, b = f.endpoints
             parts.append(
-                f'<line x1="{a.real:.9g}" y1="{-a.imag:.9g}" '
-                f'x2="{b.real:.9g}" y2="{-b.imag:.9g}" stroke="#2ca02c" '
-                f'stroke-width="{1.5 * stroke:.6g}"/>'
+                f'<line x1="{a.real!r}" y1="{-a.imag!r}" '
+                f'x2="{b.real!r}" y2="{-b.imag!r}" stroke="#2ca02c" '
+                f'stroke-width="{1.5 * stroke!r}"/>'
             )
         for ev in audited.eigenvalues:
             parts.append(
-                f'<circle cx="{ev.real:.9g}" cy="{-ev.imag:.9g}" '
-                f'r="{2 * stroke:.6g}" fill="black"/>'
+                f'<circle cx="{ev.real!r}" cy="{-ev.imag!r}" '
+                f'r="{2 * stroke!r}" fill="black"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -414,22 +362,16 @@ def cmd_boundary(args) -> int:
     if len(docs) != 1:
         raise InputError("boundary export expects a single matrix document")
     kind, payload = parse_matrix_spec(docs[0])
-    if kind == "raw":
-        matrix = payload
-        structured = detect_block_structure(payload) is not None
-    else:
-        _, matrix = _block_form_of(kind, payload)
-        structured = True
+    # A raw matrix without scalar diagonal blocks is drawn with no overlay.
+    audited = None
+    if args.format == "svg":
+        audited = verify.check_document(payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES))
+    matrix = payload if kind == "raw" else forms.as_block(payload).assemble()
+    boundary = nrcore.boundary_support(matrix, args.samples)
     if args.format == "csv":
-        text = _boundary_csv(nrcore.boundary_support(matrix, args.samples))
+        text = _boundary_csv(boundary)
     else:
-        verdict = audited = None
-        if structured:
-            _, _, verdict, audited = _audit(
-                kind, payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES)
-            )
-        text = _boundary_svg(nrcore.boundary_support(matrix, args.samples).points,
-                             verdict, audited)
+        text = _boundary_svg(boundary.points, audited)
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -481,24 +423,20 @@ def cmd_reciprocal(args) -> int:
     shape = criteria.reciprocal_classify(rec)
     print(f"A1 = {rec.A1:.15g}, A2 = {rec.A2:.15g}, A3 = {rec.A3:.15g}")
     print(f"classification: {shape.value}")
-    if shape is criteria.ReciprocalShape.BI_ELLIPTICAL:
-        return EXIT_POSITIVE
-    return EXIT_NEGATIVE
+    return EXIT_POSITIVE if shape is criteria.ReciprocalShape.BI_ELLIPTICAL else EXIT_NEGATIVE
 
 
 def cmd_verify(args) -> int:
     docs, _ = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("verify expects a single matrix document")
-    kind, payload = parse_matrix_spec(docs[0])
-    bf, _, verdict, audited = _audit(kind, payload, args.samples)
-    checks = verify.verify_checks(bf, verdict, audited)
+    _, payload = parse_matrix_spec(docs[0])
+    audited = _audited(payload, args.samples)
+    checks = verify.verify_checks(audited)
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
-    print(f"verdict: {verdict.kind}")
-    if not all(check.passed for check in checks):
-        return EXIT_INTERNAL
-    return EXIT_POSITIVE if verdict.bielliptical else EXIT_NEGATIVE
+    print(f"verdict: {audited.verdict.kind}")
+    return _exit_code(all(check.passed for check in checks), audited.verdict.bielliptical)
 
 
 def _common(p) -> None:
@@ -587,7 +525,7 @@ def main(argv=None) -> int:
         # a closed pipe must not change.
         with contextlib.redirect_stdout(out):
             code = args.func(args)
-    except InputError as exc:
+    except (InputError, forms.NonPositiveEntryError, forms.ScaleRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

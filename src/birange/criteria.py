@@ -540,13 +540,18 @@ def reciprocal_classify(r: ReciprocalForm) -> ReciprocalShape:
     """Shape of the numerical range of a reciprocal tridiagonal matrix.
 
     Bi-elliptical requires the outer symmetrized entries to agree and exceed
-    one while the middle one equals one; a single elliptical disk happens on
-    the golden-ratio line through the symmetrized entries.
+    one while the middle one equals one: |g1| = |g3| > 0 = g2 for the g_k =
+    a_k - 1/a_k (A_k = 1 + g_k^2 / 2), linear gates at ``TOL`` times the
+    Frobenius norm sqrt(2 (A1 + A2 + A3)), as in ``check_general``.  A single
+    elliptical disk happens on the golden-ratio line through the symmetrized
+    entries.
     """
     a1, a2, a3 = r.A1, r.A2, r.A3
-    t = TOL * max(1.0, a1, a2, a3)
-    if abs(a1 - a3) <= t and a1 > 1.0 + t and abs(a2 - 1.0) <= t:
+    g1, g2, g3 = (abs(a - 1.0 / a) for a in (r.a1, r.a2, r.a3))
+    gate = TOL * math.sqrt(2.0 * (a1 + a2 + a3))
+    if abs(g1 - g3) <= gate and g2 <= gate and g1 > gate:
         return ReciprocalShape.BI_ELLIPTICAL
+    t = TOL * max(1.0, a1, a2, a3)
     phi_plus = (1.0 + math.sqrt(5.0)) / 2.0
     phi_minus = (1.0 - math.sqrt(5.0)) / 2.0
     on_line = (

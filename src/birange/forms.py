@@ -15,13 +15,14 @@ Three views of the same family of matrices:
 similarity that collapses a block form onto a special form whenever the
 direction-dependent block combination is a scalar multiple of a unitary, and
 records the affine frame needed to map geometry back to the original
-coordinates.
+coordinates.  :func:`detect_block` finds the block form of a raw matrix.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,8 @@ __all__ = [
     "NotScalarUnitaryError",
     "ScaleRangeError",
     "ZeroMultipleError",
+    "as_block",
+    "detect_block",
     "normalize_block",
     "reduce_to_special",
 ]
@@ -55,6 +58,8 @@ TOL = 1e-9
 # about 1e38.  Entries at the CLI's ceiling of 1e36 give scales below 6e36.
 MIN_SCALE = 1e-36
 MAX_SCALE = 1e37
+
+_BLOCK_DETECT_REL = 1e-10  # the scalar-block tolerance of detect_block
 
 
 class NonPositiveEntryError(ValueError):
@@ -167,6 +172,27 @@ def normalize_block(alpha: complex, beta: complex, C: CMatrix, D: CMatrix) -> Bl
     return BlockForm(alpha=(alpha - beta) / 2, C=C, D=D, shift=(alpha + beta) / 2)
 
 
+def detect_block(m: CMatrix) -> BlockForm | None:
+    """Split a raw 4x4 matrix into block form if its diagonal blocks are
+    scalar within 1e-10 of the norm of M - cI, c = tr M / 4, plus the
+    64 eps |c| roundoff that the shift leaves, as in the oracle gates; so
+    M and tM + c get the same answer."""
+    shift = m.trace() / 4
+    tol = (_BLOCK_DETECT_REL * max((m - shift * eye(4)).frobenius(), 1e-300)
+           + 64 * sys.float_info.epsilon * abs(shift))
+    alpha = 0.5 * (m[0, 0] + m[1, 1])
+    beta = 0.5 * (m[2, 2] + m[3, 3])
+    devs = (
+        abs(m[0, 0] - alpha), abs(m[1, 1] - alpha), abs(m[0, 1]), abs(m[1, 0]),
+        abs(m[2, 2] - beta), abs(m[3, 3] - beta), abs(m[2, 3]), abs(m[3, 2]),
+    )
+    if max(devs) > tol:
+        return None
+    c = CMatrix(((m[0, 2], m[0, 3]), (m[1, 2], m[1, 3])))
+    d = CMatrix(((m[2, 0], m[2, 1]), (m[3, 0], m[3, 1])))
+    return normalize_block(alpha, beta, c, d)
+
+
 @dataclass(frozen=True)
 class SpecialForm:
     """Triangularized special case: off-diagonal blocks B*+I and B-I.
@@ -267,6 +293,16 @@ class ReciprocalForm:
         c = CMatrix(((complex(self.a1), 0j), (complex(1 / self.a2), complex(self.a3))))
         d = CMatrix(((complex(1 / self.a1), complex(self.a2)), (0j, complex(1 / self.a3))))
         return BlockForm(alpha=0j, C=c, D=d, shift=0j)
+
+
+def as_block(payload) -> BlockForm | None:
+    """The block form of a parsed document: :func:`detect_block` of a raw
+    ``CMatrix``, else the form itself or its ``to_block()``."""
+    if isinstance(payload, CMatrix):
+        return detect_block(payload)
+    if isinstance(payload, BlockForm):
+        return payload
+    return payload.to_block()
 
 
 def direction_block(bf: BlockForm, theta: float) -> CMatrix:

@@ -17,6 +17,7 @@ with no discretization floor.  :func:`hull_boundary`, :func:`hausdorff` and
 cross-check oracles in the tests; they stay until the benchmark's tracer
 (``bench/tracing.py`` ``LAYERS``) stops looking them up (ROADMAP item 1).
 
+:func:`check_document` classifies and audits one parsed document.
 :func:`audit` samples the boundary once per matrix and turns the oracles'
 agreement with a verdict into consistency :class:`Check` values; the
 flat-portion and commutant oracles run only when their results are read.
@@ -40,10 +41,12 @@ from .criteria import (
     EllipsePairParams,
     ReciprocalShape,
     Verdict,
+    check_general,
     ellipse_pair_params,
     real_case_ii_margin,
+    reciprocal_classify,
 )
-from .forms import TOL, BlockForm
+from .forms import TOL, BlockForm, ReciprocalForm, as_block
 from .linalg import CMatrix
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "HullComparison",
     "FactorizationResidual",
     "audit",
+    "check_document",
     "verify_checks",
     "hull_support_gap",
     "hull_boundary",
@@ -257,7 +261,8 @@ class Check:
 class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
-    ``eigenvalues`` include the trace shift; ``matrix`` is the audited
+    ``block``, ``verdict`` and ``reciprocal`` are what :func:`audit` was
+    given.  ``eigenvalues`` include the trace shift; ``matrix`` is the audited
     matrix; ``boundary`` is its :class:`nrcore.Boundary`, the support
     function and the top eigenvalue gap at n equispaced directions (no
     boundary points: no check reads them); ``diameter`` is the diagonal of
@@ -269,6 +274,9 @@ class AuditReport:
     only, and nothing in it reads ``commutant_dim``.
     """
 
+    block: BlockForm
+    verdict: Verdict
+    reciprocal: ReciprocalShape | None
     eigenvalues: tuple[complex, ...]
     matrix: np.ndarray
     boundary: nrcore.Boundary
@@ -293,12 +301,12 @@ class AuditReport:
         return [c.detail for c in self.checks if not c.passed]
 
 
-def _flat_checks(verdict: Verdict, report: AuditReport) -> list[Check]:
+def _flat_checks(report: AuditReport) -> list[Check]:
     """A bi-elliptical boundary has exactly two flat portions.  The hull of
     two translated congruent ellipses meets each of its flat edges at a pair
     of points the translation maps onto each other, so every flat portion
     has the length and direction of the offset between the two centers."""
-    e1, e2 = verdict.ellipses
+    e1, e2 = report.verdict.ellipses
     expected = e1.center - e2.center
     flats = report.flats
     if len(flats) != 2:
@@ -343,16 +351,13 @@ def audit(
     ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can run on
     them.  Every check here and in :func:`verify_checks` reads support
     values only, so the boundary oracle runs without points (eigenvalues
-    only).  The flat-portion and commutant oracles run when the report's
-    ``flats`` and ``commutant_dim`` are first read, each at most once:
-    here ``flats`` is read for a positive verdict with ellipses only.
-    ``reciprocal`` is the reciprocal classification when ``bf`` came from a
-    reciprocal form and must agree with the verdict.  A positive verdict
-    must have its hull of ellipses within ``1e-6 * diameter`` of the sampled
-    range and two flat portions that match the offset between the ellipse
-    centers.  Whenever the verdict carries a reduced form, the generating
-    polynomial must factor into the two claimed quadratics up to a
-    factorization residual of ``TOL``.
+    only).  ``reciprocal`` is the reciprocal classification when ``bf``
+    came from a reciprocal form and must agree with the verdict.  A positive
+    verdict must have its hull of ellipses within ``1e-6 * diameter`` of the
+    sampled range and two flat portions that match the offset between the
+    ellipse centers.  Whenever the verdict carries a reduced form, the
+    generating polynomial must factor into the two claimed quadratics up to
+    a factorization residual of ``TOL``.
     """
     nrcore._require_flat_samples(samples)
     a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
@@ -367,7 +372,8 @@ def audit(
     # The flat checks read the report's flats, so the report holds the
     # checks list before it is filled.
     checks: list[Check] = []
-    report = AuditReport(eigenvalues, a, boundary, diameter, hull_gap, fact, checks)
+    report = AuditReport(bf, verdict, reciprocal, eigenvalues, a, boundary, diameter,
+                         hull_gap, fact, checks)
 
     if reciprocal is not None:
         ok = (reciprocal is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
@@ -378,7 +384,7 @@ def audit(
         ok = hull_gap <= _HULL_REL * diameter
         checks.append(Check(_HULL, ok, f"Hausdorff {hull_gap:.3e}" if ok else (
             f"hull/oracle Hausdorff {hull_gap:.3e} exceeds 1e-6 * diameter")))
-        checks += _flat_checks(verdict, report)
+        checks += _flat_checks(report)
     if fact is not None:
         ok = fact.total <= TOL
         checks.append(Check("factorization", ok, (
@@ -387,7 +393,20 @@ def audit(
     return report
 
 
-def verify_checks(bf: BlockForm, verdict: Verdict, report: AuditReport) -> list[Check]:
+def check_document(payload, samples: int = nrcore.DEFAULT_SAMPLES) -> AuditReport | None:
+    """:func:`audit` of the ``check_general`` verdict on a raw ``CMatrix``,
+    ``BlockForm``, ``SpecialForm`` or ``ReciprocalForm``; None for a raw
+    matrix without scalar diagonal blocks (``forms.as_block``).  A raw
+    matrix is audited as given, a reciprocal form with its shape."""
+    bf = as_block(payload)
+    if bf is None:
+        return None
+    shape = reciprocal_classify(payload) if isinstance(payload, ReciprocalForm) else None
+    return audit(bf, check_general(bf), samples,
+                 matrix=payload if isinstance(payload, CMatrix) else None, reciprocal=shape)
+
+
+def verify_checks(report: AuditReport) -> list[Check]:
     """The checks ``birange verify`` reports, in order.
 
     Central symmetry about the shift, in two parts: normal, the audit's
@@ -404,7 +423,7 @@ def verify_checks(bf: BlockForm, verdict: Verdict, report: AuditReport) -> list[
     (ii), whose matrices are reducible, and either near it
     (``_IRREDUCIBILITY``).  Every other failed consistency check comes last.
     """
-    scale = bf.scale()
+    bf, verdict, scale = report.block, report.verdict, report.block.scale()
     theta, support = report.boundary.theta, report.boundary.support
 
     # W = 2 shift - W iff h(theta) - h(theta + pi) = 2 Re(e^{-i theta} shift)

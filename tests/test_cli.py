@@ -453,21 +453,26 @@ class TestBoundary:
         assert "<line" in text
         assert "<script" not in text
 
-    def test_svg_view_box_fits_a_tiny_range(self, tmp_path):
-        # The worked example scaled by 1e-20: the view box pads the drawn
-        # range by 5% of its own span, so the range fills the drawing.
+    # The worked example scaled by 1e-20, and scaled by 1e-3 and shifted by
+    # 1e6 i, a range about 1e-8 of its distance from the origin wide.
+    @pytest.mark.parametrize("t, c", [(1e-20, 0j), (1e-3, 1e6j)], ids=["tiny", "shifted"])
+    def test_svg_view_box_fits_a_tiny_range(self, tmp_path, t, c):
+        # The view box pads the drawn range by 5% of its own span, so the
+        # range fills the drawing, and every coordinate keeps the digits
+        # that put each polygon point inside the box.
         path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(raw_doc(1e-20 * general_example_matrix())))
+        path.write_text(json.dumps(raw_doc(t * general_example_matrix() + c * eye(4))))
         out = tmp_path / "plot.svg"
         assert main(["boundary", str(path), "--format", "svg",
                      "--output", str(out)]) == 0
         text = out.read_text()
-        width, height = map(float, re.search(r'viewBox="\S+ \S+ (\S+) (\S+)"',
-                                             text).groups())
+        x, y, width, height = map(float, re.search(r'viewBox="(\S+) (\S+) (\S+) (\S+)"',
+                                                   text).groups())
         pts = [complex(*map(float, p.split(",")))
                for p in re.search(r'<polygon points="([^"]+)"', text).group(1).split()]
         span = max(np.ptp([p.real for p in pts]), np.ptp([p.imag for p in pts]))
         assert 0.0 < span <= max(width, height) <= 1.2 * span
+        assert all(x <= p.real <= x + width and y <= p.imag <= y + height for p in pts)
 
     def test_refinement_convergence(self, gen_file, capsys):
         assert main(["boundary", gen_file, "--samples", "64"]) == 0
@@ -547,6 +552,20 @@ class TestReciprocal:
 
     def test_nonpositive_rejected(self, capsys):
         assert main(["reciprocal", "1", "-1", "1"]) == 2
+
+    # a2 within 1e-4 of 1, and a2 = 3 between outer entries of 1e5: the
+    # bi-elliptical test gates a_k - 1/a_k at the resolution of the general
+    # check, so neither counts as A2 = 1.
+    @pytest.mark.parametrize("a", [(10, 1.0001, 10), (1e5, 3, 1e5)])
+    def test_check_and_reciprocal_agree_near_the_line(self, a, tmp_path, capsys):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(dict(form="reciprocal", a1=a[0], a2=a[1], a3=a[2])))
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "reciprocal classification: Neither" in out
+        assert "CONSISTENCY FAILURE" not in out
+        assert main(["reciprocal", *map(repr, a)]) == 1
+        assert "classification: Neither" in capsys.readouterr().out.splitlines()
 
 
 class TestVerify:
@@ -667,7 +686,7 @@ class TestVerify:
         excess = float(re.search(r"worst support excess (\S+)", out).group(1))
 
         # The per-sample loops the verify checks are defined by.
-        bf = cli.detect_block_structure(general_example_matrix())
+        bf = forms.detect_block(general_example_matrix())
         boundary = nrcore.boundary_support(bf.assemble(), 512, points=False)
         theta, support = boundary.theta.tolist(), boundary.support.tolist()
         n = len(theta)

@@ -5,8 +5,9 @@ Every decision gate compares a quantity of degree k with ``TOL * s**k``,
 ``s`` being the shift-free norm of the data the quantity is computed from,
 so scaling by t over sixteen orders of magnitude, shifting by up to 1e6 t
 and hiding the blocks behind unitaries must leave ``check_general``'s
-verdict and reason unchanged.  Hypothesis draws the instances, derandomized so that every run
-tests the same ones.
+verdict and reason unchanged, and must move its ellipses with the range.
+Hypothesis draws the instances, derandomized so that every run tests the
+same ones.
 """
 
 import cmath
@@ -74,16 +75,37 @@ def base_case(family, seed):
         assume(abs(criterion_T(sf)) / sf.scale() ** 4 > 1e-6)
     verdict = check_general(sf.to_block())
     assert verdict.bielliptical == (family != "negative")
-    return sf, (verdict.bielliptical, verdict.reason)
+    return sf, verdict
+
+
+def assert_moved(verdict, base, w, c):
+    """``verdict`` is ``base`` for the range moved by z -> w z + c: the same
+    verdict and reason, and ellipses with centers w center + c, semi-axes
+    |w| times the base's and tilt the base's plus arg w mod pi, each within
+    1e-10 of the diameter (the tilt as the turn times the axis difference,
+    the largest distance it moves a point)."""
+    assert (verdict.bielliptical, verdict.reason) == (base.bielliptical, base.reason)
+    if base.ellipses is None:
+        assert verdict.ellipses is None
+        return
+    e1, e2 = base.ellipses
+    tol = 1e-10 * abs(w) * (abs(e1.center - e2.center) + 2.0 * e1.semi_major)
+    for b in base.ellipses:
+        center = w * b.center + c
+        e = min(verdict.ellipses, key=lambda e: abs(e.center - center))
+        turn = (e.tilt - b.tilt - cmath.phase(w) + math.pi / 2) % math.pi - math.pi / 2
+        assert abs(e.center - center) <= tol
+        assert abs(e.semi_major - abs(w) * b.semi_major) <= tol
+        assert abs(e.semi_minor - abs(w) * b.semi_minor) <= tol
+        assert abs(turn) * (e.semi_major - e.semi_minor) <= tol
 
 
 @invariance
 @given(st.sampled_from(sorted(FAMILIES)), seeds, scales, shift_ratios, angles)
 def test_verdict_invariant_under_scale_and_shift(family, seed, t, ratio, phase):
-    sf, expected = base_case(family, seed)
-    bf = transformed(sf, t, ratio * t * cmath.exp(1j * phase))
-    verdict = check_general(bf)
-    assert (verdict.bielliptical, verdict.reason) == expected
+    sf, base = base_case(family, seed)
+    c = ratio * t * cmath.exp(1j * phase)
+    assert_moved(check_general(transformed(sf, t, c)), base, t, c)
 
 
 @invariance
@@ -91,12 +113,12 @@ def test_verdict_invariant_under_scale_and_shift(family, seed, t, ratio, phase):
 def test_verdict_invariant_under_block_unitary_disguise(
     family, seed, t, ratio, phase, rotation
 ):
-    sf, expected = base_case(family, seed)
+    sf, base = base_case(family, seed)
     rng = np.random.default_rng(seed + 1)
     u1, u2 = random_unitary2(rng), random_unitary2(rng)
-    bf = transformed(sf, t, ratio * t * cmath.exp(1j * phase), rotation, u1, u2)
-    verdict = check_general(bf)
-    assert (verdict.bielliptical, verdict.reason) == expected
+    c = ratio * t * cmath.exp(1j * phase)
+    bf = transformed(sf, t, c, rotation, u1, u2)
+    assert_moved(check_general(bf), base, t * cmath.exp(1j * rotation), c)
 
 
 @pytest.mark.parametrize("size", [200.0, 1e4, 1e5])

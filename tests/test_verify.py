@@ -16,9 +16,10 @@ from birange.criteria import (
     criterion_T,
     ellipse_pair_params,
     real_case_ii_margin,
+    reciprocal_classify,
 )
 from birange import cli, nrcore, verify
-from birange.forms import TOL, BlockForm, SpecialForm
+from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm, as_block, detect_block
 from birange.linalg import CMatrix
 from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
@@ -459,7 +460,7 @@ class TestAuditLapackBudget:
             monkeypatch.setattr(nrcore, "pencil_eigs", pencil)
             counts, checks = self.calls(
                 monkeypatch, verify, "verify_checks",
-                lambda: verify.verify_checks(bf, verdict, report))
+                lambda: verify.verify_checks(report))
             assert counts == {("eigh", (16,)): 1}
             assert shapes == [(16,)]
             assert all(c.passed for c in checks)
@@ -492,7 +493,7 @@ class TestOracleRuns:
             verdict = check_general(bf)
             assert not verdict.bielliptical
             report = audit(bf, verdict, 512)
-            checks = verify.verify_checks(bf, verdict, report)
+            checks = verify.verify_checks(report)
             assert all(c.passed for c in checks)
         assert runs == {}
 
@@ -519,7 +520,7 @@ class TestOracleRuns:
         assert verdict.bielliptical
         report = audit(bf, verdict, 512)
         assert runs == {"flat_portions": 1}
-        checks = verify.verify_checks(bf, verdict, report)
+        checks = verify.verify_checks(report)
         assert all(c.passed for c in checks)
         assert runs == {"flat_portions": 1, "commutant_dim": 1}
 
@@ -576,7 +577,7 @@ class TestIrreducibilityBand:
             bf, _ = disguise(rng, sf)
             verdict = check_general(bf)
             report = audit(bf, verdict, 512)
-            checks = verify.verify_checks(bf, verdict, report)
+            checks = verify.verify_checks(report)
             assert all(c.passed for c in checks), [c.detail for c in checks]
             row = next(c for c in checks if c.name == "unitary irreducibility")
             if delta == 0.0:
@@ -595,7 +596,7 @@ class TestCentralSymmetry:
         bf = general_example_block()
         verdict = check_general(bf)
         report = audit(bf, verdict, 512)
-        assert verify.verify_checks(bf, verdict, report)[0].passed
+        assert verify.verify_checks(report)[0].passed
         eigh = np.linalg.eigh
 
         def turned(a):
@@ -605,10 +606,65 @@ class TestCentralSymmetry:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", turned)
-        checks = {c.name: c for c in verify.verify_checks(bf, verdict, report)}
+        checks = {c.name: c for c in verify.verify_checks(report)}
         sym = checks["central symmetry"]
         assert not sym.passed
         normal, transverse = map(float, re.findall(r"(\S+) (?:normal|transverse)",
                                                    sym.detail))
         assert normal <= 1e-12 < 1e-6 * report.diameter <= transverse
         assert checks["pencil eigenvalues"].passed
+
+
+class TestCheckDocument:
+    """``verify.check_document`` is the one library call per parsed document
+    behind ``check``, ``verify`` and ``boundary --format svg``."""
+
+    @staticmethod
+    def cases():
+        """(payload, the same matrix as a JSON document) per input form."""
+        m, bf = general_example_matrix(), general_example_block()
+
+        def grid(a):
+            return [[[a[i, j].real, a[i, j].imag] for j in range(a.n)] for i in range(a.n)]
+
+        readme = {"form": "special", "u": 0.1, "v": 0.0, "b1": [0.6, -0.2],
+                  "b2": [0.4, -0.2], "b": 1.0}
+        a = 1.0 + math.sqrt(2.0)
+        return {
+            "raw": (m, {"form": "raw", "matrix": grid(m)}),
+            "block": (bf, {"form": "block", "alpha": [(bf.shift + bf.alpha).real,
+                                                      (bf.shift + bf.alpha).imag],
+                           "beta": [(bf.shift - bf.alpha).real, (bf.shift - bf.alpha).imag],
+                           "C": grid(bf.C), "D": grid(bf.D)}),
+            "special": (SpecialForm(0.1, 0.0, 0.6 - 0.2j, 0.4 - 0.2j, 1.0), readme),
+            "reciprocal": (ReciprocalForm(a, 1.0, a),
+                           {"form": "reciprocal", "a1": a, "a2": 1.0, "a3": a}),
+            "reciprocal-near-line": (ReciprocalForm(10.0, 1.0001, 10.0),
+                                     {"form": "reciprocal", "a1": 10.0, "a2": 1.0001,
+                                      "a3": 10.0}),
+        }
+
+    @pytest.mark.parametrize("kind", ["raw", "block", "special", "reciprocal",
+                                      "reciprocal-near-line"])
+    def test_same_answer_as_check_json(self, kind, tmp_path, capsys):
+        payload, doc = self.cases()[kind]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--format", "json", str(path), "--samples", "512"])
+        printed = json.loads(capsys.readouterr().out)
+        report = verify.check_document(payload, 512)
+        verdict = report.verdict
+        assert (verdict.kind, verdict.reason.value if verdict.reason else None,
+                report.failures) == (printed["verdict"], printed["reason"],
+                                     printed["consistency_failures"])
+        assert code == (0 if verdict.bielliptical else 1)
+        assert report.block == as_block(payload)
+        shape = reciprocal_classify(payload) if kind.startswith("reciprocal") else None
+        assert report.reciprocal is shape
+        assert all(c.passed for c in verify.verify_checks(report))
+
+    def test_raw_matrix_without_scalar_blocks(self):
+        m = CMatrix([[complex(i + 1 if i == j else 0.3, 0.1 * i) for j in range(4)]
+                     for i in range(4)])
+        assert detect_block(m) is None
+        assert verify.check_document(m) is None
