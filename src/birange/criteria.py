@@ -338,7 +338,6 @@ class ThetaSearch:
     theta: float
     mu: float
     residual: float
-    extra_thetas: tuple[float, ...] = ()
 
 
 def _polish_theta(h0: CMatrix, z0: CMatrix, theta_guess: float) -> float | None:
@@ -385,27 +384,27 @@ def _zero_multiples_only(bf: BlockForm) -> bool:
     return tr_h - 2.0 * abs(bf.Z.trace()) <= TOL * tr_h
 
 
-def _grid_minima(d: np.ndarray, coarse: float) -> np.ndarray:
-    """Ascending indices of the local minima of the periodic grid d that do
-    not exceed coarse.  Strict on the left: a run of equal values counts at
-    most once, at its first point, and none counts if it covers the grid."""
-    mask = (d < np.roll(d, 1)) & (d <= np.roll(d, -1)) & (d <= coarse)
-    return np.flatnonzero(mask)
-
-
 def find_theta(bf: BlockForm) -> ThetaSearch | None:
     """Direction theta in [0, pi) making e^{-i t}C - e^{i t}D* scalar-unitary.
 
     The deviation d(theta) is a smooth trigonometric expression (entries of
     M*M are degree one in cos 2 theta, sin 2 theta), so a dense grid plus
-    golden-section refinement cannot miss an exact root; an algebraic
-    least-squares polish then removes the roundoff floor of the search.
-    Directions where the scalar multiple vanishes are excluded; additional
-    accepted minima mod pi are reported for the per-instance uniqueness
-    audit.  The local minima come from one boolean mask over the grid, and a
-    run of equal grid values counts at most once, at its first point, so a
-    deviation that vanishes in every direction (C = U, D = kU*) refines no
-    point besides the best one.  Each selected minimum is refined once.
+    golden-section refinement of its best point cannot miss an exact root;
+    an algebraic least-squares polish then removes the roundoff floor of the
+    search.  Directions where the scalar multiple vanishes are excluded.
+    One grid, one refinement.
+
+    Which root is taken does not matter: where two directions mod pi work,
+    M D is normal, and ``check_general`` answers ProductNormal.  Rotate so
+    that theta = 0 and put V = C - D*, V*V = mu I, and P = DV = pI + Y with
+    Y = Y_h + i Y_a traceless, Pauli vectors y_h, y_a.  Then DD* = PP*/mu,
+    and the traceless part of Z = DC has anti-Hermitian part y_a and
+    Hermitian part z_h = (1 + 2 Re p/mu) y_h + (2 Im p/mu) y_a -+ (2/mu)
+    y_a x y_h.  A second root needs ``_polish_theta``'s system to have rank
+    at most 1: z_h parallel to y_a, or y_a = 0.  The cross term is
+    orthogonal to y_a and vanishes only if y_h is parallel to y_a, so Y is
+    a complex multiple of a Hermitian matrix and P is normal; M D = V D is
+    unitarily similar to DV = P, hence normal.
     """
     if _zero_multiples_only(bf):
         return None
@@ -439,42 +438,22 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     dens = tr_h - 2.0 * np.real(e1 * tr_z)
     dgrid = np.sqrt(np.maximum(num2, 0.0)) / dens
 
+    t0 = float(thetas[int(np.argmin(dgrid))])
     step = math.pi / grid
-
-    def refine(k: int) -> tuple[float, float]:
-        t0 = float(thetas[k])
-        t_star = golden_min(dval, t0 - step, t0 + step)
-        polished = _polish_theta(h0, z0, t_star)
-        if polished is not None and dval(polished) <= dval(t_star):
-            t_star = polished
-        theta = t_star % math.pi
-        # A tiny negative t_star wraps onto pi itself in floating point.
-        return (0.0 if theta == math.pi else theta), dval(t_star)
-
-    k_best = int(np.argmin(dgrid))
-    theta_star, d_min = refine(k_best)
+    t_star = golden_min(dval, t0 - step, t0 + step)
+    polished = _polish_theta(h0, z0, t_star)
+    if polished is not None and dval(polished) <= dval(t_star):
+        t_star = polished
+    d_min = dval(t_star)
     if d_min > TOL:
         return None
-    e_star = cmath.exp(-2j * theta_star)
+    theta = t_star % math.pi
+    # A tiny negative t_star wraps onto pi itself in floating point.
+    if theta == math.pi:
+        theta = 0.0
+    e_star = cmath.exp(-2j * theta)
     mu = 0.5 * (tr_h - 2.0 * (e_star * tr_z).real)
-
-    extras: list[float] = []
-    coarse = max(TOL * 10.0, float(dgrid[k_best]) * 10.0)
-    for k in _grid_minima(dgrid, coarse).tolist():
-        if k == k_best:
-            # Refined above; again it would give theta_star itself.
-            continue
-        t_k, d_k = refine(k)
-        sep = abs((t_k - theta_star + math.pi / 2) % math.pi - math.pi / 2)
-        if d_k <= TOL and sep > 1e-6:
-            if all(
-                abs((t_k - t + math.pi / 2) % math.pi - math.pi / 2) > 1e-6
-                for t in extras
-            ):
-                extras.append(t_k)
-    return ThetaSearch(
-        theta=theta_star, mu=mu, residual=d_min, extra_thetas=tuple(sorted(extras))
-    )
+    return ThetaSearch(theta=theta, mu=mu, residual=d_min)
 
 
 def check_general(bf: BlockForm) -> Verdict:
@@ -493,19 +472,17 @@ def check_general(bf: BlockForm) -> Verdict:
                               f"be 0 or at least {MIN_SCALE:g} and at most {MAX_SCALE:g}")
     diagnostics: dict = {}
 
-    if _zero_multiples_only(bf):
-        # The product with D of a zero multiple is zero, hence normal.
-        diagnostics["mu"] = 0.0
-        return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
-
     found = find_theta(bf)
     if found is None:
+        if _zero_multiples_only(bf):
+            # The product with D of a zero multiple is zero, hence normal.
+            diagnostics["mu"] = 0.0
+            return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
         return Verdict(False, Reason.NO_THETA, None, diagnostics)
     theta = found.theta
     diagnostics["theta"] = theta
     diagnostics["mu"] = found.mu
     diagnostics["theta_residual"] = found.residual
-    diagnostics["theta_extra"] = found.extra_thetas
 
     m = direction_block(bf, theta)
     product = m @ bf.D

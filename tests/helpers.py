@@ -28,6 +28,7 @@ from birange.forms import (
     Frame,
     ReciprocalForm,
     SpecialForm,
+    direction_block,
     normalize_block,
 )
 from birange.linalg import CMatrix, eig2, eye, sqrt_principal
@@ -215,13 +216,29 @@ def bi_special_any(rng) -> SpecialForm:
     return _BI_FAMILIES[int(rng.integers(0, len(_BI_FAMILIES)))](rng)
 
 
-def disguise(rng, sf: SpecialForm, rotate: bool = True, scale: bool = True,
-             shift: bool = True,
+def two_direction_block(rng) -> BlockForm:
+    """A block form with two scalar-unitary directions mod pi, one of them
+    0: V = sqrt(mu) U, D = P V^{-1} for a normal P whose eigenvalue gap is
+    not real, and C = D* + V, so that C - D* = V."""
+    mu = math.exp(rng.uniform(-1.0, 1.0))
+    v = math.sqrt(mu) * random_unitary2(rng)
+    mean = complex(rng.normal(), rng.normal())
+    gap = cmath.rect(math.exp(rng.uniform(-0.7, 0.7)), rng.uniform(0.2, math.pi - 0.2))
+    w = random_unitary2(rng)
+    p = w @ CMatrix(((mean + gap / 2, 0), (0, mean - gap / 2))) @ w.H
+    d = (1.0 / mu) * (p @ v.H)
+    alpha = complex(rng.normal(), rng.normal())
+    return BlockForm(alpha=alpha, C=d.H + v, D=d)
+
+
+def disguise(rng, form: SpecialForm | BlockForm, rotate: bool = True,
+             scale: bool = True, shift: bool = True,
              theta0: float | None = None) -> tuple[BlockForm, float]:
-    """Hide a special form behind rotation, scaling, shift and block
-    unitaries; returns the disguised block form and the rotation used.
-    A given ``theta0`` is the rotation, instead of a random one."""
-    bf = sf.to_block()
+    """Hide a special form, or a block form without shift, behind rotation,
+    scaling, shift and block unitaries; returns the disguised block form
+    and the rotation used.  A given ``theta0`` is the rotation, instead of
+    a random one."""
+    bf = form if isinstance(form, BlockForm) else form.to_block()
     u1 = random_unitary2(rng)
     u2 = random_unitary2(rng)
     if theta0 is None:
@@ -229,7 +246,7 @@ def disguise(rng, sf: SpecialForm, rotate: bool = True, scale: bool = True,
     t = math.exp(float(rng.uniform(-0.7, 0.7))) if scale else 1.0
     c = complex(rng.normal(), rng.normal()) if shift else 0j
     w = t * cmath.exp(1j * theta0)
-    alpha = w * sf.alpha
+    alpha = w * bf.alpha
     c_new = w * (u1.H @ bf.C @ u2)
     d_new = w * (u2.H @ bf.D @ u1)
     return normalize_block(alpha + c, -alpha + c, c_new, d_new), theta0
@@ -396,23 +413,6 @@ def golden_flat_portions(m, boundary: nrcore.Boundary) -> list[nrcore.FlatPortio
     return found
 
 
-def reference_grid_minima(d, coarse: float) -> list[int]:
-    """Reference for ``criteria._grid_minima``: the direction-grid scan that
-    ``find_theta`` ran as a loop over Python floats.  A point counts when it
-    lies strictly below its left neighbour, at most at its right one (the
-    grid wraps from its last point to its first) and not above ``coarse``."""
-    d = np.asarray(d, dtype=float).tolist()
-    grid = len(d)
-    out = []
-    for k in range(grid):
-        # Strict on the left: a run of equal values counts at most once.
-        if d[k] < d[k - 1] and d[k] <= d[(k + 1) % grid]:
-            if d[k] > coarse:
-                continue
-            out.append(k)
-    return out
-
-
 class ReferenceArithmetic:
     """Reference for ``CMatrix``'s arithmetic: the operators as they were
     before their results were trusted, each result going through the
@@ -493,6 +493,20 @@ def loop_factorization_residual(
         worst_quad = max(worst_quad, quad)
         worst_total = max(worst_total, lin / norm2 + quad / norm4)
     return worst_total, worst_lin / norm2, worst_quad / norm4
+
+
+def scalar_unitary_deviation(bf: BlockForm, theta: float) -> float:
+    """Reference for ``find_theta``'s deviation: the traceless part of M*M
+    over its trace, M = direction_block(bf, theta)."""
+    m = direction_block(bf, theta)
+    g = m.H @ m
+    return (g - (g.trace() / 2) * eye(2)).frobenius() / g.trace().real
+
+
+def product_normality_defect(bf: BlockForm, theta: float) -> float:
+    """||PP* - P*P|| / ||P||^2 for the product P = direction_block(bf, theta) D."""
+    p = direction_block(bf, theta) @ bf.D
+    return (p @ p.H - p.H @ p).frobenius() / p.frobenius() ** 2
 
 
 # The paper's "especially simple form" for real or purely imaginary

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from birange import criteria, forms
 from birange.criteria import (
@@ -25,7 +23,7 @@ from birange.criteria import (
 )
 from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm
 from birange.linalg import CMatrix, zeros
-from birange.nrcore import pencil_eigs, spectrum
+from birange.nrcore import golden_min, pencil_eigs, spectrum
 from helpers import (
     NotImagAlphaError,
     NotRealAlphaError,
@@ -44,15 +42,17 @@ from helpers import (
     fit_conic_ellipse,
     general_example_block,
     herm_eig2,
+    product_normality_defect,
     random_block,
     random_cmat,
     random_special,
     reciprocal_two_ellipse,
-    reference_grid_minima,
+    scalar_unitary_deviation,
     shift_free_matrix,
     spread_residual,
     tangent_envelope_points,
     trace_level_T,
+    two_direction_block,
 )
 
 
@@ -271,7 +271,6 @@ class TestFindTheta:
         assert found is not None
         assert abs(found.theta - 3 * math.pi / 4) <= 1e-10
         assert abs(found.mu - 200.0) <= 1e-7
-        assert found.extra_thetas == ()
 
     def test_shifted_adjoint_structure(self, rng):
         d = random_cmat(rng)
@@ -297,7 +296,6 @@ class TestFindTheta:
             assert found is not None
             dist = abs((found.theta - theta0 + math.pi / 2) % math.pi - math.pi / 2)
             assert dist <= 1e-9
-            assert found.extra_thetas == ()
 
     @pytest.mark.parametrize(
         "theta0", [math.pi - math.pi / 8192, 4095 * math.pi / 4096, math.pi / 8192]
@@ -312,7 +310,6 @@ class TestFindTheta:
             assert 0.0 <= found.theta < math.pi
             dist = abs((found.theta - theta0 + math.pi / 2) % math.pi - math.pi / 2)
             assert dist <= 1e-9
-            assert found.extra_thetas == ()
 
     @pytest.mark.parametrize("k", [0.5, 2.5])
     @pytest.mark.parametrize(
@@ -320,156 +317,117 @@ class TestFindTheta:
     )
     def test_scalar_unitary_everywhere_counts_one_minimum(self, u, k):
         # C = U, D = kU*: every direction is scalar-unitary, so the sampled
-        # deviation is identically 0 and the whole grid is one flat run,
-        # which must count as one minimum, not 4096.
+        # deviation is identically 0; the best grid point is refined once
+        # and the product with D is normal.
         unitary = CMatrix(u)
         bf = BlockForm(alpha=0.3, C=unitary, D=k * unitary.H)
         found = find_theta(bf)
         assert found is not None
         assert 0.0 <= found.theta < math.pi
-        assert found.extra_thetas == ()
         verdict = check_general(bf)
         assert verdict.reason is Reason.PRODUCT_NORMAL
-        assert verdict.diagnostics["theta_extra"] == ()
 
-    def test_second_direction_kept_as_extra(self):
+    def test_second_direction_forces_normal_product(self):
         # C = I, D = [[0, 1], [i, 0]]: the traceless residual runs along a
-        # segment through 0 and back, so a second direction, pi/2 from
-        # theta, is accepted besides the best one.
+        # segment through 0 and back, so theta + pi/2 is scalar-unitary too,
+        # and the product with D is normal at both directions.
         ident = CMatrix(((1, 0), (0, 1)))
         bf = BlockForm(alpha=0.3, C=ident, D=CMatrix(((0, 1), (1j, 0))))
         found = find_theta(bf)
         assert found is not None
-        assert len(found.extra_thetas) == 1
-        gap = (found.extra_thetas[0] - found.theta) % math.pi
-        assert abs(gap - math.pi / 2) <= 1e-9
+        for theta in (found.theta, found.theta + math.pi / 2):
+            assert scalar_unitary_deviation(bf, theta) <= 1e-12
+            assert product_normality_defect(bf, theta) <= 1e-12
         verdict = check_general(bf)
         assert not verdict.bielliptical
         assert verdict.reason is Reason.PRODUCT_NORMAL
-        assert verdict.diagnostics["theta_extra"] == found.extra_thetas
 
 
-grid_scan = settings(derandomize=True, database=None, deadline=None, max_examples=300)
-# Few distinct levels, so that drawn grids hold plateaus, ties across the
-# wrap and runs of inf.
-levels = st.sampled_from([0.0, 1e-12, 0.5, 1.0, math.inf])
-grid_values = st.floats(0.0, 1e3) | st.just(math.inf)
-
-
-class TestGridMinima:
-    """``find_theta``'s mask selects the indices of the Python-float scan."""
+class TestTwoDirections:
+    """Two scalar-unitary directions mod pi force a normal product M D, the
+    theorem in ``find_theta``'s docstring, on disguised forms built to have
+    two."""
 
     @staticmethod
-    def assert_same(d, coarse):
-        got = criteria._grid_minima(np.asarray(d, dtype=float), coarse).tolist()
-        assert got == reference_grid_minima(d, coarse)
+    def roots(bf, n: int = 1024) -> list[float]:
+        """Roots mod pi of the deviation: a dense scan, each local minimum
+        refined by golden section."""
+        e = np.exp(-1j * math.pi * np.arange(n) / n)[:, None, None]
+        m = e * np.array(bf.C.rows) - e.conj() * np.array(bf.D.H.rows)
+        g = m.conj().transpose(0, 2, 1) @ m
+        tr = np.trace(g, axis1=1, axis2=2)
+        d = (np.linalg.norm(g - 0.5 * tr[:, None, None] * np.eye(2), axis=(1, 2))
+             / tr.real).tolist()
+        step = math.pi / n
+        found = []
+        for k in range(n):
+            if d[k] <= d[k - 1] and d[k] <= d[(k + 1) % n]:
+                t = golden_min(lambda x: scalar_unitary_deviation(bf, x),
+                               k * step - step, k * step + step)
+                if scalar_unitary_deviation(bf, t) <= 1e-10 and all(
+                    abs((t - r + math.pi / 2) % math.pi - math.pi / 2) > 1e-6 for r in found
+                ):
+                    found.append(t % math.pi)
+        return found
 
-    @grid_scan
-    @given(st.lists(grid_values, min_size=1, max_size=64), grid_values)
-    def test_random_grids(self, d, coarse):
-        self.assert_same(d, coarse)
-
-    @grid_scan
-    @given(st.lists(levels, min_size=1, max_size=64), levels)
-    def test_plateau_grids(self, d, coarse):
-        self.assert_same(d, coarse)
-
-    @pytest.mark.parametrize("value", [0.0, 1.0, math.inf])
-    def test_all_equal_grid(self, value):
-        d = [value] * 4096
-        assert reference_grid_minima(d, math.inf) == []
-        self.assert_same(d, math.inf)
-
-    @pytest.mark.parametrize("run, first", [
-        ((4095, 0), 4095), ((4095, 0, 1), 4095), ((4094, 4095, 0, 1), 4094),
-    ])
-    def test_tie_across_wrap(self, run, first):
-        # A run of equal minima across the wrap counts once, at its first
-        # point walking up the grid, which lies before the wrap.
-        d = np.linspace(0.0, 1.0, 4096)
-        d = np.minimum(d, d[::-1]) + 0.25
-        d[list(run)] = 0.0
-        assert reference_grid_minima(d, 1.0) == [first]
-        self.assert_same(d, 1.0)
-
-    def test_random_4096_grids(self, rng):
-        for _ in range(20):
-            d = rng.random(4096)
-            for grid in (d, np.round(d, 1)):
-                for coarse in (0.0, 0.1, 0.5, math.inf):
-                    self.assert_same(grid, coarse)
-
-    def test_grids_holding_inf(self, rng):
-        for _ in range(20):
-            d = rng.random(4096)
-            d[rng.random(4096) < 0.3] = math.inf
-            for coarse in (0.5, math.inf):
-                self.assert_same(d, coarse)
-        d = np.full(4096, math.inf)
-        d[[7, 8, 2000]] = 1.0
-        assert reference_grid_minima(d, 1.0) == [7, 2000]
-        self.assert_same(d, 1.0)
+    def test_two_roots_product_normal(self, rng):
+        for _ in range(200):
+            bf = disguise(rng, two_direction_block(rng))[0]
+            assert check_general(bf).reason is Reason.PRODUCT_NORMAL
+            roots = self.roots(bf)
+            assert len(roots) == 2
+            for theta in roots:
+                assert product_normality_defect(bf, theta) <= 1e-12
 
 
 class TestRefineOnce:
-    """``find_theta`` runs one golden-section search per selected grid
-    minimum, the best grid point included once."""
+    """``find_theta`` samples one grid and runs one golden-section search,
+    bracketing the grid's best point."""
 
     @staticmethod
     def forms(rng):
         yield general_example_block()
-        # C = U, D = kU*: one flat run, no selected minimum, one search.
+        # C = U, D = kU*: the grid is one flat run.
         ident = CMatrix(((1, 0), (0, 1)))
         yield BlockForm(alpha=0.3, C=ident, D=2.5 * ident)
         # C = I, D = [[0, b], [c, 0]] with |b| = |c|: the traceless residual
         # runs along a segment through 0 and back, so two directions mod pi
-        # are accepted and two grid minima selected, the best among them.
+        # are scalar-unitary.
         yield BlockForm(alpha=0.3, C=ident, D=CMatrix(((0, 1), (1j, 0))))
         for k in range(40):
             sf = bi_special_any(rng) if k % 2 else random_special(rng)
             yield disguise(rng, sf)[0]
 
-    @staticmethod
-    def spy_golden(monkeypatch) -> list[tuple[float, float]]:
-        brackets = []
-        golden = criteria.golden_min
+    def test_one_search_centred_on_argmin(self, rng, monkeypatch):
+        brackets, grids = [], []
+        golden, argmin = criteria.golden_min, np.argmin
 
         def counted(f, lo, hi):
             brackets.append((lo, hi))
             return golden(f, lo, hi)
 
+        def recorded(d):
+            grids.append(d)
+            return argmin(d)
+
         monkeypatch.setattr(criteria, "golden_min", counted)
-        return brackets
-
-    def test_no_bracket_searched_twice(self, rng, monkeypatch):
-        brackets = self.spy_golden(monkeypatch)
+        monkeypatch.setattr(np, "argmin", recorded)
         for bf in self.forms(rng):
             brackets.clear()
+            grids.clear()
             assert find_theta(bf) is not None
-            assert brackets
-            assert len(set(brackets)) == len(brackets)
-
-    def test_one_search_per_selected_minimum(self, rng, monkeypatch):
-        brackets = self.spy_golden(monkeypatch)
-        scans = []
-        grid_minima = criteria._grid_minima
-
-        def recorded(d, coarse):
-            selected = grid_minima(d, coarse)
-            scans.append((d, coarse, selected))
-            return selected
-
-        monkeypatch.setattr(criteria, "_grid_minima", recorded)
-        for bf in self.forms(rng):
-            brackets.clear()
-            scans.clear()
-            assert find_theta(bf) is not None
-            ((d, coarse, selected),) = scans
-            assert selected.tolist() == reference_grid_minima(d, coarse)
-            want = sorted(set(selected.tolist()) | {int(np.argmin(d))})
+            (d,) = grids
+            ((lo, hi),) = brackets
             step = math.pi / len(d)
-            assert len(brackets) == len(want)
-            assert sorted(round(0.5 * (lo + hi) / step) for lo, hi in brackets) == want
+            assert round(0.5 * (lo + hi) / step) == int(argmin(d))
+            assert math.isclose(hi - lo, 2.0 * step)
+        # Failing the trace gate (C = D = I, a zero multiple at theta = 0)
+        # samples nothing.
+        brackets.clear()
+        grids.clear()
+        ident = CMatrix(((1, 0), (0, 1)))
+        assert find_theta(BlockForm(alpha=0.3, C=ident, D=ident)) is None
+        assert brackets == grids == []
 
 
 class TestReductionBuiltOnce:
