@@ -398,19 +398,37 @@ class TestRefineOnce:
             sf = bi_special_any(rng) if k % 2 else random_special(rng)
             yield disguise(rng, sf)[0]
 
-    def test_one_search_centred_on_argmin(self, rng, monkeypatch):
-        brackets, grids = [], []
-        golden, argmin = criteria.golden_min, np.argmin
+    @staticmethod
+    def spy_golden(monkeypatch) -> list[tuple[float, float]]:
+        brackets = []
+        golden = criteria.golden_min
 
         def counted(f, lo, hi):
             brackets.append((lo, hi))
             return golden(f, lo, hi)
 
+        monkeypatch.setattr(criteria, "golden_min", counted)
+        return brackets
+
+    def test_no_bracket_searched_twice(self, rng, monkeypatch):
+        brackets = self.spy_golden(monkeypatch)
+        for bf in self.forms(rng):
+            brackets.clear()
+            assert find_theta(bf) is not None
+            assert brackets
+            assert len(set(brackets)) == len(brackets)
+
+    def test_one_search_per_selected_minimum(self, rng, monkeypatch):
+        # The grid's argmin is the only selected minimum: one bracket of
+        # two grid steps, centred on it.
+        brackets = self.spy_golden(monkeypatch)
+        grids = []
+        argmin = np.argmin
+
         def recorded(d):
             grids.append(d)
             return argmin(d)
 
-        monkeypatch.setattr(criteria, "golden_min", counted)
         monkeypatch.setattr(np, "argmin", recorded)
         for bf in self.forms(rng):
             brackets.clear()
