@@ -36,14 +36,11 @@ from .forms import (
 )
 from .linalg import (
     CMatrix,
-    HermEig4,
-    hermitian_eig4,
     schur_upper_2x2,
     sqrt_principal,
 )
 from .nrcore import (
     Boundary,
-    BoundarySample,
     FlatPortion,
     GeneratingPoly,
     Spectrum,
@@ -56,14 +53,10 @@ from .nrcore import (
 from .verify import (
     AuditReport,
     Check,
-    HullComparison,
     audit,
     check_document,
     commutant_dim,
-    compare_boundaries,
     factorization_residual,
-    hausdorff,
-    hull_boundary,
     hull_support_gap,
     verify_checks,
 )

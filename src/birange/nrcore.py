@@ -1,8 +1,9 @@
 """Numerical range core: spectra, pencil eigenvalues, boundary oracle.
 
 The closed-form side (spectra via the 2x2 product block, pencil eigenvalues,
-the quartic generating polynomial of the boundary curve) is computed with
-the deterministic fixed-size arithmetic from :mod:`birange.linalg`.  The
+the quartic generating polynomial of the boundary curve) is computed from
+the deterministic fixed-size arithmetic of :mod:`birange.linalg`, with
+elementwise numpy where it takes many directions at once.  The
 support-function boundary oracle and the flat-portion detector are oracles:
 they see only the assembled 4x4 matrix and use LAPACK (``numpy.linalg``)
 underneath, so agreement between the two sides is a genuine cross-check.
@@ -103,54 +104,27 @@ def pencil_eigs(bf: BlockForm, theta):
     N = e^{-i theta} C - e^{i theta} D*, so the smaller is
     |det N|^2 / (mean + r), which keeps the digits that mean - r cancels
     away when the two are close.  ``theta`` is one direction, giving two
-    floats, or an array of directions, giving two arrays of its shape.
+    floats, or an array of directions, giving two arrays of its shape; the
+    two agree to roundoff, not to the bit.
     """
-    # Complex products are spelled out in real arithmetic, as Python's
-    # complex type computes them.  numpy's complex array loops may fuse
-    # multiply-adds, so a direction would get other bits in an array than
-    # alone, and other bits than the scalar 2x2 arithmetic of linalg.
-    theta = np.asarray(theta, dtype=float)
-    e2 = np.exp(-2j * theta)
-    e2r, e2i = e2.real, e2.imag
-
-    def re_e2(w: complex):
-        return w.real * e2r - w.imag * e2i
-
-    def im_e2(w: complex):
-        return w.real * e2i + w.imag * e2r
-
+    e1 = np.exp(-1j * np.asarray(theta, dtype=float))
+    e2 = e1 * e1
     (h00, h01), (_, h11) = bf.H.rows
     (z00, z01), (z10, z11) = bf.Z.rows
-    m00 = h00.real - re_e2(z00) - re_e2(z00)
-    m11 = h11.real - re_e2(z11) - re_e2(z11)
-    m01 = np.hypot(h01.real - re_e2(z01) - re_e2(z10),
-                   h01.imag - im_e2(z01) + im_e2(z10))
+    m00 = h00.real - 2.0 * (e2 * z00).real
+    m11 = h11.real - 2.0 * (e2 * z11).real
+    m01 = np.abs(h01 - e2 * z01 - np.conj(e2 * z10))
     top = np.maximum(0.5 * (m00 + m11) + np.hypot(0.5 * (m00 - m11), m01), 0.0)
 
-    e1 = np.exp(-1j * theta)
-    e1r, e1i = e1.real, e1.imag
-
-    def n_entry(c: complex, d: complex):
-        # e^{-i theta} c - conj(e^{-i theta} d), as (real, imaginary) parts.
-        return (c.real * e1r - c.imag * e1i - (d.real * e1r - d.imag * e1i),
-                c.real * e1i + c.imag * e1r + d.real * e1i + d.imag * e1r)
-
+    # Entry (i, j) of N is e^{-i theta} C_ij - conj(e^{-i theta} D_ji).
     (c00, c01), (c10, c11) = bf.C.rows
     (d00, d01), (d10, d11) = bf.D.rows
-    (ar, ai), (br, bi) = n_entry(c00, d00), n_entry(c01, d10)
-    (cr, ci), (dr, di) = n_entry(c10, d01), n_entry(c11, d11)
-    det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
-    det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
-    low = np.divide(det_r * det_r + det_i * det_i, top,
-                    out=np.zeros_like(top), where=top > 0.0)
+    det_n = ((e1 * c00 - np.conj(e1 * d00)) * (e1 * c11 - np.conj(e1 * d11))
+             - (e1 * c01 - np.conj(e1 * d10)) * (e1 * c10 - np.conj(e1 * d01)))
+    low = np.divide(np.abs(det_n) ** 2, top, out=np.zeros_like(top), where=top > 0.0)
 
-    im_alpha = e1r * bf.alpha.imag + e1i * bf.alpha.real
-    base = im_alpha * im_alpha
-    lam1 = np.sqrt(base + top / 4.0)
-    lam2 = np.sqrt(base + low / 4.0)
-    if theta.ndim == 0:
-        return float(lam1), float(lam2)
-    return lam1, lam2
+    base = (e1 * bf.alpha).imag ** 2
+    return np.sqrt(base + top / 4.0), np.sqrt(base + low / 4.0)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from .criteria import (
     Verdict,
     check_general,
     ellipse_pair_params,
-    real_case_ii_margin,
     reciprocal_classify,
+    reducible_margin,
 )
 from .forms import TOL, BlockForm, ReciprocalForm, as_block
 from .linalg import CMatrix
@@ -72,10 +72,10 @@ _HULL_REL = 1e-6
 _HULL = "hull comparison"
 # Singular values below this times the oracle scale span the commutant.
 _COMMUTANT_TOL = 1e-9
-# Commutant dimensions accepted up to each ``criteria.real_case_ii_margin``:
+# Commutant dimensions accepted up to each ``criteria.reducible_margin``:
 # the extra singular values shrink with it at a form-dependent rate.
-_IRREDUCIBILITY = ((TOL / 100, (2,), " (real case ii, reducible: 2 expected)"),
-                   (100 * TOL, (1, 2), " (near real case ii: 1 or 2 accepted)"),
+_IRREDUCIBILITY = ((TOL / 100, (2,), " (reducible zero-diagonal form: 2 expected)"),
+                   (100 * TOL, (1, 2), " (near a reducible form: 1 or 2 accepted)"),
                    (math.inf, (1,), ""))
 # The 16 directions of ``birange verify``'s spot checks, 2 pi frac(k / phi)
 # for k = 1..16 with phi the golden ratio: spread evenly over the circle and
@@ -419,9 +419,10 @@ def verify_checks(report: AuditReport) -> list[Check]:
     LAPACK ``eigh``) and the generating polynomial, which must annihilate
     them: one closed-form pencil solve over all 16 as an array serves both.
     A positive verdict adds the audit's hull check and unitary
-    irreducibility: commutant dimension 1, or 2 in the paper's real case
-    (ii), whose matrices are reducible, and either near it
-    (``_IRREDUCIBILITY``).  Every other failed consistency check comes last.
+    irreducibility: commutant dimension 1, or 2 in the two reducible
+    zero-diagonal families, the paper's real case (ii) and b2 = -conj(b1),
+    and either near them (``_IRREDUCIBILITY``).  Every other failed
+    consistency check comes last.
     """
     bf, verdict, scale = report.block, report.verdict, report.block.scale()
     theta, support = report.boundary.theta, report.boundary.support
@@ -469,7 +470,7 @@ def verify_checks(report: AuditReport) -> list[Check]:
     if verdict.bielliptical:
         checks += [c for c in report.checks if c.name == _HULL]
         sf = verdict.diagnostics.get("reduced_form")
-        margin = math.inf if sf is None else real_case_ii_margin(sf)
+        margin = math.inf if sf is None else reducible_margin(sf)
         expected, note = next((dims, text) for bound, dims, text in _IRREDUCIBILITY
                               if margin <= bound)
         checks.append(Check(

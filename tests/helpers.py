@@ -168,6 +168,16 @@ def bi_special_real_case_ii(rng) -> SpecialForm:
     )
 
 
+def bi_special_zero_diagonal_conjugate(rng) -> SpecialForm:
+    """Zero diagonal with b2 = -conj(b1); any coupling works, and the matrix
+    is unitarily reducible like real case (ii)'s."""
+    b1 = complex(*rng.normal(size=2))
+    return SpecialForm(
+        u=0.0, v=0.0, b1=b1, b2=-b1.conjugate(),
+        b=abs(float(rng.normal())) + 0.2,
+    )
+
+
 def bi_special_imag(rng) -> SpecialForm:
     """Purely imaginary diagonal parameter with matched entry moduli."""
     for _ in range(200):
@@ -229,6 +239,19 @@ def two_direction_block(rng) -> BlockForm:
     d = (1.0 / mu) * (p @ v.H)
     alpha = complex(rng.normal(), rng.normal())
     return BlockForm(alpha=alpha, C=d.H + v, D=d)
+
+
+def zero_multiple_band_block(rng) -> BlockForm:
+    """C = D* + sqrt(mu) U with mu about 0.45 to 1.1 times TOL tr H, around
+    the reduction's zero-multiple cut: M = C - D* is scalar-unitary at
+    theta = 0 with a vanishing multiple.  D is Gaussian or near-nilpotent."""
+    d = random_cmat(rng)
+    if rng.uniform() < 0.5:
+        d = CMatrix([[1e-3 * d[0, 0], d[0, 1]], [1e-3 * d[1, 0], 1e-3 * d[1, 1]]])
+    tr_h = 2.0 * d.frobenius() ** 2
+    mu = rng.uniform(0.45, 1.1) * TOL * tr_h
+    return BlockForm(alpha=complex(*rng.normal(size=2)),
+                     C=d.H + math.sqrt(mu) * random_unitary2(rng), D=d)
 
 
 def disguise(rng, form: SpecialForm | BlockForm, rotate: bool = True,

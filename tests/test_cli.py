@@ -62,6 +62,11 @@ NEAR_CASE_II_DOC = (
     '[-1.0277425010814882, 0.22953009007308245]]]}'
 )
 
+# The paper's zero-diagonal case with b2 = -conj(b1); CI pipes it into
+# `birange verify` too.
+ZERO_DIAGONAL_DOC = ('{"form": "special", "u": 0, "v": 0, "b1": [0.6, 0.2], '
+                     '"b2": [-0.6, 0.2], "b": 1}')
+
 
 @pytest.fixture
 def gen_file(tmp_path):
@@ -599,6 +604,19 @@ class TestVerify:
             out = capsys.readouterr().out
             assert code == 0, out
             assert "[PASS] unitary irreducibility: commutant dimension 2" in out
+
+    def test_zero_diagonal_conjugate_is_reducible_and_verifies(self, tmp_path, capsys):
+        # u = v = 0 and b2 = -conj(b1): bi-elliptical for every b and
+        # unitarily reducible like real case (ii).  The same document is
+        # piped into the console script in CI.
+        path = tmp_path / "zero_diagonal.json"
+        path.write_text(ZERO_DIAGONAL_DOC)
+        code = main(["verify", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert ("[PASS] unitary irreducibility: commutant dimension 2 "
+                "(reducible zero-diagonal form: 2 expected)") in out
+        assert out.splitlines()[-1] == "verdict: BiElliptical"
 
     def test_near_real_case_ii_is_decided(self, tmp_path, capsys):
         # Here T on the reduced form exceeds TOL by a small factor while the

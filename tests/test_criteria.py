@@ -53,6 +53,7 @@ from helpers import (
     tangent_envelope_points,
     trace_level_T,
     two_direction_block,
+    zero_multiple_band_block,
 )
 
 
@@ -378,6 +379,28 @@ class TestTwoDirections:
             assert len(roots) == 2
             for theta in roots:
                 assert product_normality_defect(bf, theta) <= 1e-12
+
+
+class TestZeroMultipleBand:
+    """``check_general`` never reaches the reduction's zero-multiple error:
+    where a found direction has mu <= TOL tr H, M D is normal to within the
+    product-normality gate (the bound in ``check_general``'s docstring)."""
+
+    def test_product_normal_before_the_reduction(self, rng):
+        raised = 0
+        for _ in range(1000):
+            bf = zero_multiple_band_block(rng)
+            found = find_theta(bf)
+            if found is None:
+                continue
+            assert check_general(bf).reason is Reason.PRODUCT_NORMAL
+            try:
+                forms.reduce_to_special(bf, found.theta)
+            except forms.ZeroMultipleError:
+                raised += 1
+            except forms.NotScalarUnitaryError:
+                pass
+        assert raised > 0
 
 
 class TestRefineOnce:

@@ -144,6 +144,24 @@ def test_positive_whose_diagonal_dominates_the_blocks(kind, size):
         assert verdict.bielliptical, verdict.reason
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: find_theta's gate measures the deviation against "
+    "tr(M*M) = 2 mu, not tr H, so a coupling-dominated positive is found "
+    "at some rotations and missed at others"))
+def test_rotation_of_a_coupling_dominated_positive():
+    # check_special calls it positive and its audit passes (hull gap 3.6e-14
+    # x diameter), but tr H / mu is about 7.1e7: the deviation find_theta
+    # minimizes is 1.3e-12 at the root theta = 0 and 8.4e-9 at 1e-12 rad
+    # from it, so e^{i pi k / 64} A for k = 0..63 was BiElliptical 37 times
+    # and NoTheta 27 times.
+    sf = SpecialForm(u=0.007763451533824739, v=0.0,
+                     b1=-14.246537875192274 + 2.8704548550244056j,
+                     b2=-4.306194699180505 + 2.6286843303560126j, b=11877.483091028018)
+    verdicts = {(v.kind, v.reason) for v in (
+        check_general(transformed(sf, 1.0, 0j, math.pi * k / 64)) for k in range(64))}
+    assert len(verdicts) == 1, verdicts
+
+
 def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
