@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -164,7 +165,7 @@ def _load_documents(path: str) -> tuple[list[dict], bool]:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -439,92 +440,48 @@ def cmd_verify(args) -> int:
     return _exit_code(all(check.passed for check in checks), audited.verdict.bielliptical)
 
 
-def _common(p) -> None:
-    p.add_argument("input", nargs="?", default="-",
-                   help="JSON matrix document (default: stdin)")
-    p.add_argument("--samples", type=int, default=2048,
-                   help="support directions for boundary oracles (even)")
-
-
-def _add_check(sub) -> None:
-    p = sub.add_parser("check", help="classify a matrix")
-    _common(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
-
-
-def _add_boundary(sub) -> None:
-    p = sub.add_parser("boundary", help="export boundary samples")
-    _common(p)
-    p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.add_argument("--output", default=None, help="output path")
-    p.set_defaults(func=cmd_boundary)
-
-
-def _add_solve_b(sub) -> None:
-    p = sub.add_parser("solve-b", help="solve for the coupling entry b")
-    p.add_argument("u", type=float)
-    p.add_argument("v", type=float)
-    p.add_argument("b1", help="complex as 're' or 're,im'")
-    p.add_argument("b2", help="complex as 're' or 're,im'")
-    p.set_defaults(func=cmd_solve_b)
-
-
-def _add_reciprocal(sub) -> None:
-    p = sub.add_parser("reciprocal", help="classify a reciprocal matrix")
-    p.add_argument("a1", type=float)
-    p.add_argument("a2", type=float)
-    p.add_argument("a3", type=float)
-    p.set_defaults(func=cmd_reciprocal)
-
-
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="run the oracle suite")
-    _common(p)
-    p.set_defaults(func=cmd_verify)
-
-
-# Subcommand name -> its declaration, in the order the help lists them.
-_SUBCOMMANDS = {
-    "check": _add_check,
-    "boundary": _add_boundary,
-    "solve-b": _add_solve_b,
-    "reciprocal": _add_reciprocal,
-    "verify": _add_verify,
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``birange`` parser, with only ``command``'s subparser when
-    ``command`` names a subcommand and with all of them otherwise.
-
-    Every help, usage and error text is the same either way: the usage line
-    lists all subcommands, and a text that lists them, or names the missing
-    command, is only printed when no single subcommand was named.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``birange`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="birange",
         description="Decide whether structured 4x4 matrices have a "
         "bi-elliptical numerical range; export and verify boundaries.",
     )
-    one = command in _SUBCOMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
-    for name in [command] if one else _SUBCOMMANDS:
-        _SUBCOMMANDS[name](sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    check = sub.add_parser("check", help="classify a matrix")
+    boundary = sub.add_parser("boundary", help="export boundary samples")
+    solve_b = sub.add_parser("solve-b", help="solve for the coupling entry b")
+    reciprocal = sub.add_parser("reciprocal", help="classify a reciprocal matrix")
+    verify_ = sub.add_parser("verify", help="run the oracle suite")
+    for p in (check, boundary, verify_):
+        p.add_argument("input", nargs="?", default="-",
+                       help="JSON matrix document (default: stdin)")
+        p.add_argument("--samples", type=int, default=2048,
+                       help="support directions for boundary oracles (even)")
+    check.add_argument("--format", choices=("text", "json"), default="text")
+    boundary.add_argument("--format", choices=("csv", "svg"), default="csv")
+    boundary.add_argument("--output", default=None, help="output path")
+    solve_b.add_argument("u", type=float)
+    solve_b.add_argument("v", type=float)
+    solve_b.add_argument("b1", help="complex as 're' or 're,im'")
+    solve_b.add_argument("b2", help="complex as 're' or 're,im'")
+    reciprocal.add_argument("a1", type=float)
+    reciprocal.add_argument("a2", type=float)
+    reciprocal.add_argument("a3", type=float)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a replaced ``cmd_*`` attribute is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     out = io.StringIO()
     try:
         # The command's output is written once it has its exit code, which
         # a closed pipe must not change.
         with contextlib.redirect_stdout(out):
-            code = args.func(args)
+            code = command(args)
     except (InputError, forms.NonPositiveEntryError, forms.ScaleRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

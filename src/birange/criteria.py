@@ -98,16 +98,8 @@ class Ellipse:
             self.semi_major * math.cos(t), self.semi_minor * math.sin(t)
         )
 
-    def support(self, theta: float) -> float:
-        """Max of Re(e^{-i theta} w) over the ellipse."""
-        psi = self.tilt - theta
-        radial = math.hypot(
-            self.semi_major * math.cos(psi), self.semi_minor * math.sin(psi)
-        )
-        return (cmath.exp(-1j * theta) * self.center).real + radial
-
     def support_point(self, theta: float) -> complex:
-        """The boundary point attaining :meth:`support`."""
+        """The boundary point where Re(e^{-i theta} w) is largest."""
         psi = self.tilt - theta
         t_star = math.atan2(
             -self.semi_minor * math.sin(psi), self.semi_major * math.cos(psi)
@@ -394,6 +386,12 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     an algebraic least-squares polish then removes the roundoff floor of the
     search.  Directions where the scalar multiple vanishes are excluded.
     One grid, one refinement.
+
+    The gate is ||M*M - mu I||_F <= TOL ||M||_F^2, the one
+    ``reduce_to_special`` applies: ``dval`` is the ratio of the two, and
+    ||M||_F^2 = tr(M*M) = 2 mu.  It is not measured against tr H like the
+    other gates on the coupling blocks, so where mu is far below tr H it
+    is the stricter of the two yardsticks.
 
     Which root is taken does not matter: where two directions mod pi work,
     M D is normal, and ``check_general`` answers ProductNormal.  Rotate so

@@ -97,7 +97,8 @@ class HullComparison:
 
 
 def _support_values(e: Ellipse, theta: np.ndarray) -> np.ndarray:
-    """:meth:`Ellipse.support` at every angle of ``theta``."""
+    """The support function of ``e``, the max of Re(e^{-i theta} w) over
+    the ellipse, at every angle of ``theta``."""
     psi = e.tilt - theta
     radial = np.hypot(e.semi_major * np.cos(psi), e.semi_minor * np.sin(psi))
     return e.center.real * np.cos(theta) + e.center.imag * np.sin(theta) + radial
@@ -131,11 +132,10 @@ def hull_boundary(e1: Ellipse, e2: Ellipse, n: int = 2048) -> list[complex]:
         abs(e1.center), abs(e2.center), e1.semi_major, e2.semi_major, 1.0
     ]
     tie_tol = 1e-12 * max(sizes)
+    thetas = 2.0 * np.pi * np.arange(n) / n
     pts: list[complex] = []
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n
-        h1 = e1.support(theta)
-        h2 = e2.support(theta)
+    for theta, h1, h2 in zip(thetas.tolist(), _support_values(e1, thetas).tolist(),
+                             _support_values(e2, thetas).tolist()):
         if abs(h1 - h2) <= tie_tol:
             p1 = e1.support_point(theta)
             p2 = e2.support_point(theta)

@@ -353,6 +353,14 @@ def tangent_envelope_points(
     return pts
 
 
+def ellipse_support(e: Ellipse, theta: float) -> float:
+    """Max of Re(e^{-i theta} w) over the ellipse: the scalar reference for
+    ``verify._support_values``."""
+    psi = e.tilt - theta
+    radial = math.hypot(e.semi_major * math.cos(psi), e.semi_minor * math.sin(psi))
+    return (cmath.exp(-1j * theta) * e.center).real + radial
+
+
 def fit_conic_ellipse(points) -> Ellipse:
     """Least-squares conic through the points, interpreted as an ellipse."""
     pts = np.asarray(points, dtype=complex)

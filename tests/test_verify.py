@@ -40,6 +40,7 @@ from helpers import (
     bi_special_real_case_ii,
     bi_special_zero_diagonal_conjugate,
     disguise,
+    ellipse_support,
     fig_left_special,
     general_example_block,
     general_example_matrix,
@@ -104,7 +105,7 @@ def boundary_diameter(boundary):
 class TestHullSupportGap:
     def test_identical_ellipse_pair(self):
         e = Ellipse(center=0.3 - 0.2j, semi_major=2.0, semi_minor=0.5, tilt=0.7)
-        boundary = sampled_boundary(e.support, e.support_point)
+        boundary = sampled_boundary(lambda t: ellipse_support(e, t), e.support_point)
         assert hull_support_gap(e, e, boundary) <= 1e-14
 
     def test_concentric_circles(self):
