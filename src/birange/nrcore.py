@@ -11,6 +11,7 @@ underneath, so agreement between the two sides is a genuine cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -222,11 +223,11 @@ class BoundarySample:
 class Boundary:
     """Support-function samples of the numerical range boundary, as arrays.
 
-    ``theta`` holds the n directions 2 pi k / n, ``support`` the support
-    values h(theta_k), ``gap`` the gap between the top two eigenvalues of
-    Re(e^{-i theta_k} M) and ``points`` the boundary points, or None when
-    they were not asked for.  Iterating yields one :class:`BoundarySample`
-    per direction either way.
+    ``theta`` holds the n directions 2 pi k / n (read-only: one array per n
+    serves every call), ``support`` the support values h(theta_k), ``gap``
+    the gap between the top two eigenvalues of Re(e^{-i theta_k} M) and
+    ``points`` the boundary points, or None when they were not asked for.
+    Iterating yields one :class:`BoundarySample` per direction either way.
     """
 
     theta: np.ndarray
@@ -264,6 +265,23 @@ def _oracle_scale(a: np.ndarray) -> float:
             + 64 * np.finfo(float).eps * abs(c))
 
 
+@functools.cache
+def _direction_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n support directions theta_k = 2 pi k / n, and as an (n, 2)
+    array their cosines and sines, read-only so that no caller can write
+    into the cache; built on first use for each n."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    cos_sin = np.stack((np.cos(theta), np.sin(theta)), axis=1)
+    theta.flags.writeable = cos_sin.flags.writeable = False
+    return theta, cos_sin
+
+
+def _hermitian_parts(a: np.ndarray) -> np.ndarray:
+    """H1 = (A + A*) / 2 and H2 = (A - A*) / 2i stacked, so that
+    Re(e^{-i theta} A) = cos(theta) H1 + sin(theta) H2."""
+    return np.stack((0.5 * (a + a.conj().T), (a - a.conj().T) / 2j))
+
+
 def _imag_part_at(a: np.ndarray, theta) -> np.ndarray:
     e = np.exp(-1j * theta)
     return (e * a - np.conj(e) * a.conj().T) / 2j
@@ -297,6 +315,8 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
     eigenvector.  Since Re(e^{-i (theta + pi)} M) = -Re(e^{-i theta} M), one
     batched eigensolve over the n/2 directions in [0, pi) gives both halves:
     the top eigenpair for theta and the negated bottom one for theta + pi.
+    The directions and their cosines and sines are built once per n and
+    shared between calls, so ``theta`` is read-only.
     When the top eigenvalue is (numerically) degenerate the point returned
     is the endpoint of the flat segment with the larger transverse
     coordinate, which keeps the sampling deterministic and lets hull
@@ -308,9 +328,11 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
         raise ValueError("need an even number of at least 8 support directions")
     a = _as_ndarray(m)
     half = n // 2
-    theta = 2.0 * np.pi * np.arange(n) / n
-    e = np.exp(-1j * theta[:half])
-    herms = 0.5 * (e[:, None, None] * a + np.conj(e)[:, None, None] * a.conj().T)
+    theta, cos_sin = _direction_grid(n)
+    # cos(theta) H1 + sin(theta) H2 over the half circle as one real
+    # (n/2 x 2) @ (2 x 32) product on the float view of [H1; H2].
+    herms = (cos_sin[:half] @ _hermitian_parts(a).view(float).reshape(2, 32)
+             ).view(complex).reshape(half, 4, 4)
     w, v = np.linalg.eigh(herms) if points else (np.linalg.eigvalsh(herms), None)
     support = np.concatenate((w[:, 3], -w[:, 0]))
     gap = np.concatenate((w[:, 3] - w[:, 2], w[:, 1] - w[:, 0]))
@@ -367,7 +389,9 @@ def _require_flat_samples(n: int) -> None:
 def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
-    Every local minimum of the sampled multiplicity gap is refined, all at
+    Every local minimum of the sampled multiplicity gap that is low enough
+    to pass (at most ``FLAT_GAP_TOL`` + 4 grid steps times the oracle scale;
+    the gap is 2 scale-Lipschitz in the direction) is refined, all at
     once: each step is one stacked eigensolve of
     Re(e^{-i theta} M) = cos(theta) H1 + sin(theta) H2 and a Rayleigh-Ritz
     step on its top-two eigenspace (:func:`_ritz_theta`), until no
@@ -389,12 +413,21 @@ def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     gaps = boundary.gap
     step = 2.0 * math.pi / n
 
-    # Refining every local minimum is cheap (a handful per matrix) and
-    # avoids guessing how deep an unrefined grid gap can be.
-    theta0 = boundary.theta[
-        (gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))
-    ]
-    herm = np.stack((0.5 * (a + a.conj().T), (a - a.conj().T) / 2j))
+    # A local minimum whose sampled gap exceeds (FLAT_GAP_TOL + 4 step)
+    # scale cannot pass.  The trace shift c moves every eigenvalue of
+    # Re(e^{-i theta} M) equally, so the gap is that of M - c, and
+    # ||Re(e^{-i theta} (M - c)) - Re(e^{-i theta0} (M - c))||_2
+    # <= |theta - theta0| ||M - c||_2.  By Weyl each eigenvalue moves by at
+    # most as much, so |gap(theta) - gap(theta0)| <= 2 |theta - theta0| scale.
+    # A refined direction is accepted within one step of its sample with
+    # gap <= FLAT_GAP_TOL scale, so its sample's gap was at most
+    # (FLAT_GAP_TOL + 2 step) scale; the factor 4 leaves as much again for
+    # LAPACK's rounding of the sampled and the refined gaps.
+    minima = (gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))
+    theta0 = boundary.theta[minima & (gaps <= (FLAT_GAP_TOL + 4.0 * step) * scale)]
+    if theta0.size == 0:
+        return []
+    herm = _hermitian_parts(a)
 
     def eigh_at(theta):
         c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]

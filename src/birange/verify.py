@@ -425,16 +425,19 @@ def verify_checks(report: AuditReport) -> list[Check]:
     consistency check comes last.
     """
     bf, verdict, scale = report.block, report.verdict, report.block.scale()
-    theta, support = report.boundary.theta, report.boundary.support
+    support = report.boundary.support
+    # Re(e^{-i theta} z) = cos(theta) Re z + sin(theta) Im z, on the
+    # oracle's own directions.
+    _, cos_sin = nrcore._direction_grid(len(support))
 
     # W = 2 shift - W iff h(theta) - h(theta + pi) = 2 Re(e^{-i theta} shift)
     # for every theta (Schneider, section 1.7): direction k against k + n // 2.
-    half = len(theta) // 2
+    half = len(support) // 2
     antipodal = support[:half] - support[half:]
     sym = float(np.abs(
-        antipodal - 2.0 * (np.exp(-1j * theta[:half]) * bf.shift).real).max())
+        antipodal - 2.0 * (cos_sin[:half] @ [bf.shift.real, bf.shift.imag])).max())
     eig = np.asarray(report.eigenvalues, dtype=complex)
-    excess = (np.exp(-1j * theta)[None, :] * eig[:, None]).real - support
+    excess = np.stack((eig.real, eig.imag), axis=1) @ cos_sin.T - support
     worst_out = float(excess.max())
 
     a4 = nrcore._as_ndarray(replace(bf, shift=0j).assemble())
@@ -453,7 +456,7 @@ def verify_checks(report: AuditReport) -> list[Check]:
     worst_gen = float(np.abs(gen).max())
 
     # The support values carry the trace shift, so subtracting it leaves a
-    # roundoff of a few eps * |shift|: at most 12 eps * |shift| above the
+    # roundoff of a few eps * |shift|: at most 10.1 eps * |shift| above the
     # diameter term on 8 random blocks at t = 1e-6..1e3 shifted by 1..1e8
     # times 1, i or e^{i pi/4}, while |shift| / t <= 1e10.
     sym_bound = 1e-8 * report.diameter + 64 * np.finfo(float).eps * abs(bf.shift)

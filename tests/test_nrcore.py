@@ -247,6 +247,21 @@ class TestBoundarySupport:
         with pytest.raises(ValueError):
             boundary_support(np.eye(4, dtype=complex), 4)
 
+    def test_directions_are_read_only(self, rng):
+        # The directions are one cached grid per sample count: a caller
+        # that writes into them must fail rather than corrupt later calls.
+        boundary = boundary_support(random_block(rng).assemble(), 256)
+        with pytest.raises(ValueError):
+            boundary.theta[1] = 0.0
+        assert np.array_equal(boundary.theta, 2.0 * np.pi * np.arange(256) / 256)
+
+    def test_second_call_is_equal(self, rng):
+        a = random_block(rng).assemble()
+        first, second = boundary_support(a, 256), boundary_support(a, 256)
+        assert first.theta is second.theta
+        for name in ("theta", "support", "gap", "points"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
 
 def full_circle_reference(a: np.ndarray, n: int):
     """Directions, support values, gaps and top-eigenvector field values from
@@ -296,6 +311,19 @@ class TestHalfCircleOracle:
     def test_scaled_and_shifted(self, rng):
         m = 1e-3 * random_block(rng).assemble() + (7 - 3j) * eye(4)
         self.degenerate_directions(m)
+
+    def test_tiny_block_far_shifted(self, rng):
+        # A block at t = 1e-5 shifted by 1e8: the shift's roundoff, a few
+        # eps |c| with c = tr A / 4, dwarfs 1e-14 of the oracle scale.
+        a = nrcore._as_ndarray(1e-5 * random_block(rng).assemble() + 1e8 * eye(4))
+        n = 2048
+        got = boundary_support(a, n)
+        theta, support, gap, _ = full_circle_reference(a, n)
+        assert np.array_equal(got.theta, theta)
+        tol = (1e-14 * nrcore._oracle_scale(a)
+               + 16 * np.finfo(float).eps * abs(np.trace(a) / 4))
+        assert np.abs(got.support - support).max() <= tol
+        assert np.abs(got.gap - gap).max() <= tol
 
     @pytest.mark.parametrize("n", [9, 1025, 2047])
     def test_odd_count_rejected(self, n):
@@ -356,6 +384,7 @@ class TestPointsFreeOracle:
 
     def test_shifted(self, rng):
         self.agree(random_block(rng).assemble() + 1e6 * eye(4))
+        self.agree(1e-5 * random_block(rng).assemble() + 1e8 * eye(4))
 
     def test_box_contains_sampled_box_when_4_does_not_divide_n(self, rng):
         # Only theta = pi/2 and 3 pi/2 are missed, by half a step each; the
@@ -464,6 +493,18 @@ class TestFlatPortionsAgainstGolden:
     def test_rotated_square(self):
         assert self.agree(rotated_square()) == 4
 
+    @pytest.mark.parametrize("make, seed, flats", [
+        (random_block, 11, 0),
+        (lambda rng: disguise(rng, _BI_FAMILIES[1](rng))[0], 0, 2),
+    ], ids=["random-block", "real-case-ii"])
+    def test_pruned_minima(self, make, seed, flats):
+        # Seeded so that the sampled gap has 4 local minima, only 2 of them
+        # within flat_portions' bound: the golden reference refines all 4.
+        a = nrcore._as_ndarray(make(np.random.default_rng(seed)).assemble())
+        minima, kept = local_minima(a)
+        assert (minima, kept) == (4, 2)
+        assert self.agree(a) == flats
+
     @pytest.mark.parametrize("factor, edges", [(0.1, 4), (10.0, 3)])
     def test_near_flats(self, factor, edges):
         # Coupling the vertices 1 and i by eps opens the gap of the edge
@@ -471,6 +512,16 @@ class TestFlatPortionsAgainstGolden:
         m = np.diag([1, 1j, -1, -1j]).astype(complex)
         m[0, 1] = factor * nrcore.FLAT_GAP_TOL * nrcore._oracle_scale(m)
         assert self.agree(m, exact=False) == edges
+
+
+def local_minima(a: np.ndarray, n: int = 2048) -> tuple[int, int]:
+    """Local minima of the sampled gap, and how many of them lie within
+    flat_portions' bound (FLAT_GAP_TOL + 4 grid steps) times the oracle
+    scale."""
+    gaps = boundary_support(a, n).gap
+    minima = (gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))
+    bound = (nrcore.FLAT_GAP_TOL + 4 * 2 * math.pi / n) * nrcore._oracle_scale(a)
+    return int(minima.sum()), int((minima & (gaps <= bound)).sum())
 
 
 class TestFlatPortionsLapackBudget:
@@ -498,6 +549,16 @@ class TestFlatPortionsLapackBudget:
             counts, flats = self.calls(monkeypatch, m)
             assert counts["eigvalsh"] == 0
             assert counts["eigh"] <= nrcore._RITZ_STEPS + 1 + 2 * flats
+
+    def test_no_candidate_no_eigensolve(self, monkeypatch):
+        # A complex Gaussian 4x4 whose 3 local minima of the gap all lie
+        # above the bound: nothing is refined.
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert local_minima(a) == (3, 0)
+        counts, flats = self.calls(monkeypatch, a)
+        assert counts == {"eigh": 0, "eigvalsh": 0}
+        assert flats == 0
 
 
 class TestGoldenMin:
