@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (check, boundary, verify_):
         p.add_argument("input", nargs="?", default="-",
                        help="JSON matrix document (default: stdin)")
-        p.add_argument("--samples", type=int, default=2048,
+        p.add_argument("--samples", type=int, default=nrcore.DEFAULT_SAMPLES,
                        help="support directions for boundary oracles (even)")
     check.add_argument("--format", choices=("text", "json"), default="text")
     boundary.add_argument("--format", choices=("csv", "svg"), default="csv")

@@ -175,7 +175,7 @@ def normalize_block(alpha: complex, beta: complex, C: CMatrix, D: CMatrix) -> Bl
 def detect_block(m: CMatrix) -> BlockForm | None:
     """Split a raw 4x4 matrix into block form if its diagonal blocks are
     scalar within 1e-10 of the norm of M - cI, c = tr M / 4, plus the
-    64 eps |c| roundoff that the shift leaves, as in the oracle gates; so
+    64 eps |c| roundoff that the shift leaves in the diagonal means; so
     M and tM + c get the same answer."""
     shift = m.trace() / 4
     tol = (_BLOCK_DETECT_REL * max((m - shift * eye(4)).frobenius(), 1e-300)

@@ -253,16 +253,13 @@ def _as_ndarray(m) -> np.ndarray:
 
 
 def _oracle_scale(a: np.ndarray) -> float:
-    """Yardstick of the oracle gates: the Frobenius norm of A less its trace
-    shift c = tr A / 4, plus 64 eps |c| for the roundoff that the shift
-    leaves in A's entries and eigenvalues.
+    """Yardstick of the oracle gates: ||A - cI||_F with c = tr A / 4.
 
     The shift comes from the matrix alone, so a raw input and its block form
     get the same yardstick, and A and tA + c get gates that scale with t.
     """
     c = complex(np.trace(a)) / 4.0
-    return (float(np.linalg.norm(a - c * np.eye(4)))
-            + 64 * np.finfo(float).eps * abs(c))
+    return float(np.linalg.norm(a - c * np.eye(4)))
 
 
 @functools.cache

@@ -262,16 +262,17 @@ class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
     ``block``, ``verdict`` and ``reciprocal`` are what :func:`audit` was
-    given.  ``eigenvalues`` include the trace shift; ``matrix`` is the audited
-    matrix; ``boundary`` is its :class:`nrcore.Boundary`, the support
+    given.  ``eigenvalues`` include the trace shift; ``matrix`` is shift-free,
+    the audited matrix less ``origin`` (a quarter of its trace) times the
+    identity; ``boundary`` is its :class:`nrcore.Boundary`, the support
     function and the top eigenvalue gap at n equispaced directions (no
     boundary points: no check reads them); ``diameter`` is the diagonal of
-    the range's bounding box;
-    ``hull_gap`` is None unless the verdict is positive with ellipses,
-    ``factorization`` None unless the verdict carries a reduced form.
-    ``flats`` and ``commutant_dim`` run their oracle when first read and
-    keep the result: :func:`audit` reads ``flats`` for a positive verdict
-    only, and nothing in it reads ``commutant_dim``.
+    the range's bounding box; ``hull_gap`` is None unless the verdict is
+    positive with ellipses, ``factorization`` None unless the verdict
+    carries a reduced form.  ``flats`` and ``commutant_dim`` run their
+    oracle when first read and keep the result: :func:`audit` reads
+    ``flats`` for a positive verdict only, and nothing in it reads
+    ``commutant_dim``.
     """
 
     block: BlockForm
@@ -279,6 +280,7 @@ class AuditReport:
     reciprocal: ReciprocalShape | None
     eigenvalues: tuple[complex, ...]
     matrix: np.ndarray
+    origin: complex
     boundary: nrcore.Boundary
     diameter: float
     hull_gap: float | None
@@ -287,8 +289,9 @@ class AuditReport:
 
     @cached_property
     def flats(self) -> tuple[nrcore.FlatPortion, ...]:
-        """The flat portions of the boundary (:func:`nrcore.flat_portions`)."""
-        return tuple(nrcore.flat_portions(self.matrix, self.boundary))
+        """The boundary's :func:`nrcore.flat_portions`, moved back by ``origin``."""
+        return tuple(replace(f, endpoints=tuple(p + self.origin for p in f.endpoints))
+                     for f in nrcore.flat_portions(self.matrix, self.boundary))
 
     @cached_property
     def commutant_dim(self) -> int:
@@ -333,7 +336,7 @@ def _box_diameter(a: np.ndarray) -> float:
     those directions are sampled, and this is the sampled points' box to
     roundoff; otherwise it is the exact box, which contains the sampled one.
     """
-    w = np.linalg.eigvalsh(np.stack((a + a.conj().T, (a - a.conj().T) / 1j)) / 2)
+    w = np.linalg.eigvalsh(nrcore._hermitian_parts(a))
     return math.hypot(*(w[:, 3] - w[:, 0]).tolist())
 
 
@@ -347,33 +350,39 @@ def audit(
     """Sample ``bf``'s boundary once and check its ``check_general`` verdict.
 
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
-    passes itself) in ``samples`` directions, at least
-    ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can run on
-    them.  Every check here and in :func:`verify_checks` reads support
+    passes itself) less its trace shift ``origin`` in ``samples`` directions,
+    at least ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can
+    run on them.  Every check here and in :func:`verify_checks` reads support
     values only, so the boundary oracle runs without points (eigenvalues
-    only).  ``reciprocal`` is the reciprocal classification when ``bf``
-    came from a reciprocal form and must agree with the verdict.  A positive
+    only).  ``reciprocal`` is the reciprocal classification when ``bf`` came
+    from a reciprocal form and must agree with the verdict.  A positive
     verdict must have its hull of ellipses within ``1e-6 * diameter`` of the
     sampled range and two flat portions that match the offset between the
     ellipse centers.  Whenever the verdict carries a reduced form, the
-    generating polynomial must factor into the two claimed quadratics up to
-    a factorization residual of ``TOL``.
+    generating polynomial must factor into the two claimed quadratics up to a
+    factorization residual of ``TOL``.
     """
     nrcore._require_flat_samples(samples)
     a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
+    # Once |origin| exceeds a few times the scale, a - origin I is an exact
+    # translate of A (Sterbenz's lemma), so no oracle value carries
+    # eps |origin| of rounding; the ellipses move with it.
+    origin = complex(np.trace(a)) / 4
+    a = a - origin * np.eye(4)
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
     boundary = nrcore.boundary_support(a, samples, points=False)
     diameter = _box_diameter(a)
     positive = verdict.bielliptical and verdict.ellipses is not None
-    hull_gap = hull_support_gap(*verdict.ellipses, boundary) if positive else None
+    hull_gap = None if not positive else hull_support_gap(
+        *(replace(e, center=e.center - origin) for e in verdict.ellipses), boundary)
     sf = verdict.diagnostics.get("reduced_form")
     fact = None if sf is None else factorization_residual(
         sf.to_block(), ellipse_pair_params(sf))
     # The flat checks read the report's flats, so the report holds the
     # checks list before it is filled.
     checks: list[Check] = []
-    report = AuditReport(bf, verdict, reciprocal, eigenvalues, a, boundary, diameter,
-                         hull_gap, fact, checks)
+    report = AuditReport(bf, verdict, reciprocal, eigenvalues, a, origin, boundary,
+                         diameter, hull_gap, fact, checks)
 
     if reciprocal is not None:
         ok = (reciprocal is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
@@ -409,7 +418,7 @@ def check_document(payload, samples: int = nrcore.DEFAULT_SAMPLES) -> AuditRepor
 def verify_checks(report: AuditReport) -> list[Check]:
     """The checks ``birange verify`` reports, in order.
 
-    Central symmetry about the shift, in two parts: normal, the audit's
+    Central symmetry about the center, in two parts: normal, the audit's
     support value at every sampled direction against its antipode's, and
     transverse, the field values of the top and bottom eigenvectors of
     Im(e^{-i theta} A0) (A0 the shift-free matrix) at the 16 fixed
@@ -430,13 +439,14 @@ def verify_checks(report: AuditReport) -> list[Check]:
     # oracle's own directions.
     _, cos_sin = nrcore._direction_grid(len(support))
 
-    # W = 2 shift - W iff h(theta) - h(theta + pi) = 2 Re(e^{-i theta} shift)
-    # for every theta (Schneider, section 1.7): direction k against k + n // 2.
+    # W = 2 c - W, c = tr(matrix) / 4, iff h(theta) - h(theta + pi) =
+    # 2 Re(e^{-i theta} c) for every theta (Schneider, section 1.7).
     half = len(support) // 2
+    center = complex(np.trace(report.matrix)) / 4
     antipodal = support[:half] - support[half:]
     sym = float(np.abs(
-        antipodal - 2.0 * (cos_sin[:half] @ [bf.shift.real, bf.shift.imag])).max())
-    eig = np.asarray(report.eigenvalues, dtype=complex)
+        antipodal - 2.0 * (cos_sin[:half] @ [center.real, center.imag])).max())
+    eig = np.asarray(report.eigenvalues, dtype=complex) - report.origin
     excess = np.stack((eig.real, eig.imag), axis=1) @ cos_sin.T - support
     worst_out = float(excess.max())
 
@@ -455,13 +465,8 @@ def verify_checks(report: AuditReport) -> list[Check]:
     gen = nrcore.generating_poly(bf).evaluate(np.stack((lam1, lam2)), _SPOT_THETAS)
     worst_gen = float(np.abs(gen).max())
 
-    # The support values carry the trace shift, so subtracting it leaves a
-    # roundoff of a few eps * |shift|: at most 10.1 eps * |shift| above the
-    # diameter term on 8 random blocks at t = 1e-6..1e3 shifted by 1..1e8
-    # times 1, i or e^{i pi/4}, while |shift| / t <= 1e10.
-    sym_bound = 1e-8 * report.diameter + 64 * np.finfo(float).eps * abs(bf.shift)
     checks = [
-        Check("central symmetry", max(sym, transverse) <= sym_bound,
+        Check("central symmetry", max(sym, transverse) <= 1e-8 * report.diameter,
               f"antipodal mismatch {sym:.3e} normal, {transverse:.3e} transverse"),
         Check("eigenvalue containment", worst_out <= 1e-9 * (scale + abs(bf.shift)),
               f"worst support excess {worst_out:.3e}"),

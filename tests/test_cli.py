@@ -733,9 +733,10 @@ class TestVerify:
         assert code == (0 if want.bielliptical else 1)
 
     def test_central_symmetry_allows_shift_roundoff(self, tmp_path, capsys):
-        # The worked example scaled by 1e-6 and shifted by 1e6: the oracle's
-        # antipodal mismatch is a few eps * |shift|, which the gate admits,
-        # so verify exits 1 like check.
+        # The worked example scaled by 1e-6 and shifted by 1e6: the audit
+        # samples the matrix less its trace shift, an exact translate, so the
+        # antipodal mismatch (about 8e-21) is far under the 1e-8 * diameter
+        # gate, and verify exits 1 like check, whose verdict reads T nonzero.
         m = 1e-6 * general_example_matrix() + 1e6 * eye(4)
         path = tmp_path / "shifted.json"
         path.write_text(json.dumps(raw_doc(m)))

@@ -20,7 +20,7 @@ from birange.criteria import (
 )
 from birange import cli, nrcore, verify
 from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm, as_block, detect_block
-from birange.linalg import CMatrix
+from birange.linalg import CMatrix, eye
 from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
     EmptyInputError,
@@ -45,6 +45,7 @@ from helpers import (
     general_example_block,
     general_example_matrix,
     kron_commutant_system,
+    load_bench_module,
     loop_factorization_residual,
     random_block,
     random_special,
@@ -641,6 +642,65 @@ class TestCentralSymmetry:
                                                    sym.detail))
         assert normal <= 1e-12 < 1e-6 * report.diameter <= transverse
         assert checks["pencil eigenvalues"].passed
+
+
+class TestShiftFreeAudit:
+    """The oracles run on A - cI, c = tr A / 4, which is an exact translate of
+    A once |c| exceeds a few times the scale, so a far shift leaves no
+    eps |c| rounding in any audited number."""
+
+    @staticmethod
+    def shifted_example(r):
+        return general_example_matrix() + r * cmath.exp(0.7j) * eye(4)
+
+    def test_far_shifted_worked_example(self):
+        # The raw worked example shifted by 1e10 e^{0.7i}: its support values
+        # and flat gaps would carry about eps * 1e10 = 2e-6 of rounding.
+        m = self.shifted_example(1e10)
+        report = verify.check_document(m)
+        assert report.verdict.bielliptical
+        assert report.failures == []
+        assert len(report.flats) == 2
+        assert report.hull_gap < 1e-12 * report.diameter
+        checks = verify.verify_checks(report)
+        assert all(c.passed for c in checks)
+        normal = float(re.search(r"(\S+) normal", checks[0].detail).group(1))
+        assert normal < 1e-12 * report.diameter
+
+    @pytest.mark.parametrize("r", [0.0, 1e9, 1e10])
+    def test_forged_ellipses_caught_at_far_shift(self, r):
+        # A center moved by 1e-5 * diameter away from the other ellipse, or a
+        # semi-major axis grown by as much, moves the hull's support by that
+        # much at some direction: ten times the hull gate, at every shift.
+        m = self.shifted_example(r)
+        bf = as_block(m)
+        verdict = check_general(bf)
+        report = audit(bf, verdict, 512, matrix=m)
+        assert report.failures == []
+        e1, e2 = verdict.ellipses
+        move = 1e-5 * report.diameter
+        away = (e1.center - e2.center) / abs(e1.center - e2.center)
+        for forged in (dataclasses.replace(e1, center=e1.center + move * away),
+                       dataclasses.replace(e1, semi_major=e1.semi_major + move)):
+            report = audit(bf, dataclasses.replace(verdict, ellipses=(forged, e2)), 512,
+                           matrix=m)
+            hull = next(c for c in report.checks if c.name == "hull comparison")
+            assert not hull.passed
+
+    def test_far_shifted_bench_positives(self):
+        # The first 20 block-form positives of bench seed 101, scaled by
+        # 1e-3 and shifted by 1e9 * 1e-3 * e^{0.7i}.
+        corpus = load_bench_module("corpus")
+        t, shift = 1e-3, 1e6 * cmath.exp(0.7j)
+        positives = [i for i in corpus.generate(101, 800)
+                     if i["label"] and i["form"] == "block"][:20]
+        for inst in positives:
+            doc = corpus.document(dict(
+                inst, alpha=t * inst["alpha"] + shift, beta=t * inst["beta"] + shift,
+                C=[[t * x for x in row] for row in inst["C"]],
+                D=[[t * x for x in row] for row in inst["D"]]))
+            report = verify.check_document(cli.parse_matrix_spec(doc)[1])
+            assert report.failures == []
 
 
 class TestCheckDocument:
