@@ -39,7 +39,7 @@ __all__ = [
 # refinement steps; and the eigenvalue-gap tolerance below which a support
 # direction counts as degenerate.  Tolerances are relative to
 # :func:`_oracle_scale`.
-DEFAULT_SAMPLES = 2048
+DEFAULT_SAMPLES = 1024
 FLAT_GAP_TOL = 1e-7
 FLAT_MIN_SAMPLES = 512
 _FLAT_MIN_LENGTH_REL = 1e-8

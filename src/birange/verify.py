@@ -96,12 +96,13 @@ class HullComparison:
     samples: int
 
 
-def _support_values(e: Ellipse, theta: np.ndarray) -> np.ndarray:
+def _support_values(e: Ellipse, cos_sin: np.ndarray) -> np.ndarray:
     """The support function of ``e``, the max of Re(e^{-i theta} w) over
-    the ellipse, at every angle of ``theta``."""
-    psi = e.tilt - theta
-    radial = np.hypot(e.semi_major * np.cos(psi), e.semi_minor * np.sin(psi))
-    return e.center.real * np.cos(theta) + e.center.imag * np.sin(theta) + radial
+    the ellipse, at the directions whose cosine and sine are the rows of
+    ``cos_sin``; those of tilt - theta follow by angle addition."""
+    c, s = math.cos(e.tilt), math.sin(e.tilt)
+    radial = np.hypot(e.semi_major * (cos_sin @ [c, s]), e.semi_minor * (cos_sin @ [s, -c]))
+    return cos_sin @ [e.center.real, e.center.imag] + radial
 
 
 def hull_support_gap(e1: Ellipse, e2: Ellipse, boundary: nrcore.Boundary) -> float:
@@ -111,10 +112,11 @@ def hull_support_gap(e1: Ellipse, e2: Ellipse, boundary: nrcore.Boundary) -> flo
     i.e. the support-function form of the Hausdorff distance restricted to
     the sampled directions.
     """
-    theta = boundary.theta
-    if len(theta) == 0:
+    n = len(boundary.theta)
+    if n == 0:
         raise EmptyInputError("need at least one boundary sample")
-    hull = np.maximum(_support_values(e1, theta), _support_values(e2, theta))
+    _, cos_sin = nrcore._direction_grid(n)
+    hull = np.maximum(_support_values(e1, cos_sin), _support_values(e2, cos_sin))
     return float(np.abs(hull - boundary.support).max())
 
 
@@ -132,10 +134,10 @@ def hull_boundary(e1: Ellipse, e2: Ellipse, n: int = 2048) -> list[complex]:
         abs(e1.center), abs(e2.center), e1.semi_major, e2.semi_major, 1.0
     ]
     tie_tol = 1e-12 * max(sizes)
-    thetas = 2.0 * np.pi * np.arange(n) / n
+    thetas, cos_sin = nrcore._direction_grid(n)
     pts: list[complex] = []
-    for theta, h1, h2 in zip(thetas.tolist(), _support_values(e1, thetas).tolist(),
-                             _support_values(e2, thetas).tolist()):
+    for theta, h1, h2 in zip(thetas.tolist(), _support_values(e1, cos_sin).tolist(),
+                             _support_values(e2, cos_sin).tolist()):
         if abs(h1 - h2) <= tie_tol:
             p1 = e1.support_point(theta)
             p2 = e2.support_point(theta)
@@ -265,7 +267,8 @@ class AuditReport:
     given.  ``eigenvalues`` include the trace shift; ``matrix`` is shift-free,
     the audited matrix less ``origin`` (a quarter of its trace) times the
     identity; ``boundary`` is its :class:`nrcore.Boundary`, the support
-    function and the top eigenvalue gap at n equispaced directions (no
+    function and the top eigenvalue gap at :func:`audit`'s ``samples``
+    equispaced directions, which set what the hull gate resolves (no
     boundary points: no check reads them); ``diameter`` is the diagonal of
     the range's bounding box; ``hull_gap`` is None unless the verdict is
     positive with ellipses, ``factorization`` None unless the verdict
@@ -352,9 +355,14 @@ def audit(
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
     passes itself) less its trace shift ``origin`` in ``samples`` directions,
     at least ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can
-    run on them.  Every check here and in :func:`verify_checks` reads support
-    values only, so the boundary oracle runs without points (eigenvalues
-    only).  ``reciprocal`` is the reciprocal classification when ``bf`` came
+    run on them, at the cost of one batched ``eigvalsh`` of ``samples / 2``
+    matrices.  The hull gap is a maximum over those directions, so an error
+    peaking between two of them reads smaller by a relative (pi / samples)^2
+    or so; ``tests/test_audit_strength.py`` holds the default,
+    ``nrcore.DEFAULT_SAMPLES``, to what 2048 samples catch.  Every check
+    here and in :func:`verify_checks` reads support values only, so the
+    boundary oracle runs without points (eigenvalues only).
+    ``reciprocal`` is the reciprocal classification when ``bf`` came
     from a reciprocal form and must agree with the verdict.  A positive
     verdict must have its hull of ellipses within ``1e-6 * diameter`` of the
     sampled range and two flat portions that match the offset between the

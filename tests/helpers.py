@@ -290,6 +290,68 @@ def load_bench_module(name: str):
     return module
 
 
+# Forged verdicts: the audit's strength is the smallest planted error it
+# catches (ROADMAP item 15).
+
+ELLIPSE_FORGERIES = ("center", "semi_axis", "tilt")
+
+
+def verdict_diameter(verdict: Verdict) -> float:
+    """Diagonal of the bounding box of the verdict's two ellipses; for a
+    true verdict the range's ``AuditReport.diameter``, to roundoff."""
+    xs, ys = [], []
+    for e in verdict.ellipses:
+        c, s = math.cos(e.tilt), math.sin(e.tilt)
+        half_x = math.hypot(e.semi_major * c, e.semi_minor * s)
+        half_y = math.hypot(e.semi_major * s, e.semi_minor * c)
+        xs += [e.center.real - half_x, e.center.real + half_x]
+        ys += [e.center.imag - half_y, e.center.imag + half_y]
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+
+def forge_verdict(verdict: Verdict, kind: str, delta: float = 0.0) -> Verdict:
+    """``verdict`` with one planted error of geometric size ``delta`` times
+    :func:`verdict_diameter`.
+
+    The ellipse kinds change the first ellipse: ``"center"`` moves its
+    center that far away from the second one's, ``"semi_axis"`` lengthens
+    its semi-major axis by as much, and ``"tilt"`` rotates it by
+    delta * diameter / (a - b) radians, a and b its semi-axes: the support
+    function's largest rate of change under rotation is a - b, so its
+    largest change is delta * diameter to first order.  ``"negative"`` turns
+    a positive verdict into NotBiElliptical with reason TNonzero and no
+    reduced form, like a true one; ``"reason"`` gives a negative verdict
+    the next reason.  Both ignore ``delta``.
+    """
+    if kind == "reason":
+        if verdict.bielliptical:
+            raise ValueError("a forged reason needs a negative verdict")
+        reasons = list(Reason)
+        nxt = reasons[(reasons.index(verdict.reason) + 1) % len(reasons)]
+        return replace(verdict, reason=nxt)
+    if not verdict.bielliptical or verdict.ellipses is None:
+        raise ValueError(f"a forged {kind!r} needs a positive verdict with ellipses")
+    if kind == "negative":
+        diagnostics = {k: v for k, v in verdict.diagnostics.items() if k != "reduced_form"}
+        return Verdict(False, Reason.T_NONZERO, None, diagnostics)
+    e1, e2 = verdict.ellipses
+    size = delta * verdict_diameter(verdict)
+    if kind == "center":
+        offset = e1.center - e2.center
+        away = offset / abs(offset) if offset else 1.0
+        e1 = replace(e1, center=e1.center + size * away)
+    elif kind == "semi_axis":
+        e1 = replace(e1, semi_major=e1.semi_major + size)
+    elif kind == "tilt":
+        spread = e1.semi_major - e1.semi_minor
+        if size > spread * math.pi / 4:
+            raise ValueError(f"an ellipse this round has no tilt error of size {size:g}")
+        e1 = replace(e1, tilt=e1.tilt + size / spread)
+    else:
+        raise ValueError(f"unknown forgery {kind!r}")
+    return replace(verdict, ellipses=(e1, e2))
+
+
 # Reference computations the tests check the package against.
 
 

@@ -469,6 +469,37 @@ class TestAuditLapackBudget:
             assert all(c.passed for c in checks)
 
 
+class TestDefaultSamples:
+    """``nrcore.DEFAULT_SAMPLES`` is the one default resolution behind
+    ``check``, ``verify``, ``boundary`` and ``check_document``;
+    ``tests/test_audit_strength.py`` holds it to 2048 samples' strength."""
+
+    def test_constant(self):
+        # The flat oracle runs on the default, and with 4 | n the directions
+        # 0, pi/2, pi and 3 pi/2 are sampled, which ``_box_diameter`` and
+        # README rely on.
+        assert nrcore.DEFAULT_SAMPLES >= nrcore.FLAT_MIN_SAMPLES
+        assert nrcore.DEFAULT_SAMPLES % 4 == 0
+
+    def test_check_document_default(self, monkeypatch, rng):
+        half = nrcore.DEFAULT_SAMPLES // 2
+        for payload in (general_example_matrix(), random_block(rng)):
+            counts, report = TestAuditLapackBudget.calls(
+                monkeypatch, verify, "check_document",
+                lambda: verify.check_document(payload))
+            assert [k for k in counts if k[1] == (half,)] == [("eigvalsh", (half,))]
+            assert counts["eigvalsh", (half,)] == 1
+            assert len(report.boundary.support) == nrcore.DEFAULT_SAMPLES
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_2048_samples_on_the_worked_example(self, command, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(TestCheckDocument.cases()["raw"][1]))
+        for samples in ([], ["--samples", "2048"]):
+            assert cli.main([command, str(path), *samples]) == 0
+            assert "verdict: BiElliptical\n" in capsys.readouterr().out
+
+
 class TestOracleRuns:
     """The flat-portion and commutant oracles run when a report's ``flats``
     and ``commutant_dim`` are first read, and only then: ``birange verify``
