@@ -46,6 +46,9 @@ EXIT_INTERNAL = 3
 # the matrix, and degree-8 quantities overflow double precision once entries
 # pass about 1e38.
 _MAX_MAGNITUDE = 1e36
+# Largest accepted ``--samples``, 64 times the default: the oracle's arrays
+# are O(samples), and an unbounded count would exhaust memory, not exit 2.
+_MAX_SAMPLES = 1 << 16
 
 
 class InputError(ValueError):
@@ -200,11 +203,14 @@ def _jsonify(obj):
     return obj
 
 
+def _require_samples(samples: int, floor: int) -> None:
+    """The one ``--samples`` rule: a multiple of 4 from ``floor`` to ``_MAX_SAMPLES``."""
+    if samples % 4 or not floor <= samples <= _MAX_SAMPLES:
+        raise InputError(f"--samples must be a multiple of 4 from {floor} to {_MAX_SAMPLES}")
+
+
 def _audited(payload, samples: int) -> verify.AuditReport:
     """The audit report of a parsed document for ``check`` and ``verify``."""
-    if samples < nrcore.FLAT_MIN_SAMPLES or samples % 2:
-        raise InputError(f"--samples must be even and at least {nrcore.FLAT_MIN_SAMPLES} "
-                         "for the flat-portion oracle")
     report = verify.check_document(payload, samples)
     if report is None:
         raise InputError("matrix lacks scalar 2x2 diagonal blocks; only the boundary "
@@ -280,6 +286,7 @@ def _print_check_report(report: dict) -> None:
 
 
 def cmd_check(args) -> int:
+    _require_samples(args.samples, nrcore.FLAT_MIN_SAMPLES)
     docs, batch = _load_documents(args.input)
     worst = EXIT_POSITIVE
     outputs = []
@@ -357,8 +364,7 @@ def _boundary_svg(points, audited: verify.AuditReport | None = None) -> str:
 
 
 def cmd_boundary(args) -> int:
-    if args.samples < 64 or args.samples % 2:
-        raise InputError("--samples must be even and at least 64")
+    _require_samples(args.samples, 64)
     docs, _ = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("boundary export expects a single matrix document")
@@ -428,6 +434,7 @@ def cmd_reciprocal(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_samples(args.samples, nrcore.FLAT_MIN_SAMPLES)
     docs, _ = _load_documents(args.input)
     if len(docs) != 1:
         raise InputError("verify expects a single matrix document")
@@ -458,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", default="-",
                        help="JSON matrix document (default: stdin)")
         p.add_argument("--samples", type=int, default=nrcore.DEFAULT_SAMPLES,
-                       help="support directions for boundary oracles (even)")
+                       help="oracle support directions (a multiple of 4)")
     check.add_argument("--format", choices=("text", "json"), default="text")
     boundary.add_argument("--format", choices=("csv", "svg"), default="csv")
     boundary.add_argument("--output", default=None, help="output path")

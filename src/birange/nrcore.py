@@ -375,14 +375,6 @@ def _ritz_theta(herm: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.nd
     return phi + np.pi * np.round((theta - phi) / np.pi)
 
 
-def _require_flat_samples(n: int) -> None:
-    """Raise ValueError unless :func:`flat_portions` can run on n samples."""
-    if n < FLAT_MIN_SAMPLES:
-        raise ValueError(
-            f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples"
-        )
-
-
 def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
@@ -402,7 +394,8 @@ def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     cutoff.
     """
     n = len(boundary.theta)
-    _require_flat_samples(n)
+    if n < FLAT_MIN_SAMPLES:
+        raise ValueError(f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples")
     a = _as_ndarray(m)
     scale = _oracle_scale(a)
     if scale == 0.0:

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 # Largest hull/oracle support gap accepted, relative to the range's diameter
-# (the diagonal of its bounding box, :func:`_box_diameter`).
+# (the diagonal of its bounding box, ``AuditReport.diameter``).
 _HULL_REL = 1e-6
 _HULL = "hull comparison"
 # Singular values below this times the oracle scale span the commutant.
@@ -270,11 +270,12 @@ class AuditReport:
     function and the top eigenvalue gap at :func:`audit`'s ``samples``
     equispaced directions, which set what the hull gate resolves (no
     boundary points: no check reads them); ``diameter`` is the diagonal of
-    the range's bounding box; ``hull_gap`` is None unless the verdict is
-    positive with ellipses, ``factorization`` None unless the verdict
-    carries a reduced form.  ``flats`` and ``commutant_dim`` run their
-    oracle when first read and keep the result: :func:`audit` reads
-    ``flats`` for a positive verdict only, and nothing in it reads
+    the range's bounding box, h(0) + h(pi) wide and h(pi / 2) + h(3 pi / 2)
+    high in ``boundary``'s support values h; ``hull_gap`` is None unless
+    the verdict is positive with ellipses, ``factorization`` None unless
+    the verdict carries a reduced form.  ``flats`` and ``commutant_dim``
+    run their oracle when first read and keep the result: :func:`audit`
+    reads ``flats`` for a positive verdict only, and nothing in it reads
     ``commutant_dim``.
     """
 
@@ -330,19 +331,6 @@ def _flat_checks(report: AuditReport) -> list[Check]:
     return checks
 
 
-def _box_diameter(a: np.ndarray) -> float:
-    """Diagonal of the bounding box of W(A).
-
-    The box's sides are the spectral spans of (A + A*) / 2 and
-    (A - A*) / 2i, whose extreme eigenvalues are the support values at
-    theta = 0, pi / 2, pi and 3 pi / 2.  When 4 divides the sample count
-    those directions are sampled, and this is the sampled points' box to
-    roundoff; otherwise it is the exact box, which contains the sampled one.
-    """
-    w = np.linalg.eigvalsh(nrcore._hermitian_parts(a))
-    return math.hypot(*(w[:, 3] - w[:, 0]).tolist())
-
-
 def audit(
     bf: BlockForm,
     verdict: Verdict,
@@ -356,12 +344,15 @@ def audit(
     passes itself) less its trace shift ``origin`` in ``samples`` directions,
     at least ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can
     run on them, at the cost of one batched ``eigvalsh`` of ``samples / 2``
-    matrices.  The hull gap is a maximum over those directions, so an error
-    peaking between two of them reads smaller by a relative (pi / samples)^2
-    or so; ``tests/test_audit_strength.py`` holds the default,
-    ``nrcore.DEFAULT_SAMPLES``, to what 2048 samples catch.  Every check
-    here and in :func:`verify_checks` reads support values only, so the
-    boundary oracle runs without points (eigenvalues only).
+    matrices, the audit's one LAPACK call besides the flat oracle's.  As
+    ``samples`` is a multiple of 4, theta = 0, pi / 2, pi and 3 pi / 2 are
+    among them, and their support values give ``diameter``, which scales
+    the gates.  The hull gap is a maximum over those directions, so an
+    error peaking between two of them reads smaller by a relative
+    (pi / samples)^2 or so; ``tests/test_audit_strength.py`` holds the
+    default, ``nrcore.DEFAULT_SAMPLES``, to what 2048 samples catch.  Every
+    check here and in :func:`verify_checks` reads support values only, so
+    the boundary oracle runs without points (eigenvalues only).
     ``reciprocal`` is the reciprocal classification when ``bf`` came
     from a reciprocal form and must agree with the verdict.  A positive
     verdict must have its hull of ellipses within ``1e-6 * diameter`` of the
@@ -370,7 +361,9 @@ def audit(
     generating polynomial must factor into the two claimed quadratics up to a
     factorization residual of ``TOL``.
     """
-    nrcore._require_flat_samples(samples)
+    if samples < nrcore.FLAT_MIN_SAMPLES or samples % 4:
+        raise ValueError(f"flat detection needs at least {nrcore.FLAT_MIN_SAMPLES} support "
+                         "samples, and the bounding box a multiple of 4")
     a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
     # Once |origin| exceeds a few times the scale, a - origin I is an exact
     # translate of A (Sterbenz's lemma), so no oracle value carries
@@ -379,7 +372,8 @@ def audit(
     a = a - origin * np.eye(4)
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
     boundary = nrcore.boundary_support(a, samples, points=False)
-    diameter = _box_diameter(a)
+    h = boundary.support[::samples // 4].tolist()
+    diameter = math.hypot(h[0] + h[2], h[1] + h[3])
     positive = verdict.bielliptical and verdict.ellipses is not None
     hull_gap = None if not positive else hull_support_gap(
         *(replace(e, center=e.center - origin) for e in verdict.ellipses), boundary)
@@ -435,6 +429,10 @@ def verify_checks(report: AuditReport) -> list[Check]:
     eigenvalues (the closed form against the eigenvalues of that same
     LAPACK ``eigh``) and the generating polynomial, which must annihilate
     them: one closed-form pencil solve over all 16 as an array serves both.
+    These four never read the verdict, so no forged verdict can fail them:
+    the first two hold LAPACK's support values to the block structure (a
+    range symmetric about its center that holds the closed-form spectrum),
+    the last two hold the closed-form side to LAPACK's ``eigh`` and itself.
     A positive verdict adds the audit's hull check and unitary
     irreducibility: commutant dimension 1, or 2 in the two reducible
     zero-diagonal families, the paper's real case (ii) and b2 = -conj(b1),

@@ -216,7 +216,18 @@ class TestCheck:
         # The oracle pairs direction k with its antipode k + n/2.
         assert main([command, gen_file, "--samples", "2047"]) == 2
         err = capsys.readouterr().err
-        assert "--samples must be even" in err
+        assert "--samples must be a multiple of 4 from " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("samples", ["1026", "65540"])
+    @pytest.mark.parametrize("command", ["check", "verify", "boundary"])
+    def test_samples_off_rule_is_usage_error(self, command, samples, gen_file, capsys):
+        # Even but not a multiple of 4: the audit reads its bounding box off
+        # the directions 0, pi/2, pi and 3 pi/2.  One multiple of 4 past the
+        # ceiling: no count reaches the O(samples) direction grid unbounded.
+        assert main([command, gen_file, "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert "--samples must be a multiple of 4 from " in err
         assert "Traceback" not in err
 
 
@@ -426,7 +437,7 @@ class TestParserText:
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
-            "  --samples SAMPLES     support directions for boundary oracles (even)\n"
+            "  --samples SAMPLES     oracle support directions (a multiple of 4)\n"
             "  --format {text,json}\n"), "", 0, id="check --help"),
         pytest.param(["boundary", "--help"], (
             "usage: birange boundary [-h] [--samples SAMPLES] [--format {csv,svg}]\n"
@@ -438,7 +449,7 @@ class TestParserText:
             "\n"
             "options:\n"
             "  -h, --help          show this help message and exit\n"
-            "  --samples SAMPLES   support directions for boundary oracles (even)\n"
+            "  --samples SAMPLES   oracle support directions (a multiple of 4)\n"
             "  --format {csv,svg}\n"
             "  --output OUTPUT     output path\n"), "", 0, id="boundary --help"),
         pytest.param(["solve-b", "--help"], (
@@ -470,7 +481,7 @@ class TestParserText:
             "\n"
             "options:\n"
             "  -h, --help         show this help message and exit\n"
-            "  --samples SAMPLES  support directions for boundary oracles (even)\n"),
+            "  --samples SAMPLES  oracle support directions (a multiple of 4)\n"),
             "", 0, id="verify --help"),
         pytest.param(["--help"], (
             USAGE +

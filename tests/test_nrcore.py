@@ -369,10 +369,11 @@ class TestPointsFreeOracle:
         assert len(bare_flats) == len(flats)
         for f, g in zip(bare_flats, flats):
             assert abs(f.support_theta - g.support_theta) <= 1e-12
-        # With 4 | n the four axis directions are sampled, so the range's
-        # bounding box is the sampled points' box.
+        # With 4 | n the four axis directions are sampled, so the audit's
+        # bounding box, read off its support values, is the sampled points'.
         box = math.hypot(np.ptp(full.points.real), np.ptp(full.points.imag))
-        assert abs(verify._box_diameter(a) - box) <= 1e-14 * box + slack
+        report = verify.check_document(m, n)
+        assert abs(report.diameter - box) <= 1e-14 * box + slack
         return len(flats)
 
     def test_random_blocks(self, rng):
@@ -385,18 +386,6 @@ class TestPointsFreeOracle:
     def test_shifted(self, rng):
         self.agree(random_block(rng).assemble() + 1e6 * eye(4))
         self.agree(1e-5 * random_block(rng).assemble() + 1e8 * eye(4))
-
-    def test_box_contains_sampled_box_when_4_does_not_divide_n(self, rng):
-        # Only theta = pi/2 and 3 pi/2 are missed, by half a step each; the
-        # support point there lies within tan(pi / n) * diameter of the
-        # support line.
-        n = 514
-        for _ in range(20):
-            a = nrcore._as_ndarray(random_block(rng).assemble())
-            pts = boundary_support(a, n).points
-            box = math.hypot(np.ptp(pts.real), np.ptp(pts.imag))
-            diameter = verify._box_diameter(a)
-            assert -1e-14 * box <= diameter - box <= 2 * math.tan(math.pi / n) * diameter
 
     def test_rows_without_points(self, rng):
         bare = boundary_support(random_block(rng).assemble(), 64, points=False)

@@ -381,26 +381,31 @@ class TestAuditLapackBudget:
     eigenvalues only: one batched ``eigvalsh`` over half the circle."""
 
     @staticmethod
-    def calls(monkeypatch, module, where: str, run):
-        """LAPACK calls made inside ``module.where`` while ``run()`` runs,
-        keyed (name, batch shape), and what ``run()`` returned."""
+    def calls(monkeypatch, module, where: str, run, names=("eigh", "eigvalsh"), outside=()):
+        """``numpy.linalg`` calls among ``names`` made inside ``module.where``
+        but not inside any ``(module, name)`` of ``outside`` while ``run()``
+        runs, keyed (name, batch shape), and what ``run()`` returned."""
         counts = collections.Counter()
-        inside = [False]
-        for name in ("eigh", "eigvalsh"):
+        depth = [0]
+        for name in names:
             def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-                if inside[0]:
+                if depth[0] > 0:
                     counts[_name, np.shape(a)[:-2]] += 1
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
 
-        def region(*args, _fn=getattr(module, where), **kwargs):
-            inside[0] = True
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                inside[0] = False
+        def region(owner, name, step):
+            def wrapper(*args, _fn=getattr(owner, name), **kwargs):
+                depth[0] += step
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    depth[0] -= step
+            monkeypatch.setattr(owner, name, wrapper)
 
-        monkeypatch.setattr(module, where, region)
+        region(module, where, 1)
+        for owner, name in outside:
+            region(owner, name, -1)
         try:
             return counts, run()
         finally:
@@ -437,7 +442,6 @@ class TestAuditLapackBudget:
             report = audit(bf, verdict, 2048)
             a = bf.assemble()
             full = boundary_support(a, 2048)
-            assert report.diameter == verify._box_diameter(nrcore._as_ndarray(a))
             span = np.ptp(full.points.real), np.ptp(full.points.imag)
             assert report.diameter == pytest.approx(math.hypot(*span), rel=1e-12)
             assert len(report.flats) == len(nrcore.flat_portions(a, full))
@@ -476,19 +480,25 @@ class TestDefaultSamples:
 
     def test_constant(self):
         # The flat oracle runs on the default, and with 4 | n the directions
-        # 0, pi/2, pi and 3 pi/2 are sampled, which ``_box_diameter`` and
-        # README rely on.
+        # 0, pi/2, pi and 3 pi/2 are sampled, which the audit's bounding
+        # box relies on.
         assert nrcore.DEFAULT_SAMPLES >= nrcore.FLAT_MIN_SAMPLES
         assert nrcore.DEFAULT_SAMPLES % 4 == 0
 
     def test_check_document_default(self, monkeypatch, rng):
+        # One LAPACK call of any kind the package makes (eigh, eigvalsh,
+        # svd): the batched eigvalsh over half the circle, whose support
+        # values also give the bounding box.  The flat-portion oracle, run
+        # for a positive verdict only, has its own budget test in
+        # test_nrcore.py, TestFlatPortionsLapackBudget.
         half = nrcore.DEFAULT_SAMPLES // 2
-        for payload in (general_example_matrix(), random_block(rng)):
+        payloads = [general_example_matrix()] + [random_block(rng) for _ in range(3)]
+        for payload in payloads:
             counts, report = TestAuditLapackBudget.calls(
                 monkeypatch, verify, "check_document",
-                lambda: verify.check_document(payload))
-            assert [k for k in counts if k[1] == (half,)] == [("eigvalsh", (half,))]
-            assert counts["eigvalsh", (half,)] == 1
+                lambda: verify.check_document(payload),
+                names=("eigh", "eigvalsh", "svd"), outside=[(nrcore, "flat_portions")])
+            assert counts == {("eigvalsh", (half,)): 1}
             assert len(report.boundary.support) == nrcore.DEFAULT_SAMPLES
 
     @pytest.mark.parametrize("command", ["check", "verify"])
@@ -537,6 +547,14 @@ class TestOracleRuns:
         bf = random_block(rng)
         with pytest.raises(ValueError, match="flat detection needs"):
             audit(bf, check_general(bf), 256)
+
+    def test_samples_not_divisible_by_4_rejected(self, runs, rng):
+        # The bounding box is read off theta = 0, pi/2, pi and 3 pi/2, so
+        # every audit samples a multiple of 4 directions.
+        bf = random_block(rng)
+        for samples in (1026, 2047):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                audit(bf, check_general(bf), samples)
 
     def test_each_read_runs_once(self, runs, rng):
         bf = random_block(rng)
