@@ -7,6 +7,8 @@ elementwise numpy where it takes many directions at once.  The
 support-function boundary oracle and the flat-portion detector are oracles:
 they see only the assembled 4x4 matrix and use LAPACK (``numpy.linalg``)
 underneath, so agreement between the two sides is a genuine cross-check.
+Every Hermitian matrix an oracle solves is built in one place,
+:func:`_pencil`, as cos(phi) H1 + sin(phi) H2.
 """
 
 from __future__ import annotations
@@ -223,13 +225,15 @@ class BoundarySample:
 class Boundary:
     """Support-function samples of the numerical range boundary, as arrays.
 
-    ``theta`` holds the n directions 2 pi k / n (read-only: one array per n
-    serves every call), ``support`` the support values h(theta_k), ``gap``
-    the gap between the top two eigenvalues of Re(e^{-i theta_k} M) and
-    ``points`` the boundary points, or None when they were not asked for.
-    Iterating yields one :class:`BoundarySample` per direction either way.
+    ``matrix`` is the 4x4 ndarray M that was sampled, ``theta`` the n
+    directions 2 pi k / n (read-only: one array per n serves every call),
+    ``support`` the support values h(theta_k), ``gap`` the gap between the
+    top two eigenvalues of Re(e^{-i theta_k} M) and ``points`` the boundary
+    points, or None when they were not asked for.  Iterating yields one
+    :class:`BoundarySample` per direction either way.
     """
 
+    matrix: np.ndarray
     theta: np.ndarray
     support: np.ndarray
     gap: np.ndarray
@@ -279,25 +283,28 @@ def _hermitian_parts(a: np.ndarray) -> np.ndarray:
     return np.stack((0.5 * (a + a.conj().T), (a - a.conj().T) / 2j))
 
 
-def _imag_part_at(a: np.ndarray, theta) -> np.ndarray:
-    e = np.exp(-1j * theta)
-    return (e * a - np.conj(e) * a.conj().T) / 2j
+def _pencil(herm: np.ndarray, cos_sin: np.ndarray) -> np.ndarray:
+    """cos(phi) H1 + sin(phi) H2 per row (cos(phi), sin(phi)) of ``cos_sin``
+    as one real (k x 2) @ (2 x 32) product on the float view of ``herm``,
+    [H1; H2]; the row (-sin(theta), cos(theta)) gives Im(e^{-i theta} A)."""
+    return (cos_sin @ herm.view(float).reshape(2, 32)).view(complex).reshape(-1, 4, 4)
 
 
 def _segment_ends(
-    a: np.ndarray, theta: np.ndarray, basis: np.ndarray
+    a: np.ndarray, herm: np.ndarray, cos_sin: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extreme field values over a top eigenspace, one per direction.
 
     ``basis[j]`` (4 x 2) spans the top 2-dim eigenspace of
-    Re(e^{-i theta_j} A).  At a degenerate support direction the field
-    values attainable there form a segment on the support line; its
-    endpoints are read off the compression of the transverse (imaginary)
-    part onto that space.  Returns the endpoints with the larger and with
-    the smaller transverse coordinate.
+    Re(e^{-i theta_j} A), ``cos_sin[j]`` = (cos(theta_j), sin(theta_j)).  At
+    a degenerate support direction the field values attainable there form a
+    segment on the support line; its endpoints are read off the compression
+    of Im(e^{-i theta_j} A) (``herm``'s :func:`_pencil` row (-sin, cos))
+    onto that space.  Returns the endpoints with the larger and with the
+    smaller transverse coordinate.
     """
     basis_h = basis.conj().transpose(0, 2, 1)
-    comp = basis_h @ _imag_part_at(a, theta[:, None, None]) @ basis
+    comp = basis_h @ _pencil(herm, cos_sin[:, ::-1] * [-1.0, 1.0]) @ basis
     _, y = np.linalg.eigh(0.5 * (comp + comp.conj().transpose(0, 2, 1)))
     ends = basis @ y
     vals = np.einsum("nic,ij,njc->nc", ends.conj(), a, ends)
@@ -326,15 +333,13 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
     a = _as_ndarray(m)
     half = n // 2
     theta, cos_sin = _direction_grid(n)
-    # cos(theta) H1 + sin(theta) H2 over the half circle as one real
-    # (n/2 x 2) @ (2 x 32) product on the float view of [H1; H2].
-    herms = (cos_sin[:half] @ _hermitian_parts(a).view(float).reshape(2, 32)
-             ).view(complex).reshape(half, 4, 4)
+    herm = _hermitian_parts(a)
+    herms = _pencil(herm, cos_sin[:half])
     w, v = np.linalg.eigh(herms) if points else (np.linalg.eigvalsh(herms), None)
     support = np.concatenate((w[:, 3], -w[:, 0]))
     gap = np.concatenate((w[:, 3] - w[:, 2], w[:, 1] - w[:, 0]))
     if v is None:
-        return Boundary(theta, support, gap, None)
+        return Boundary(a, theta, support, gap, None)
     vecs = np.concatenate((v[:, :, 3], v[:, :, 0]))
     pts = np.einsum("ni,ij,nj->n", vecs.conj(), a, vecs)
     deg = np.flatnonzero(gap <= _DEGENERATE_REL * max(_oracle_scale(a), 1e-300))
@@ -342,8 +347,8 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
         # The top eigenspace at theta + pi is the bottom one at theta.
         pairs = v[deg % half]
         tops = np.where((deg < half)[:, None, None], pairs[:, :, 2:], pairs[:, :, :2])
-        pts[deg] = _segment_ends(a, theta[deg], tops)[0]
-    return Boundary(theta, support, gap, pts)
+        pts[deg] = _segment_ends(a, herm, cos_sin[deg], tops)[0]
+    return Boundary(a, theta, support, gap, pts)
 
 
 @dataclass(frozen=True)
@@ -375,28 +380,28 @@ def _ritz_theta(herm: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.nd
     return phi + np.pi * np.round((theta - phi) / np.pi)
 
 
-def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
+def flat_portions(boundary: Boundary) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
-    Every local minimum of the sampled multiplicity gap that is low enough
-    to pass (at most ``FLAT_GAP_TOL`` + 4 grid steps times the oracle scale;
-    the gap is 2 scale-Lipschitz in the direction) is refined, all at
-    once: each step is one stacked eigensolve of
-    Re(e^{-i theta} M) = cos(theta) H1 + sin(theta) H2 and a Rayleigh-Ritz
-    step on its top-two eigenspace (:func:`_ritz_theta`), until no
-    direction moves by more than 1e-15 relative, for at most
-    ``_RITZ_STEPS`` steps.  A refined direction within one grid step of its
-    sample whose gap is at most ``FLAT_GAP_TOL`` times the oracle scale
-    contributes a segment, unless it lies within 0.75 grid steps of one
-    already taken; the endpoints come from :func:`_segment_ends`.
-    Degeneracies that do not open up a segment (repeated eigenvalues of a
-    normal matrix, say) are discarded by the ``_FLAT_MIN_LENGTH_REL``
-    cutoff.
+    Reads the sampled matrix M off ``boundary.matrix``.  Every local
+    minimum of the sampled multiplicity gap that is low enough to pass (at
+    most ``FLAT_GAP_TOL`` + 4 grid steps times the oracle scale; the gap is
+    2 scale-Lipschitz in the direction) is refined, all at once: each step
+    is one stacked eigensolve of Re(e^{-i theta} M), the :func:`_pencil`
+    rows (cos(theta), sin(theta)), and a Rayleigh-Ritz step on its top-two
+    eigenspace (:func:`_ritz_theta`), until no direction moves by more than
+    1e-15 relative, for at most ``_RITZ_STEPS`` steps.  A refined direction
+    within one grid step of its sample whose gap is at most
+    ``FLAT_GAP_TOL`` times the oracle scale contributes a segment, unless
+    it lies within 0.75 grid steps of one already taken; the endpoints come
+    from :func:`_segment_ends`.  Degeneracies that do not open up a segment
+    (repeated eigenvalues of a normal matrix, say) are discarded by the
+    ``_FLAT_MIN_LENGTH_REL`` cutoff.
     """
     n = len(boundary.theta)
     if n < FLAT_MIN_SAMPLES:
         raise ValueError(f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples")
-    a = _as_ndarray(m)
+    a = boundary.matrix
     scale = _oracle_scale(a)
     if scale == 0.0:
         return []
@@ -418,26 +423,22 @@ def flat_portions(m, boundary: Boundary) -> list[FlatPortion]:
     if theta0.size == 0:
         return []
     herm = _hermitian_parts(a)
-
-    def eigh_at(theta):
-        c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
-        return np.linalg.eigh(c * herm[0] + s * herm[1])
-
     theta = theta0
-    for _ in range(_RITZ_STEPS):
-        w, v = eigh_at(theta)
+    for k in range(_RITZ_STEPS + 1):
+        cos_sin = np.array((np.cos(theta), np.sin(theta))).T
+        w, v = np.linalg.eigh(_pencil(herm, cos_sin))
+        if k == _RITZ_STEPS:
+            break
         refined = _ritz_theta(herm, theta, v[:, :, 2:])
         if np.all(np.abs(refined - theta) <= 1e-15 * np.maximum(1.0, np.abs(theta))):
             break
         theta = refined
-    else:
-        w, v = eigh_at(theta)
     ok = ((w[:, 3] - w[:, 2] <= FLAT_GAP_TOL * scale)
           & (np.abs(theta - theta0) <= step))
     if not ok.any():
         return []
     theta = theta[ok]
-    hi, lo = _segment_ends(a, theta, v[ok][:, :, 2:])
+    hi, lo = _segment_ends(a, herm, cos_sin[ok], v[ok][:, :, 2:])
 
     found: list[FlatPortion] = []
     used_thetas: list[float] = []

@@ -18,8 +18,8 @@ cross-check oracles in the tests; they stay until the benchmark's tracer
 (``bench/tracing.py`` ``LAYERS``) stops looking them up (ROADMAP item 1).
 
 :func:`check_document` classifies and audits one parsed document.
-:func:`audit` samples the boundary once per matrix and turns the oracles'
-agreement with a verdict into consistency :class:`Check` values; the
+:func:`audit` samples the boundary once per matrix; its report derives the
+consistency :class:`Check` values of a verdict from the oracles, and the
 flat-portion and commutant oracles run only when their results are read.
 :func:`verify_checks` adds the spot checks that only ``birange verify``
 runs.
@@ -78,9 +78,10 @@ _IRREDUCIBILITY = ((TOL / 100, (2,), " (reducible zero-diagonal form: 2 expected
                    (100 * TOL, (1, 2), " (near a reducible form: 1 or 2 accepted)"),
                    (math.inf, (1,), ""))
 # The 16 directions of ``birange verify``'s spot checks, 2 pi frac(k / phi)
-# for k = 1..16 with phi the golden ratio: spread evenly over the circle and
-# none within 1e-3 of a multiple of pi / 16, the axis-aligned directions.
+# for k = 1..16 with phi the golden ratio, none within 1e-3 of a multiple of
+# pi / 16; and their ``nrcore._pencil`` rows (-sin, cos), Im(e^{-i theta} A).
 _SPOT_THETAS = 2.0 * np.pi * (np.arange(1, 17) * 2.0 / (1.0 + math.sqrt(5.0)) % 1.0)
+_SPOT_IMAG = np.stack((-np.sin(_SPOT_THETAS), np.cos(_SPOT_THETAS)), axis=1)
 
 
 class EmptyInputError(ValueError):
@@ -264,43 +265,61 @@ class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
     ``block``, ``verdict`` and ``reciprocal`` are what :func:`audit` was
-    given.  ``eigenvalues`` include the trace shift; ``matrix`` is shift-free,
-    the audited matrix less ``origin`` (a quarter of its trace) times the
-    identity; ``boundary`` is its :class:`nrcore.Boundary`, the support
-    function and the top eigenvalue gap at :func:`audit`'s ``samples``
-    equispaced directions, which set what the hull gate resolves (no
-    boundary points: no check reads them); ``diameter`` is the diagonal of
-    the range's bounding box, h(0) + h(pi) wide and h(pi / 2) + h(3 pi / 2)
-    high in ``boundary``'s support values h; ``hull_gap`` is None unless
-    the verdict is positive with ellipses, ``factorization`` None unless
-    the verdict carries a reduced form.  ``flats`` and ``commutant_dim``
-    run their oracle when first read and keep the result: :func:`audit`
-    reads ``flats`` for a positive verdict only, and nothing in it reads
-    ``commutant_dim``.
+    given.  ``eigenvalues`` include the trace shift; ``boundary`` samples
+    the shift-free ``boundary.matrix``, the audited matrix less ``origin``
+    (a quarter of its trace) times the identity: the support function and
+    the top eigenvalue gap at :func:`audit`'s ``samples`` equispaced
+    directions, which set what the hull gate resolves; ``diameter`` is the
+    diagonal of the range's bounding box, h(0) + h(pi) wide and
+    h(pi / 2) + h(3 pi / 2) high in those support values h; ``hull_gap``
+    is None unless the verdict is positive with ellipses, ``factorization``
+    None unless the verdict carries a reduced form.  ``checks``, ``flats``
+    and ``commutant_dim`` are derived when first read and kept: ``checks``
+    reads ``flats`` for a positive verdict only, never ``commutant_dim``.
     """
 
     block: BlockForm
     verdict: Verdict
     reciprocal: ReciprocalShape | None
     eigenvalues: tuple[complex, ...]
-    matrix: np.ndarray
     origin: complex
     boundary: nrcore.Boundary
     diameter: float
     hull_gap: float | None
     factorization: FactorizationResidual | None
-    checks: list[Check]
 
     @cached_property
     def flats(self) -> tuple[nrcore.FlatPortion, ...]:
         """The boundary's :func:`nrcore.flat_portions`, moved back by ``origin``."""
         return tuple(replace(f, endpoints=tuple(p + self.origin for p in f.endpoints))
-                     for f in nrcore.flat_portions(self.matrix, self.boundary))
+                     for f in nrcore.flat_portions(self.boundary))
 
     @cached_property
     def commutant_dim(self) -> int:
         """The dimension of the commutant (:func:`commutant_dim`)."""
-        return commutant_dim(self.matrix)
+        return commutant_dim(self.boundary.matrix)
+
+    @cached_property
+    def checks(self) -> tuple[Check, ...]:
+        """The consistency checks of :func:`audit`, in its order: reciprocal
+        agreement, hull comparison, flat portions, factorization."""
+        checks = []
+        if self.reciprocal is not None:
+            ok = (self.reciprocal is ReciprocalShape.BI_ELLIPTICAL) == self.verdict.bielliptical
+            checks.append(Check("reciprocal agreement", ok, (
+                f"reciprocal classification {'agrees' if ok else 'disagrees'} "
+                "with the general check")))
+        if self.hull_gap is not None:
+            ok = self.hull_gap <= _HULL_REL * self.diameter
+            checks.append(Check(_HULL, ok, f"Hausdorff {self.hull_gap:.3e}" if ok else (
+                f"hull/oracle Hausdorff {self.hull_gap:.3e} exceeds 1e-6 * diameter")))
+            checks += _flat_checks(self)
+        if self.factorization is not None:
+            ok = self.factorization.total <= TOL
+            checks.append(Check("factorization", ok, (
+                f"factorization residual {self.factorization.total:.3e}"
+                + ("" if ok else f" exceeds {TOL:g}"))))
+        return tuple(checks)
 
     @property
     def failures(self) -> list[str]:
@@ -338,7 +357,7 @@ def audit(
     matrix: CMatrix | None = None,
     reciprocal: ReciprocalShape | None = None,
 ) -> AuditReport:
-    """Sample ``bf``'s boundary once and check its ``check_general`` verdict.
+    """Sample ``bf``'s boundary once and report on its ``check_general`` verdict.
 
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
     passes itself) less its trace shift ``origin`` in ``samples`` directions,
@@ -359,7 +378,8 @@ def audit(
     sampled range and two flat portions that match the offset between the
     ellipse centers.  Whenever the verdict carries a reduced form, the
     generating polynomial must factor into the two claimed quadratics up to a
-    factorization residual of ``TOL``.
+    factorization residual of ``TOL``.  The report derives these ``checks``;
+    the flat oracle runs on first read of them, ``failures`` or ``flats``.
     """
     if samples < nrcore.FLAT_MIN_SAMPLES or samples % 4:
         raise ValueError(f"flat detection needs at least {nrcore.FLAT_MIN_SAMPLES} support "
@@ -369,9 +389,8 @@ def audit(
     # translate of A (Sterbenz's lemma), so no oracle value carries
     # eps |origin| of rounding; the ellipses move with it.
     origin = complex(np.trace(a)) / 4
-    a = a - origin * np.eye(4)
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
-    boundary = nrcore.boundary_support(a, samples, points=False)
+    boundary = nrcore.boundary_support(a - origin * np.eye(4), samples, points=False)
     h = boundary.support[::samples // 4].tolist()
     diameter = math.hypot(h[0] + h[2], h[1] + h[3])
     positive = verdict.bielliptical and verdict.ellipses is not None
@@ -380,28 +399,8 @@ def audit(
     sf = verdict.diagnostics.get("reduced_form")
     fact = None if sf is None else factorization_residual(
         sf.to_block(), ellipse_pair_params(sf))
-    # The flat checks read the report's flats, so the report holds the
-    # checks list before it is filled.
-    checks: list[Check] = []
-    report = AuditReport(bf, verdict, reciprocal, eigenvalues, a, origin, boundary,
-                         diameter, hull_gap, fact, checks)
-
-    if reciprocal is not None:
-        ok = (reciprocal is ReciprocalShape.BI_ELLIPTICAL) == verdict.bielliptical
-        checks.append(Check("reciprocal agreement", ok, (
-            f"reciprocal classification {'agrees' if ok else 'disagrees'} "
-            "with the general check")))
-    if positive:
-        ok = hull_gap <= _HULL_REL * diameter
-        checks.append(Check(_HULL, ok, f"Hausdorff {hull_gap:.3e}" if ok else (
-            f"hull/oracle Hausdorff {hull_gap:.3e} exceeds 1e-6 * diameter")))
-        checks += _flat_checks(report)
-    if fact is not None:
-        ok = fact.total <= TOL
-        checks.append(Check("factorization", ok, (
-            f"factorization residual {fact.total:.3e}"
-            + ("" if ok else f" exceeds {TOL:g}"))))
-    return report
+    return AuditReport(bf, verdict, reciprocal, eigenvalues, origin, boundary,
+                       diameter, hull_gap, fact)
 
 
 def check_document(payload, samples: int = nrcore.DEFAULT_SAMPLES) -> AuditReport | None:
@@ -448,7 +447,7 @@ def verify_checks(report: AuditReport) -> list[Check]:
     # W = 2 c - W, c = tr(matrix) / 4, iff h(theta) - h(theta + pi) =
     # 2 Re(e^{-i theta} c) for every theta (Schneider, section 1.7).
     half = len(support) // 2
-    center = complex(np.trace(report.matrix)) / 4
+    center = complex(np.trace(report.boundary.matrix)) / 4
     antipodal = support[:half] - support[half:]
     sym = float(np.abs(
         antipodal - 2.0 * (cos_sin[:half] @ [center.real, center.imag])).max())
@@ -457,7 +456,7 @@ def verify_checks(report: AuditReport) -> list[Check]:
     worst_out = float(excess.max())
 
     a4 = nrcore._as_ndarray(replace(bf, shift=0j).assemble())
-    vals, vecs = np.linalg.eigh(nrcore._imag_part_at(a4, _SPOT_THETAS[:, None, None]))
+    vals, vecs = np.linalg.eigh(nrcore._pencil(nrcore._hermitian_parts(a4), _SPOT_IMAG))
     lam1, lam2 = nrcore.pencil_eigs(bf, _SPOT_THETAS)
     # lam1 >= lam2 >= 0, so this is eigh's ascending order.
     expect = np.stack((-lam1, -lam2, lam2, lam1), axis=1)

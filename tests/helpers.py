@@ -452,16 +452,25 @@ def fit_conic_ellipse(points) -> Ellipse:
     )
 
 
-def golden_flat_portions(m, boundary: nrcore.Boundary) -> list[nrcore.FlatPortion]:
+def imag_part_at(a: np.ndarray, theta) -> np.ndarray:
+    """Reference for ``nrcore._pencil`` at the row (-sin(theta),
+    cos(theta)): Im(e^{-i theta} A) = (e A - conj(e) A*) / 2i with
+    e = e^{-i theta}, elementwise in ``theta``."""
+    e = np.exp(-1j * theta)
+    return (e * a - np.conj(e) * a.conj().T) / 2j
+
+
+def golden_flat_portions(boundary: nrcore.Boundary) -> list[nrcore.FlatPortion]:
     """Reference flat-portion finder: one scalar golden-section search per
     local minimum of the sampled gap, on the LAPACK ``eigvalsh`` gap of
-    Re(e^{-i theta} M) over one grid step either side of the sample.
+    Re(e^{-i theta} M) over one grid step either side of the sample, M
+    being ``boundary.matrix``.
 
     The acceptance rule is :func:`nrcore.flat_portions`' (gap gate, duplicate
     distance, length cutoff, all relative to the oracle scale); the segment's
     endpoints come from a fresh eigensolve at the refined direction.
     """
-    a = nrcore._as_ndarray(m)
+    a = boundary.matrix
     scale = nrcore._oracle_scale(a)
     if scale == 0.0:
         return []
@@ -489,9 +498,7 @@ def golden_flat_portions(m, boundary: nrcore.Boundary) -> list[nrcore.FlatPortio
             continue
         _, v = np.linalg.eigh(re_part(theta))
         basis = v[:, 2:4]
-        e = np.exp(-1j * theta)
-        im = (e * a - np.conj(e) * a.conj().T) / 2j
-        comp = basis.conj().T @ im @ basis
+        comp = basis.conj().T @ imag_part_at(a, theta) @ basis
         _, y = np.linalg.eigh(0.5 * (comp + comp.conj().T))
         hi, lo = (complex(np.vdot(x, a @ x)) for x in (basis @ y[:, 1], basis @ y[:, 0]))
         length = abs(hi - lo)

@@ -23,6 +23,7 @@ from helpers import (
     general_example_block,
     general_example_matrix,
     golden_flat_portions,
+    imag_part_at,
     random_block,
     random_special,
     reciprocal_two_ellipse,
@@ -331,14 +332,76 @@ class TestHalfCircleOracle:
             boundary_support(np.eye(4, dtype=complex), n)
 
 
+class TestPencil:
+    """``nrcore._pencil`` is the one place an oracle matrix is built."""
+
+    @staticmethod
+    def transverse(theta: np.ndarray) -> np.ndarray:
+        """The pencil rows (-sin, cos) of Im(e^{-i theta} A)."""
+        return np.stack((-np.sin(theta), np.cos(theta)), axis=1)
+
+    def test_imaginary_part_matches_reference(self, rng):
+        # At the transverse rows the pencil is Im(e^{-i theta} A), the
+        # complex-exponential form it replaced, to a few eps ||A||_F; each
+        # random matrix is also tried shifted by 1e8.
+        grid, _ = nrcore._direction_grid(1024)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            for m in (a, a + 1e8 * np.eye(4)):
+                herm = nrcore._hermitian_parts(m)
+                for theta in (verify._SPOT_THETAS, grid):
+                    got = nrcore._pencil(herm, self.transverse(theta))
+                    ref = imag_part_at(m, theta[:, None, None])
+                    assert np.abs(got - ref).max() <= 8 * eps * np.linalg.norm(m)
+
+    def test_audit_pencil_is_the_float_view_product(self, rng):
+        # The audit's half-circle pencil, bit for bit the real product on
+        # the float view of [H1; H2] that boundary_support built inline, so
+        # its support values are that product's eigenvalues.
+        for n in (512, 1024):
+            _, cos_sin = nrcore._direction_grid(n)
+            for _ in range(10):
+                a = nrcore._as_ndarray(random_block(rng).assemble())
+                herm = nrcore._hermitian_parts(a)
+                inline = (cos_sin[:n // 2] @ herm.view(float).reshape(2, 32)
+                          ).view(complex).reshape(n // 2, 4, 4)
+                assert np.array_equal(nrcore._pencil(herm, cos_sin[:n // 2]), inline)
+                w = np.linalg.eigvalsh(inline)
+                bare = boundary_support(a, n, points=False)
+                assert np.array_equal(bare.support, np.concatenate((w[:, 3], -w[:, 0])))
+                assert np.array_equal(bare.matrix, a)
+
+
+@pytest.mark.parametrize("r", [
+    3e7,
+    pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 14: boundary_support(points=True) gates degenerate "
+        "directions against 1e-11 of the oracle scale, but on a far-shifted "
+        "matrix the sampled gap carries eps |c| of rounding"))),
+])
+def test_far_shifted_points_reach_the_segment_ends(r):
+    # The raw worked example (trace 0) shifted by c = r e^{0.7i}: its two
+    # degenerate directions at n = 1024, theta = pi / 4 and 5 pi / 4, must be
+    # flagged, so that every point is the shift-free point plus c.  At 1e8
+    # the gap reads 1.5e-8 against 2.2e-10 and neither is flagged: the point
+    # at 5 pi / 4 lands 4.38 along its 7.07-long flat.
+    a0 = nrcore._as_ndarray(general_example_matrix())
+    c = r * cmath.exp(0.7j)
+    a = a0 + c * np.eye(4)
+    got, ref = boundary_support(a, 1024), boundary_support(a0, 1024)
+    assert np.all(got.gap[[128, 640]] <= nrcore._DEGENERATE_REL * nrcore._oracle_scale(a))
+    diameter = math.hypot(np.ptp(ref.points.real), np.ptp(ref.points.imag))
+    assert np.abs(got.points - (ref.points + c)).max() <= 1e-6 * diameter
+
+
 @pytest.mark.parametrize("m", [eye(2), np.eye(2), np.eye(4)[:3]],
                          ids=["CMatrix-2x2", "ndarray-2x2", "ndarray-3x4"])
 def test_oracles_reject_other_shapes(m):
+    # flat_portions reads the matrix its Boundary sampled.
     bf = general_example_block()
-    boundary = boundary_support(bf.assemble(), 512)
     oracles = [
         lambda: boundary_support(m, 64),
-        lambda: flat_portions(m, boundary),
         lambda: verify.commutant_dim(m),
         lambda: verify.audit(bf, check_general(bf), 512, matrix=m),
     ]
@@ -364,8 +427,8 @@ class TestPointsFreeOracle:
         tol = 1e-14 * nrcore._oracle_scale(a) + slack
         assert np.abs(bare.support - full.support).max() <= tol
         assert np.abs(bare.gap - full.gap).max() <= tol
-        flats = flat_portions(a, full)
-        bare_flats = flat_portions(a, bare)
+        flats = flat_portions(full)
+        bare_flats = flat_portions(bare)
         assert len(bare_flats) == len(flats)
         for f, g in zip(bare_flats, flats):
             assert abs(f.support_theta - g.support_theta) <= 1e-12
@@ -401,7 +464,7 @@ class TestFlatPortions:
     def test_normal_square_edges(self):
         m = np.diag([1, 1j, -1, -1j]).astype(complex)
         samples = boundary_support(m, 512)
-        flats = flat_portions(m, samples)
+        flats = flat_portions(samples)
         assert len(flats) == 4
         for f in flats:
             assert abs(f.length - math.sqrt(2)) < 1e-9
@@ -409,7 +472,7 @@ class TestFlatPortions:
     def test_worked_example_two_flats(self):
         a = general_example_matrix()
         samples = boundary_support(a, 2048)
-        flats = flat_portions(a, samples)
+        flats = flat_portions(samples)
         assert len(flats) == 2
         want_len = 5 * math.sqrt(2)
         want_dir = cmath.exp(-1j * math.pi / 4)
@@ -424,23 +487,43 @@ class TestFlatPortions:
         sf = SpecialForm(u=0.0, v=0.0, b1=2.0, b2=0.2, b=0.0)
         a = sf.to_block().assemble()
         samples = boundary_support(a, 512)
-        assert flat_portions(a, samples) == []
+        assert flat_portions(samples) == []
 
     def test_requires_dense_sampling(self):
         m = np.diag([1, 1j, -1, -1j]).astype(complex)
         samples = boundary_support(m, 128)
         with pytest.raises(ValueError):
-            flat_portions(m, samples)
+            flat_portions(samples)
 
     def test_off_grid_flats_found(self, rng):
         # Rotate the square so edge normals fall between grid directions.
         m = rotated_square()
         samples = boundary_support(m, 512)
-        flats = flat_portions(m, samples)
+        flats = flat_portions(samples)
         assert len(flats) == 4
         for f in flats:
             assert abs(f.length - math.sqrt(2)) < 1e-9
 
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 1e3, 1e6])
+    def test_shifted_matrix_moves_the_flats(self, rng, r):
+        # flat_portions reads the matrix its Boundary sampled, so sampling
+        # A + cI moves every flat by c.  The endpoints are field values of
+        # A + cI, which carry a few eps |c| of rounding (up to 7.5 measured),
+        # above 1e-12 * scale from |c| of about 1e3 * scale on.
+        mats = [general_example_matrix()]
+        mats += [disguise(rng, family(rng))[0].assemble() for family in _BI_FAMILIES]
+        for m in mats:
+            a = nrcore._as_ndarray(m)
+            a = a - np.trace(a) / 4 * np.eye(4)
+            scale = nrcore._oracle_scale(a)
+            c = r * scale * cmath.exp(0.7j)
+            want = flat_portions(boundary_support(a))
+            got = flat_portions(boundary_support(a + c * np.eye(4)))
+            assert len(got) == len(want) == 2
+            tol = 1e-12 * scale + 16 * np.finfo(float).eps * abs(c)
+            for f, g in zip(got, want):
+                assert max(abs(p - (q + c)) for p, q in zip(f.endpoints, g.endpoints)) <= tol
 
 
 def rotated_square() -> np.ndarray:
@@ -458,8 +541,8 @@ class TestFlatPortionsAgainstGolden:
         a = nrcore._as_ndarray(m)
         norm = float(np.linalg.norm(a))
         boundary = boundary_support(a, 2048)
-        got = flat_portions(a, boundary)
-        ref = golden_flat_portions(a, boundary)
+        got = flat_portions(boundary)
+        ref = golden_flat_portions(boundary)
         assert len(got) == len(ref)
         if exact:
             for f, g in zip(got, ref):
@@ -527,7 +610,7 @@ class TestFlatPortionsLapackBudget:
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        flats = flat_portions(a, boundary)
+        flats = flat_portions(boundary)
         monkeypatch.undo()
         return counts, len(flats)
 

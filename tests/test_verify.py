@@ -83,9 +83,11 @@ class TestHullBoundary:
 
 def sampled_boundary(support, points, n=512):
     """A :class:`Boundary` at n equispaced directions from exact support
-    values and boundary points (callables of theta), with unit gaps."""
+    values and boundary points (callables of theta), with unit gaps; its
+    matrix is the zero matrix, which no caller reads."""
     theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     return Boundary(
+        np.zeros((4, 4), dtype=complex),
         theta,
         np.array([support(t) for t in theta.tolist()]),
         np.ones(n),
@@ -122,7 +124,8 @@ class TestHullSupportGap:
 
     def test_empty_raises(self):
         e = Ellipse(center=0j, semi_major=1.0, semi_minor=1.0, tilt=0.0)
-        empty = Boundary(*(np.empty(0) for _ in range(4)))
+        empty = Boundary(np.zeros((4, 4), dtype=complex),
+                         *(np.empty(0) for _ in range(4)))
         with pytest.raises(EmptyInputError):
             hull_support_gap(e, e, empty)
 
@@ -352,6 +355,20 @@ class TestAudit:
             "factorization",
         }
 
+    def test_checks_are_a_derived_tuple(self):
+        # The report derives its checks from its fields on first read and
+        # keeps them: a tuple, the same on every read.
+        shape = reciprocal_classify(reciprocal_two_ellipse())
+        for bf, reciprocal in ((reciprocal_two_ellipse().to_block(), shape),
+                               (general_example_block(), None)):
+            report = audit(bf, check_general(bf), 512, reciprocal=reciprocal)
+            first = report.checks
+            assert isinstance(first, tuple) and first
+            assert report.checks is first and report.checks == first
+            assert report.failures == [c.detail for c in first if not c.passed]
+            assert not hasattr(report, "matrix")
+            assert report.boundary.matrix.shape == (4, 4)
+
     @pytest.mark.parametrize("t", [1.0, 1e-12, 1e-20, 1e-30])
     def test_flat_rows_fail_a_doubled_center_offset(self, t):
         # The worked example scaled by t, its second ellipse moved to double
@@ -444,14 +461,16 @@ class TestAuditLapackBudget:
             full = boundary_support(a, 2048)
             span = np.ptp(full.points.real), np.ptp(full.points.imag)
             assert report.diameter == pytest.approx(math.hypot(*span), rel=1e-12)
-            assert len(report.flats) == len(nrcore.flat_portions(a, full))
+            assert len(report.flats) == len(nrcore.flat_portions(full))
             assert report.commutant_dim == commutant_dim(a)
             assert report.failures == []
 
     def test_verify_checks_one_eigh(self, monkeypatch, rng):
         # One eigh of the pencil check's 16 matrices and no eigvalsh; the
         # closed forms come from one array call of the 16 directions, which
-        # the pencil check and the generating polynomial share.
+        # the pencil check and the generating polynomial share.  A positive
+        # report's checks run the flat oracle on first read, which has its
+        # own budget test (test_nrcore.py, TestFlatPortionsLapackBudget).
         shapes = []
 
         def pencil(bf, theta, _fn=nrcore.pencil_eigs):
@@ -467,7 +486,8 @@ class TestAuditLapackBudget:
             monkeypatch.setattr(nrcore, "pencil_eigs", pencil)
             counts, checks = self.calls(
                 monkeypatch, verify, "verify_checks",
-                lambda: verify.verify_checks(report))
+                lambda: verify.verify_checks(report),
+                outside=[(nrcore, "flat_portions")])
             assert counts == {("eigh", (16,)): 1}
             assert shapes == [(16,)]
             assert all(c.passed for c in checks)
@@ -512,7 +532,8 @@ class TestDefaultSamples:
 
 class TestOracleRuns:
     """The flat-portion and commutant oracles run when a report's ``flats``
-    and ``commutant_dim`` are first read, and only then: ``birange verify``
+    (or ``checks``, which read them for a positive verdict) and
+    ``commutant_dim`` are first read, and only then: ``birange verify``
     reads neither on a negative verdict."""
 
     @pytest.fixture
@@ -563,7 +584,7 @@ class TestOracleRuns:
         assert (report.flats, report.commutant_dim) == first
         assert runs == {"flat_portions": 1, "commutant_dim": 1}
         a = bf.assemble()
-        fresh = nrcore.flat_portions(a, boundary_support(a, 512, points=False))
+        fresh = nrcore.flat_portions(boundary_support(a, 512, points=False))
         assert first == (tuple(fresh), commutant_dim(a))
 
     def test_positive_verdict_runs_each_once(self, runs):
@@ -571,9 +592,11 @@ class TestOracleRuns:
         verdict = check_general(bf)
         assert verdict.bielliptical
         report = audit(bf, verdict, 512)
-        assert runs == {"flat_portions": 1}
+        assert runs == {}
         checks = verify.verify_checks(report)
         assert all(c.passed for c in checks)
+        assert runs == {"flat_portions": 1, "commutant_dim": 1}
+        assert report.failures == [] and len(report.flats) == 2
         assert runs == {"flat_portions": 1, "commutant_dim": 1}
 
     def test_check_report_runs_each_once_per_document(self, runs, tmp_path, capsys):
