@@ -306,9 +306,11 @@ def cmd_check(args) -> int:
 
 
 def _boundary_csv(boundary: nrcore.Boundary) -> str:
-    # .tolist() gives Python floats, whose repr is the plain shortest form.
+    # .tolist() gives Python floats, whose repr is the plain shortest form;
+    # support_value is W(M)'s: W(M0)'s plus Re(e^{-i theta} origin).
+    cos_sin, origin = nrcore._direction_grid(len(boundary))[1], boundary.origin
     columns = (boundary.theta, boundary.points.real, boundary.points.imag,
-               boundary.support, boundary.gap)
+               boundary.support + cos_sin @ [origin.real, origin.imag], boundary.gap)
     lines = ["theta,re,im,support_value,gap"]
     lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ support-function boundary oracle and the flat-portion detector are oracles:
 they see only the assembled 4x4 matrix and use LAPACK (``numpy.linalg``)
 underneath, so agreement between the two sides is a genuine cross-check.
 Every Hermitian matrix an oracle solves is built in one place,
-:func:`_pencil`, as cos(phi) H1 + sin(phi) H2.
+:func:`_pencil`, and the trace shift is removed in one, :func:`boundary_support`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
 # Default resolution of the support-function oracle; the flat-portion
 # detector's gap tolerance, sample floor, length cutoff and cap on its
 # refinement steps; and the eigenvalue-gap tolerance below which a support
-# direction counts as degenerate.  Tolerances are relative to
-# :func:`_oracle_scale`.
+# direction counts as degenerate.  Tolerances are relative to the oracle
+# scale, ||boundary.matrix||_F (:func:`_oracle_scale` of the input).
 DEFAULT_SAMPLES = 1024
 FLAT_GAP_TOL = 1e-7
 FLAT_MIN_SAMPLES = 512
@@ -225,12 +225,12 @@ class BoundarySample:
 class Boundary:
     """Support-function samples of the numerical range boundary, as arrays.
 
-    ``matrix`` is the 4x4 ndarray M that was sampled, ``theta`` the n
-    directions 2 pi k / n (read-only: one array per n serves every call),
-    ``support`` the support values h(theta_k), ``gap`` the gap between the
-    top two eigenvalues of Re(e^{-i theta_k} M) and ``points`` the boundary
-    points, or None when they were not asked for.  Iterating yields one
-    :class:`BoundarySample` per direction either way.
+    ``matrix`` is the sampled 4x4 ndarray M0 = M - cI (its own copy), with
+    c = tr M / 4 the ``origin`` of the M given; ``theta`` the n directions
+    2 pi k / n (read-only: one array per n serves every call); ``support``
+    and ``gap`` W(M0)'s support values and top eigenvalue gaps; ``points``
+    the boundary points of W(M) = c + W(M0), or None when not asked for.
+    Iterating yields one :class:`BoundarySample` per direction either way.
     """
 
     matrix: np.ndarray
@@ -238,6 +238,7 @@ class Boundary:
     support: np.ndarray
     gap: np.ndarray
     points: np.ndarray | None
+    origin: complex = 0j
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -314,15 +315,17 @@ def _segment_ends(
 def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Boundary:
     """Sample the numerical range boundary at n equispaced support directions.
 
+    Samples are taken on a fresh M0 = M - cI, c = tr M / 4 (``origin``), an
+    exact translate once |c| is a few times the scale (Sterbenz's lemma).
     For each direction theta the support value is the top eigenvalue of
-    Re(e^{-i theta} M) and the boundary point is the field value of a top
-    eigenvector.  Since Re(e^{-i (theta + pi)} M) = -Re(e^{-i theta} M), one
-    batched eigensolve over the n/2 directions in [0, pi) gives both halves:
-    the top eigenpair for theta and the negated bottom one for theta + pi.
-    The directions and their cosines and sines are built once per n and
-    shared between calls, so ``theta`` is read-only.
-    When the top eigenvalue is (numerically) degenerate the point returned
-    is the endpoint of the flat segment with the larger transverse
+    Re(e^{-i theta} M0) and the boundary point c plus the field value of a
+    top eigenvector.  Since Re(e^{-i (theta + pi)} M0) = -Re(e^{-i theta}
+    M0), one batched eigensolve over the n/2 directions in [0, pi) gives
+    both halves: the top eigenpair for theta and the negated bottom one for
+    theta + pi.  The directions and their cosines and sines are built once
+    per n and shared between calls, so ``theta`` is read-only.  When the top
+    eigenvalue is degenerate (gap at most ``_DEGENERATE_REL`` ||M0||_F) the
+    point is the end of the flat segment with the larger transverse
     coordinate, which keeps the sampling deterministic and lets hull
     comparisons use matched directions even across flats.  With
     ``points=False`` the solve is eigenvalues only (``eigvalsh``, no
@@ -331,6 +334,8 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
     if n < 8 or n % 2:
         raise ValueError("need an even number of at least 8 support directions")
     a = _as_ndarray(m)
+    origin = complex(np.trace(a)) / 4
+    a = a - origin * np.eye(4)
     half = n // 2
     theta, cos_sin = _direction_grid(n)
     herm = _hermitian_parts(a)
@@ -339,16 +344,16 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
     support = np.concatenate((w[:, 3], -w[:, 0]))
     gap = np.concatenate((w[:, 3] - w[:, 2], w[:, 1] - w[:, 0]))
     if v is None:
-        return Boundary(a, theta, support, gap, None)
+        return Boundary(a, theta, support, gap, None, origin)
     vecs = np.concatenate((v[:, :, 3], v[:, :, 0]))
     pts = np.einsum("ni,ij,nj->n", vecs.conj(), a, vecs)
-    deg = np.flatnonzero(gap <= _DEGENERATE_REL * max(_oracle_scale(a), 1e-300))
+    deg = np.flatnonzero(gap <= _DEGENERATE_REL * max(float(np.linalg.norm(a)), 1e-300))
     if deg.size:
         # The top eigenspace at theta + pi is the bottom one at theta.
         pairs = v[deg % half]
         tops = np.where((deg < half)[:, None, None], pairs[:, :, 2:], pairs[:, :, :2])
         pts[deg] = _segment_ends(a, herm, cos_sin[deg], tops)[0]
-    return Boundary(a, theta, support, gap, pts)
+    return Boundary(a, theta, support, gap, pts + origin, origin)
 
 
 @dataclass(frozen=True)
@@ -383,36 +388,34 @@ def _ritz_theta(herm: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.nd
 def flat_portions(boundary: Boundary) -> list[FlatPortion]:
     """Locate flat portions of the boundary from support samples.
 
-    Reads the sampled matrix M off ``boundary.matrix``.  Every local
+    Reads the sampled matrix M0 off ``boundary.matrix``.  Every local
     minimum of the sampled multiplicity gap that is low enough to pass (at
     most ``FLAT_GAP_TOL`` + 4 grid steps times the oracle scale; the gap is
     2 scale-Lipschitz in the direction) is refined, all at once: each step
-    is one stacked eigensolve of Re(e^{-i theta} M), the :func:`_pencil`
+    is one stacked eigensolve of Re(e^{-i theta} M0), the :func:`_pencil`
     rows (cos(theta), sin(theta)), and a Rayleigh-Ritz step on its top-two
     eigenspace (:func:`_ritz_theta`), until no direction moves by more than
     1e-15 relative, for at most ``_RITZ_STEPS`` steps.  A refined direction
-    within one grid step of its sample whose gap is at most
-    ``FLAT_GAP_TOL`` times the oracle scale contributes a segment, unless
-    it lies within 0.75 grid steps of one already taken; the endpoints come
-    from :func:`_segment_ends`.  Degeneracies that do not open up a segment
-    (repeated eigenvalues of a normal matrix, say) are discarded by the
-    ``_FLAT_MIN_LENGTH_REL`` cutoff.
+    within one grid step of its sample whose gap is at most ``FLAT_GAP_TOL``
+    times the oracle scale contributes a segment, unless it lies within 0.75
+    grid steps of one already taken; the endpoints come from
+    :func:`_segment_ends`, plus ``boundary.origin``.  Degeneracies that do
+    not open up a segment (repeated eigenvalues of a normal matrix, say) are
+    discarded by the ``_FLAT_MIN_LENGTH_REL`` cutoff.
     """
     n = len(boundary.theta)
     if n < FLAT_MIN_SAMPLES:
         raise ValueError(f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples")
     a = boundary.matrix
-    scale = _oracle_scale(a)
+    scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return []
     gaps = boundary.gap
     step = 2.0 * math.pi / n
 
     # A local minimum whose sampled gap exceeds (FLAT_GAP_TOL + 4 step)
-    # scale cannot pass.  The trace shift c moves every eigenvalue of
-    # Re(e^{-i theta} M) equally, so the gap is that of M - c, and
-    # ||Re(e^{-i theta} (M - c)) - Re(e^{-i theta0} (M - c))||_2
-    # <= |theta - theta0| ||M - c||_2.  By Weyl each eigenvalue moves by at
+    # scale cannot pass.  ||Re(e^{-i theta} M0) - Re(e^{-i theta0} M0)||_2
+    # <= |theta - theta0| ||M0||_2.  By Weyl each eigenvalue moves by at
     # most as much, so |gap(theta) - gap(theta0)| <= 2 |theta - theta0| scale.
     # A refined direction is accepted within one step of its sample with
     # gap <= FLAT_GAP_TOL scale, so its sample's gap was at most
@@ -458,7 +461,7 @@ def flat_portions(boundary: Boundary) -> list[FlatPortion]:
         found.append(
             FlatPortion(
                 direction=direction,
-                endpoints=(p_hi, p_lo),
+                endpoints=(p_hi + boundary.origin, p_lo + boundary.origin),
                 length=length,
                 support_theta=theta_star % (2 * math.pi),
             )

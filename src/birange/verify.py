@@ -110,13 +110,15 @@ def hull_support_gap(e1: Ellipse, e2: Ellipse, boundary: nrcore.Boundary) -> flo
     """Hausdorff distance between conv(E1 u E2) and the sampled range.
 
     The largest |max(h_E1, h_E2) - support| over the boundary's directions,
-    i.e. the support-function form of the Hausdorff distance restricted to
-    the sampled directions.
+    with the ellipses moved by -``boundary.origin`` into the plane of the
+    shift-free samples (exact, by Sterbenz's lemma): the support-function
+    form of the Hausdorff distance restricted to the sampled directions.
     """
     n = len(boundary.theta)
     if n == 0:
         raise EmptyInputError("need at least one boundary sample")
     _, cos_sin = nrcore._direction_grid(n)
+    e1, e2 = (replace(e, center=e.center - boundary.origin) for e in (e1, e2))
     hull = np.maximum(_support_values(e1, cos_sin), _support_values(e2, cos_sin))
     return float(np.abs(hull - boundary.support).max())
 
@@ -266,8 +268,8 @@ class AuditReport:
 
     ``block``, ``verdict`` and ``reciprocal`` are what :func:`audit` was
     given.  ``eigenvalues`` include the trace shift; ``boundary`` samples
-    the shift-free ``boundary.matrix``, the audited matrix less ``origin``
-    (a quarter of its trace) times the identity: the support function and
+    the shift-free ``boundary.matrix``, the audited matrix less a quarter
+    of its trace, ``boundary.origin``, times I: the support function and
     the top eigenvalue gap at :func:`audit`'s ``samples`` equispaced
     directions, which set what the hull gate resolves; ``diameter`` is the
     diagonal of the range's bounding box, h(0) + h(pi) wide and
@@ -282,7 +284,6 @@ class AuditReport:
     verdict: Verdict
     reciprocal: ReciprocalShape | None
     eigenvalues: tuple[complex, ...]
-    origin: complex
     boundary: nrcore.Boundary
     diameter: float
     hull_gap: float | None
@@ -290,9 +291,8 @@ class AuditReport:
 
     @cached_property
     def flats(self) -> tuple[nrcore.FlatPortion, ...]:
-        """The boundary's :func:`nrcore.flat_portions`, moved back by ``origin``."""
-        return tuple(replace(f, endpoints=tuple(p + self.origin for p in f.endpoints))
-                     for f in nrcore.flat_portions(self.boundary))
+        """The boundary's :func:`nrcore.flat_portions`, in the audited plane."""
+        return tuple(nrcore.flat_portions(self.boundary))
 
     @cached_property
     def commutant_dim(self) -> int:
@@ -360,7 +360,7 @@ def audit(
     """Sample ``bf``'s boundary once and report on its ``check_general`` verdict.
 
     The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
-    passes itself) less its trace shift ``origin`` in ``samples`` directions,
+    passes itself) less ``boundary.origin`` I in ``samples`` directions,
     at least ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can
     run on them, at the cost of one batched ``eigvalsh`` of ``samples / 2``
     matrices, the audit's one LAPACK call besides the flat oracle's.  As
@@ -384,22 +384,17 @@ def audit(
     if samples < nrcore.FLAT_MIN_SAMPLES or samples % 4:
         raise ValueError(f"flat detection needs at least {nrcore.FLAT_MIN_SAMPLES} support "
                          "samples, and the bounding box a multiple of 4")
-    a = nrcore._as_ndarray(bf.assemble() if matrix is None else matrix)
-    # Once |origin| exceeds a few times the scale, a - origin I is an exact
-    # translate of A (Sterbenz's lemma), so no oracle value carries
-    # eps |origin| of rounding; the ellipses move with it.
-    origin = complex(np.trace(a)) / 4
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
-    boundary = nrcore.boundary_support(a - origin * np.eye(4), samples, points=False)
+    boundary = nrcore.boundary_support(bf.assemble() if matrix is None else matrix,
+                                       samples, points=False)
     h = boundary.support[::samples // 4].tolist()
     diameter = math.hypot(h[0] + h[2], h[1] + h[3])
     positive = verdict.bielliptical and verdict.ellipses is not None
-    hull_gap = None if not positive else hull_support_gap(
-        *(replace(e, center=e.center - origin) for e in verdict.ellipses), boundary)
+    hull_gap = None if not positive else hull_support_gap(*verdict.ellipses, boundary)
     sf = verdict.diagnostics.get("reduced_form")
     fact = None if sf is None else factorization_residual(
         sf.to_block(), ellipse_pair_params(sf))
-    return AuditReport(bf, verdict, reciprocal, eigenvalues, origin, boundary,
+    return AuditReport(bf, verdict, reciprocal, eigenvalues, boundary,
                        diameter, hull_gap, fact)
 
 
@@ -451,7 +446,7 @@ def verify_checks(report: AuditReport) -> list[Check]:
     antipodal = support[:half] - support[half:]
     sym = float(np.abs(
         antipodal - 2.0 * (cos_sin[:half] @ [center.real, center.imag])).max())
-    eig = np.asarray(report.eigenvalues, dtype=complex) - report.origin
+    eig = np.asarray(report.eigenvalues, dtype=complex) - report.boundary.origin
     excess = np.stack((eig.real, eig.imag), axis=1) @ cos_sin.T - support
     worst_out = float(excess.max())
 

@@ -463,15 +463,16 @@ def imag_part_at(a: np.ndarray, theta) -> np.ndarray:
 def golden_flat_portions(boundary: nrcore.Boundary) -> list[nrcore.FlatPortion]:
     """Reference flat-portion finder: one scalar golden-section search per
     local minimum of the sampled gap, on the LAPACK ``eigvalsh`` gap of
-    Re(e^{-i theta} M) over one grid step either side of the sample, M
-    being ``boundary.matrix``.
+    Re(e^{-i theta} M0) over one grid step either side of the sample, M0
+    being the shift-free ``boundary.matrix``.
 
     The acceptance rule is :func:`nrcore.flat_portions`' (gap gate, duplicate
-    distance, length cutoff, all relative to the oracle scale); the segment's
-    endpoints come from a fresh eigensolve at the refined direction.
+    distance, length cutoff, all relative to the oracle scale ||M0||_F); the
+    segment's endpoints come from a fresh eigensolve at the refined
+    direction, moved by ``boundary.origin``.
     """
     a = boundary.matrix
-    scale = nrcore._oracle_scale(a)
+    scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return []
 
@@ -508,7 +509,8 @@ def golden_flat_portions(boundary: nrcore.Boundary) -> list[nrcore.FlatPortion]:
         direction = (hi - lo) / length
         if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
             direction = -direction
-        found.append(nrcore.FlatPortion(direction, (hi, lo), length, theta % (2 * math.pi)))
+        ends = (hi + boundary.origin, lo + boundary.origin)
+        found.append(nrcore.FlatPortion(direction, ends, length, theta % (2 * math.pi)))
     found.sort(key=lambda f: f.support_theta)
     return found
 

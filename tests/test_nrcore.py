@@ -193,11 +193,16 @@ class TestGeneratingPoly:
 
 class TestBoundarySupport:
     def test_identity(self):
+        # The oracle samples the shift-free matrix, here 0, and keeps the
+        # shift 1 as its origin; the points are the origin's.
         samples = boundary_support(np.eye(4, dtype=complex), 64)
+        assert samples.origin == 1 and not samples.matrix.any()
         for s in samples:
             assert abs(s.point - 1) < 1e-12
-            # support of the singleton {1} in direction theta
-            assert abs(s.support_value - math.cos(s.theta)) < 1e-12
+            # support of the singleton {1} in direction theta, less
+            # Re(e^{-i theta} origin)
+            shift = (cmath.exp(-1j * s.theta) * samples.origin).real
+            assert abs(s.support_value + shift - math.cos(s.theta)) < 1e-12
 
     def test_normal_square(self):
         m = np.diag([1, 1j, -1, -1j]).astype(complex)
@@ -256,6 +261,17 @@ class TestBoundarySupport:
             boundary.theta[1] = 0.0
         assert np.array_equal(boundary.theta, 2.0 * np.pi * np.arange(256) / 256)
 
+    def test_matrix_is_a_copy(self, rng):
+        # The Boundary keeps its own matrix: writing into the caller's array
+        # afterwards changes neither it nor the flats read off it.
+        a = nrcore._as_ndarray(general_example_matrix())
+        boundary = boundary_support(a, 1024)
+        assert not np.shares_memory(boundary.matrix, a)
+        flats = flat_portions(boundary)
+        assert len(flats) == 2
+        a[:] = rng.normal(size=(4, 4))
+        assert flat_portions(boundary) == flats
+
     def test_second_call_is_equal(self, rng):
         a = random_block(rng).assemble()
         first, second = boundary_support(a, 256), boundary_support(a, 256)
@@ -284,7 +300,10 @@ class TestHalfCircleOracle:
         a = np.array(m.rows, dtype=complex)
         scale = float(np.linalg.norm(a))
         got = boundary_support(m, n)
-        theta, support, gap, points = full_circle_reference(a, n)
+        # The oracle samples M - origin I, origin = tr M / 4, and moves its
+        # points by origin; the reference samples that same matrix.
+        assert np.array_equal(got.matrix, a - got.origin * np.eye(4))
+        theta, support, gap, points = full_circle_reference(got.matrix, n)
         assert np.array_equal(got.theta, theta)
         assert np.abs(got.support - support).max() <= 1e-14 * scale
         assert np.abs(got.gap - gap).max() <= 1e-14 * scale
@@ -292,12 +311,13 @@ class TestHalfCircleOracle:
         degenerate = gap <= tol
         assert np.array_equal(got.gap <= tol, degenerate)
         ok = ~degenerate
-        assert np.abs(got.points[ok] - points[ok]).max() <= 1e-13 * scale
+        assert np.abs(got.points[ok] - (points[ok] + got.origin)).max() <= 1e-13 * scale
         # A degenerate direction returns the flat segment's endpoint with the
         # larger transverse coordinate: on the support line, and no lower
         # than the reference's top-eigenspace point.
         turned = np.exp(-1j * theta[degenerate])
-        ends, refs = turned * got.points[degenerate], turned * points[degenerate]
+        ends = turned * (got.points[degenerate] - got.origin)
+        refs = turned * points[degenerate]
         assert np.all(np.abs(ends.real - support[degenerate]) <= 1e-13 * scale)
         assert np.all(ends.imag >= refs.imag - 1e-13 * scale)
         return int(degenerate.sum())
@@ -314,15 +334,15 @@ class TestHalfCircleOracle:
         self.degenerate_directions(m)
 
     def test_tiny_block_far_shifted(self, rng):
-        # A block at t = 1e-5 shifted by 1e8: the shift's roundoff, a few
-        # eps |c| with c = tr A / 4, dwarfs 1e-14 of the oracle scale.
+        # A block at t = 1e-5 shifted by 1e8: the oracle samples it less its
+        # trace shift, so its support values and gaps are held to 1e-14 of
+        # the oracle scale with no allowance for eps |c|.
         a = nrcore._as_ndarray(1e-5 * random_block(rng).assemble() + 1e8 * eye(4))
         n = 2048
         got = boundary_support(a, n)
-        theta, support, gap, _ = full_circle_reference(a, n)
+        theta, support, gap, _ = full_circle_reference(got.matrix, n)
         assert np.array_equal(got.theta, theta)
-        tol = (1e-14 * nrcore._oracle_scale(a)
-               + 16 * np.finfo(float).eps * abs(np.trace(a) / 4))
+        tol = 1e-14 * nrcore._oracle_scale(a)
         assert np.abs(got.support - support).max() <= tol
         assert np.abs(got.gap - gap).max() <= tol
 
@@ -373,19 +393,14 @@ class TestPencil:
                 assert np.array_equal(bare.matrix, a)
 
 
-@pytest.mark.parametrize("r", [
-    3e7,
-    pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 14: boundary_support(points=True) gates degenerate "
-        "directions against 1e-11 of the oracle scale, but on a far-shifted "
-        "matrix the sampled gap carries eps |c| of rounding"))),
-])
+@pytest.mark.parametrize("r", [3e7, 1e8, 1e10, 1e12])
 def test_far_shifted_points_reach_the_segment_ends(r):
     # The raw worked example (trace 0) shifted by c = r e^{0.7i}: its two
     # degenerate directions at n = 1024, theta = pi / 4 and 5 pi / 4, must be
-    # flagged, so that every point is the shift-free point plus c.  At 1e8
-    # the gap reads 1.5e-8 against 2.2e-10 and neither is flagged: the point
-    # at 5 pi / 4 lands 4.38 along its 7.07-long flat.
+    # flagged, so that every point is the shift-free point plus c.  A gap
+    # sampled with the shift in carries eps |c| of rounding: at 1e8 it reads
+    # 1.5e-8 against the 2.2e-10 gate, neither direction is flagged, and the
+    # point at 5 pi / 4 lands 4.38 along its 7.07-long flat.
     a0 = nrcore._as_ndarray(general_example_matrix())
     c = r * cmath.exp(0.7j)
     a = a0 + c * np.eye(4)
@@ -508,9 +523,10 @@ class TestFlatPortions:
     @pytest.mark.parametrize("r", [0.0, 1.0, 1e3, 1e6])
     def test_shifted_matrix_moves_the_flats(self, rng, r):
         # flat_portions reads the matrix its Boundary sampled, so sampling
-        # A + cI moves every flat by c.  The endpoints are field values of
-        # A + cI, which carry a few eps |c| of rounding (up to 7.5 measured),
-        # above 1e-12 * scale from |c| of about 1e3 * scale on.
+        # A + cI moves every flat by c.  The endpoints are shift-free field
+        # values plus the Boundary's origin, and that sum rounds by up to
+        # eps |c| or so (0.64 eps |c| measured at |c| = 1e3 * scale), above
+        # 1e-12 * scale from |c| of about 1e4 * scale on.
         mats = [general_example_matrix()]
         mats += [disguise(rng, family(rng))[0].assemble() for family in _BI_FAMILIES]
         for m in mats:
