@@ -36,7 +36,7 @@ from .forms import (
     ReciprocalForm,
     ScaleRangeError,
     SpecialForm,
-    direction_block,
+    ZeroMultipleError,
     eye,
     reduce_to_special,
 )
@@ -458,16 +458,16 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
 def check_general(bf: BlockForm) -> Verdict:
     """Classify an arbitrary block form by reduction to the special case.
 
-    Needs a direction theta at which the block combination is a nonzero
-    scalar multiple of a unitary with a non-normal product against D.  The
+    Needs a direction theta at which the block combination M is a nonzero
+    scalar multiple of a unitary with a non-normal product M D.  The
     reduction along theta then hands the decision, its reason and the
     geometry to ``check_special``: the criterion is T = 0 on the reduced
-    form.  Raises :class:`ScaleRangeError` on a nonzero shift-free scale
-    outside [``MIN_SCALE``, ``MAX_SCALE``], where the decision's
-    intermediates underflow or overflow.  The reduction never meets a zero
-    multiple, mu <= TOL tr H: past the trace gate, the Boettcher-Wenzel bound
-    (Linear Algebra Appl. 429, 2008) then puts the commutator of M D under
-    0.71 TOL (tr H)^2, so the product-normality gate answers first.
+    form.  Its B - I is unitarily similar to (2 / mu) e^{-i theta} M D, so
+    its coupling gate, b = 0, is the one test of "M D is normal", and its
+    BNormal is reported as ProductNormal, as is a zero multiple.  Raises
+    :class:`ScaleRangeError` on a nonzero shift-free scale outside
+    [``MIN_SCALE``, ``MAX_SCALE``], where the decision's intermediates
+    underflow or overflow.
     """
     if not (MIN_SCALE <= (scale := bf.scale()) <= MAX_SCALE or scale == 0.0):
         raise ScaleRangeError(f"shift-free matrix scale {scale:.3e} is out of range: it must "
@@ -486,20 +486,17 @@ def check_general(bf: BlockForm) -> Verdict:
     diagnostics["mu"] = found.mu
     diagnostics["theta_residual"] = found.residual
 
-    m = direction_block(bf, theta)
-    product = m @ bf.D
-    comm = (product @ product.H - product.H @ product).frobenius()
-    diagnostics["product_commutator"] = comm
-    if comm <= TOL * bf.H.trace().real ** 2:
-        return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
-
     try:
-        sf, frame = reduce_to_special(bf, theta, m)
+        sf, frame = reduce_to_special(bf, theta)
+    except ZeroMultipleError:
+        return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
     except NotScalarUnitaryError:
         return Verdict(False, Reason.NO_THETA, None, diagnostics)
     special = check_special(sf, frame)
     if not special.bielliptical:
-        return Verdict(False, special.reason, None, diagnostics)
+        normal = special.reason is Reason.B_NORMAL
+        return Verdict(False, Reason.PRODUCT_NORMAL if normal else special.reason,
+                       None, diagnostics)
     diagnostics.update(
         {f"special_{k}": val for k, val in special.diagnostics.items()}
     )

@@ -46,16 +46,16 @@ __all__ = [
 # The one decision tolerance: a quantity q of degree k counts as zero when
 # |q| <= TOL * s**k, with s the Frobenius norm of the data q is computed
 # from.  For q built from the coupling blocks C, D alone (the trace gate,
-# mu, the product commutator, the coupling entry b) s**2 is tr H =
-# ||C||^2 + ||D||^2; for q involving alpha, s is :meth:`BlockForm.scale`.
+# mu, the coupling entry b) s**2 is tr H = ||C||^2 + ||D||^2; for q
+# involving alpha, s is :meth:`BlockForm.scale`.
 # Both are free of the trace shift and of degree one, so a gate decides A
 # and tA + c alike, and neither grows with |alpha| where alpha is absent.
 TOL = 1e-9
 
 # The range of nonzero shift-free scales the decision accepts: its degree-8
-# intermediates (the product commutator's squared entries, the direction
-# solve's squared Gram trace) underflow below about 1e-41 and overflow above
-# about 1e38.  Entries at the CLI's ceiling of 1e36 give scales below 6e36.
+# intermediate, the direction solve's squared Gram trace, underflows below
+# about 1e-41 and overflows above about 1e38.  Entries at the CLI's ceiling
+# of 1e36 give scales below 6e36.
 MIN_SCALE = 1e-36
 MAX_SCALE = 1e37
 
@@ -311,19 +311,18 @@ def direction_block(bf: BlockForm, theta: float) -> CMatrix:
     return e * bf.C - e.conjugate() * bf.D.H
 
 
-def reduce_to_special(
-    bf: BlockForm, theta: float, m: CMatrix | None = None
-) -> tuple[SpecialForm, Frame]:
+def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
     """Collapse a block form onto a special form along direction ``theta``.
 
     Requires M = exp(-i theta) C - exp(i theta) D* to satisfy M*M = mu*I with
-    mu > 0; a caller that has built M already, as ``direction_block(bf,
-    theta)``, passes it as ``m``.  The returned frame maps reduced-plane
-    geometry back to the original coordinates via ``w -> shift + exp(i
-    theta) (sqrt(mu)/2) w``.
+    mu > TOL tr H, the one rule's degree-2 cut: M is formed with a rounding
+    of about eps sqrt(tr H), so past the cut, where ||M||_F^2 = 2 mu, it
+    carries a relative rounding under eps / sqrt(TOL), about 7e-12, which
+    the reduction's 2 / sqrt(mu) keeps, and T on the reduced form (degree 4)
+    stays about 30 times inside TOL.  The returned frame maps reduced-plane
+    geometry back via ``w -> shift + exp(i theta) (sqrt(mu)/2) w``.
     """
-    if m is None:
-        m = direction_block(bf, theta)
+    m = direction_block(bf, theta)
     s = m.H @ m
     mu = 0.5 * (s[0, 0].real + s[1, 1].real)
     m_norm2 = m.frobenius() ** 2

@@ -226,6 +226,47 @@ def bi_special_any(rng) -> SpecialForm:
     return _BI_FAMILIES[int(rng.integers(0, len(_BI_FAMILIES)))](rng)
 
 
+def realize(rho: float, tau: float, delta: float) -> SpecialForm:
+    """A real-case-(i) special form whose ellipse pair has the prescribed
+    shape: semi-axes a and rho a, major axis at tilt tau against the
+    offset between the centers, which lie at +-delta a on the real axis.
+
+    In the special form's own plane, real case (i) (v = 0, eta1 = eta2)
+    has z - x = 1 in ``ellipse_pair_params``, which fixes the size a.  Then
+    x + iy = r e^{2i tau}, r = (a^2 - (rho a)^2) / 2, gives eta1 = eta2 = y,
+    and the coupling is b = 2p for p = delta a.  The formula for x leaves
+    xi1^2 + xi2^2 + 2u^2 = K = 4x - 2y^2 + 2 - 2p^2, and T = 0 leaves
+    xi1^2 - xi2^2 = 4up.  The shape is feasible iff K > 0; u is taken at
+    half its range (0, (-4p + sqrt(16p^2 + 8K)) / 4].  Raises ValueError
+    when infeasible.
+    """
+    c2, s2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
+    a2 = 2.0 / ((1.0 - c2) + rho * rho * (1.0 + c2))
+    r = 0.5 * a2 * (1.0 - rho * rho)
+    x, y = r * c2, r * s2
+    p = delta * math.sqrt(a2)
+    k = 4.0 * x - 2.0 * y * y + 2.0 - 2.0 * p * p
+    if not k > 0.0:
+        raise ValueError(f"shape (rho, tau, delta) = ({rho}, {tau}, {delta}) "
+                         "is outside real case (i)")
+    u = 0.125 * (-4.0 * p + math.sqrt(16.0 * p * p + 8.0 * k))
+    xi1 = math.sqrt(0.5 * (k - 2.0 * u * u + 4.0 * u * p))
+    xi2 = math.sqrt(0.5 * (k - 2.0 * u * u - 4.0 * u * p))
+    return SpecialForm(u=u, v=0.0, b1=complex(xi1, y), b2=complex(xi2, y), b=2.0 * p)
+
+
+# Shapes (rho, tau) of ``realize`` whose positives have a short center
+# offset at small delta: b / scale is about delta, far above the coupling
+# gate's TOL.
+SHORT_OFFSET_SHAPES = ((0.5, 0.3), (0.9, -0.7), (0.2, 1.2), (1.0, 0.0))
+
+
+def short_offset_special(rng, delta: float = 1e-5) -> SpecialForm:
+    """``realize`` at one of ``SHORT_OFFSET_SHAPES``, drawn by ``rng``."""
+    rho, tau = SHORT_OFFSET_SHAPES[int(rng.integers(0, len(SHORT_OFFSET_SHAPES)))]
+    return realize(rho, tau, delta)
+
+
 def two_direction_block(rng) -> BlockForm:
     """A block form with two scalar-unitary directions mod pi, one of them
     0: V = sqrt(mu) U, D = P V^{-1} for a normal P whose eigenvalue gap is
@@ -273,6 +314,16 @@ def disguise(rng, form: SpecialForm | BlockForm, rotate: bool = True,
     c_new = w * (u1.H @ bf.C @ u2)
     d_new = w * (u2.H @ bf.D @ u1)
     return normalize_block(alpha + c, -alpha + c, c_new, d_new), theta0
+
+
+def transformed(sf, t, c, rotation=0.0, u1=None, u2=None):
+    """The block form of t e^{i rotation} (U-similar copy of sf) + c."""
+    bf = sf.to_block()
+    cm, dm = bf.C, bf.D
+    if u1 is not None:
+        cm, dm = u1.H @ cm @ u2, u2.H @ dm @ u1
+    w = t * cmath.exp(1j * rotation)
+    return normalize_block(w * sf.alpha + c, -w * sf.alpha + c, w * cm, w * dm)
 
 
 def load_bench_module(name: str):

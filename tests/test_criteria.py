@@ -46,6 +46,7 @@ from helpers import (
     random_block,
     random_cmat,
     random_special,
+    realize,
     reciprocal_two_ellipse,
     scalar_unitary_deviation,
     shift_free_matrix,
@@ -382,9 +383,11 @@ class TestTwoDirections:
 
 
 class TestZeroMultipleBand:
-    """``check_general`` never reaches the reduction's zero-multiple error:
-    where a found direction has mu <= TOL tr H, M D is normal to within the
-    product-normality gate (the bound in ``check_general``'s docstring)."""
+    """Around the reduction's zero-multiple cut, mu <= TOL tr H, a found
+    direction gives a negative verdict, ProductNormal exactly where
+    ``reduce_to_special`` raises its zero-multiple error, and no exception
+    escapes ``check_general``.  Just past the cut the reduction goes on and
+    T decides."""
 
     def test_product_normal_before_the_reduction(self, rng):
         raised = 0
@@ -393,13 +396,17 @@ class TestZeroMultipleBand:
             found = find_theta(bf)
             if found is None:
                 continue
-            assert check_general(bf).reason is Reason.PRODUCT_NORMAL
+            verdict = check_general(bf)
+            assert not verdict.bielliptical
+            zero = False
             try:
                 forms.reduce_to_special(bf, found.theta)
             except forms.ZeroMultipleError:
-                raised += 1
+                zero = True
             except forms.NotScalarUnitaryError:
                 pass
+            raised += zero
+            assert (verdict.reason is Reason.PRODUCT_NORMAL) == zero
         assert raised > 0
 
 
@@ -472,9 +479,8 @@ class TestRefineOnce:
 
 
 class TestReductionBuiltOnce:
-    """``check_general`` builds the direction block M once, for the
-    product-normality gate and the reduction alike, and assembles no 4x4
-    matrix on either verdict."""
+    """``check_general`` builds the direction block M once, in the
+    reduction, and assembles no 4x4 matrix on either verdict."""
 
     @staticmethod
     def forms(rng):
@@ -502,7 +508,7 @@ class TestReductionBuiltOnce:
         return calls
 
     def test_one_direction_block_no_block4(self, rng, monkeypatch):
-        blocks = self.spy(monkeypatch, (criteria, forms), "direction_block")
+        blocks = self.spy(monkeypatch, (forms,), "direction_block")
         block4 = self.spy(monkeypatch, (forms,), "_block4")
         verdicts = set()
         for bf in self.forms(rng):
@@ -784,6 +790,38 @@ class TestEllipseGeometry:
             )
             assert abs(lhs - rhs) <= 1e-11 * (1 + scale2**2)
             assert lhs > 0.0
+
+
+class TestRealize:
+    """``realize`` inverts real case (i): on every shape of a 360-shape grid
+    that the family reaches, ``check_special`` reports the prescribed pair,
+    centers +-delta a, semi-axes a and rho a, tilt tau, within 1e-14 a."""
+
+    def test_prescribed_pair_on_the_grid(self):
+        feasible = 0
+        for rho in (1.0, 0.9, 0.5, 0.1, 0.01):
+            for k in range(12):
+                tau = k * math.pi / 12
+                c2 = math.cos(2.0 * tau)
+                a = math.sqrt(2.0 / ((1.0 - c2) + rho * rho * (1.0 + c2)))
+                for delta in (0.1, 0.3, 0.6, 1.0, 2.0, 5.0):
+                    try:
+                        sf = realize(rho, tau, delta)
+                    except ValueError:
+                        continue
+                    feasible += 1
+                    verdict = check_special(sf)
+                    assert verdict.bielliptical
+                    assert abs(criterion_T(sf)) <= 1e-14 * sf.scale() ** 4
+                    for e, center in zip(verdict.ellipses, (delta * a, -delta * a)):
+                        turn = (e.tilt - tau + math.pi / 2) % math.pi - math.pi / 2
+                        assert abs(e.center - center) <= 1e-14 * a
+                        assert abs(e.semi_major - a) <= 1e-14 * a
+                        assert abs(e.semi_minor - rho * a) <= 1e-14 * a
+                        assert abs(turn) * (e.semi_major - e.semi_minor) <= 1e-14 * a
+        # No shape with delta >= 1 is reached, and a needle (rho = 0.01)
+        # only at tau = 0, with its major axis along the offset.
+        assert feasible == 122
 
 
 class TestSpreadIdentity:

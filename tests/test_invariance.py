@@ -34,6 +34,8 @@ from helpers import (
     load_bench_module,
     random_special,
     random_unitary2,
+    short_offset_special,
+    transformed,
 )
 
 FAMILIES = {
@@ -42,6 +44,7 @@ FAMILIES = {
     "imaginary": bi_special_imag,
     "general": bi_special_general,
     "negative": random_special,
+    "short_offset": short_offset_special,
 }
 
 invariance = settings(
@@ -53,16 +56,6 @@ seeds = st.integers(0, 2**32 - 1)
 scales = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 shift_ratios = st.one_of(st.just(0.0), st.floats(-2.0, 6.0).map(lambda e: 10.0**e))
 angles = st.floats(0.0, 2.0 * math.pi)
-
-
-def transformed(sf, t, c, rotation=0.0, u1=None, u2=None):
-    """The block form of t e^{i rotation} (U-similar copy of sf) + c."""
-    bf = sf.to_block()
-    cm, dm = bf.C, bf.D
-    if u1 is not None:
-        cm, dm = u1.H @ cm @ u2, u2.H @ dm @ u1
-    w = t * cmath.exp(1j * rotation)
-    return normalize_block(w * sf.alpha + c, -w * sf.alpha + c, w * cm, w * dm)
 
 
 def base_case(family, seed):

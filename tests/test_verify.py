@@ -19,7 +19,7 @@ from birange.criteria import (
     reducible_margin,
 )
 from birange import cli, nrcore, verify
-from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm, as_block, detect_block
+from birange.forms import TOL, BlockForm, Frame, ReciprocalForm, SpecialForm, as_block, detect_block
 from birange.linalg import CMatrix, eye
 from birange.nrcore import Boundary, boundary_support, generating_poly
 from birange.verify import (
@@ -33,6 +33,7 @@ from birange.verify import (
     hull_support_gap,
 )
 from helpers import (
+    SHORT_OFFSET_SHAPES,
     bi_special_any,
     bi_special_general,
     bi_special_imag,
@@ -49,7 +50,10 @@ from helpers import (
     loop_factorization_residual,
     random_block,
     random_special,
+    random_unitary2,
+    realize,
     reciprocal_two_ellipse,
+    transformed,
 )
 
 
@@ -773,6 +777,72 @@ class TestShiftFreeAudit:
                 D=[[t * x for x in row] for row in inst["D"]]))
             report = verify.check_document(cli.parse_matrix_spec(doc)[1])
             assert report.failures == []
+
+    def test_forged_spectrum_fails_containment_at_far_shift(self, monkeypatch):
+        # The worked example shifted by 1e10 e^{0.7i}, one eigenvalue pair
+        # pushed 1e-6 * scale past the sampled support: a containment gate
+        # that grew with the shift (1e-9 * |shift| = 10 here) would pass it.
+        m = self.shifted_example(1e10)
+        bf = as_block(m)
+        report = verify.check_document(m)
+        true = nrcore.spectrum(bf)
+        theta, cos_sin = nrcore._direction_grid(len(report.boundary.support))
+        sigma = true.sigma1 + (bf.shift - report.boundary.origin)
+        gap = report.boundary.support - cos_sin @ [sigma.real, sigma.imag]
+        k = int(np.argmin(gap))
+        forged = dataclasses.replace(true, sigma1=true.sigma1 + cmath.exp(1j * theta[k]) * (
+            gap[k] + 1e-6 * bf.scale()))
+        monkeypatch.setattr(nrcore, "spectrum", lambda _: forged)
+        checks = verify.verify_checks(verify.check_document(m))
+        row = next(c for c in checks if c.name == "eigenvalue containment")
+        assert not row.passed
+
+
+class TestShortCenterOffset:
+    """Real-case-(i) positives whose centers lie +-delta a apart, built by
+    ``realize``: at delta = 3e-5 and 1e-5 the coupling b is 7e-6 to 3e-5 of
+    the scale, far above the coupling gate's TOL sqrt(tr H), so B is
+    non-normal and ``check_general`` agrees with ``check_special`` behind a
+    disguise."""
+
+    @staticmethod
+    def disguised(sf, rng):
+        """``transformed`` at a random t, rotation, shift and block unitaries,
+        and the frame that maps sf's plane onto the result's."""
+        t, rotation = math.exp(rng.uniform(-0.7, 0.7)), rng.uniform(0.0, math.pi)
+        c = complex(*rng.normal(size=2))
+        bf = transformed(sf, t, c, rotation, random_unitary2(rng), random_unitary2(rng))
+        return bf, Frame(scale=t * cmath.exp(1j * rotation), shift=c)
+
+    @pytest.mark.parametrize("delta", [3e-5, 1e-5])
+    @pytest.mark.parametrize("shape", SHORT_OFFSET_SHAPES, ids="rho={0[0]},tau={0[1]}".format)
+    def test_positive_behind_a_disguise(self, shape, delta, rng):
+        sf = realize(*shape, delta)
+        bf, frame = self.disguised(sf, rng)
+        verdict = check_general(bf)
+        assert verdict.bielliptical
+        want = check_special(sf, frame).ellipses
+        tol = 1e-10 * (abs(want[0].center - want[1].center) + 2.0 * want[0].semi_major)
+        for e in want:
+            got = min(verdict.ellipses, key=lambda g: abs(g.center - e.center))
+            turn = (got.tilt - e.tilt + math.pi / 2) % math.pi - math.pi / 2
+            assert abs(got.center - e.center) <= tol
+            assert abs(got.semi_major - e.semi_major) <= tol
+            assert abs(got.semi_minor - e.semi_minor) <= tol
+            assert abs(turn) * (e.semi_major - e.semi_minor) <= tol
+        # Both flat rows pass: each flat matches the center offset.
+        report = verify.check_document(bf)
+        assert report.failures == []
+        assert [c.name for c in report.checks].count("flat portions") == 2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: at delta = 1e-6 the flats are shorter than the flat "
+        "rows resolve, so a correct positive fails them and `check` exits 3"))
+    def test_shorter_offset_is_audited(self, rng):
+        bf, _ = self.disguised(realize(0.5, 0.3, 1e-6), rng)
+        report = verify.check_document(bf)
+        assert report.verdict.bielliptical
+        assert report.failures == []
 
 
 class TestCheckDocument:
