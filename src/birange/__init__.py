@@ -55,6 +55,7 @@ from .verify import (
     Check,
     audit,
     check_document,
+    check_documents,
     commutant_dim,
     factorization_residual,
     hull_support_gap,

@@ -3,8 +3,9 @@
 Input is a JSON document describing one matrix (or an array of them for
 batch runs).  Complex numbers are 2-element arrays ``[re, im]``; plain
 numbers are accepted where a real value is meant.  This module only parses,
-formats and maps outcomes to exit codes: ``verify.check_document`` audits a
-document, whose raw matrix ``forms.detect_block`` splits into blocks.
+formats and maps outcomes to exit codes: ``verify.check_documents`` audits
+the documents of one call, and ``forms.detect_block`` splits a raw matrix
+into blocks.
 
 Numbers must be finite with magnitude at most 1e36.  A matrix that
 ``check``, ``verify`` or ``boundary --format svg`` classifies must, less its
@@ -209,13 +210,14 @@ def _require_samples(samples: int, floor: int) -> None:
         raise InputError(f"--samples must be a multiple of 4 from {floor} to {_MAX_SAMPLES}")
 
 
-def _audited(payload, samples: int) -> verify.AuditReport:
-    """The audit report of a parsed document for ``check`` and ``verify``."""
-    report = verify.check_document(payload, samples)
-    if report is None:
+def _audited(payloads, samples: int) -> list[verify.AuditReport]:
+    """The audit reports of parsed documents for ``check`` and ``verify``,
+    from one ``verify.check_documents`` call."""
+    reports = verify.check_documents(payloads, samples)
+    if None in reports:
         raise InputError("matrix lacks scalar 2x2 diagonal blocks; only the boundary "
                          "subcommand applies to unstructured matrices")
-    return report
+    return reports
 
 
 def _exit_code(consistent: bool, positive: bool) -> int:
@@ -288,11 +290,11 @@ def _print_check_report(report: dict) -> None:
 def cmd_check(args) -> int:
     _require_samples(args.samples, nrcore.FLAT_MIN_SAMPLES)
     docs, batch = _load_documents(args.input)
+    parsed = [parse_matrix_spec(doc) for doc in docs]
+    reports = _audited([payload for _, payload in parsed], args.samples)
     worst = EXIT_POSITIVE
     outputs = []
-    for doc in docs:
-        kind, payload = parse_matrix_spec(doc)
-        audited = _audited(payload, args.samples)
+    for (kind, payload), audited in zip(parsed, reports):
         outputs.append(_report(kind, payload, audited))
         worst = max(worst, _exit_code(not audited.failures, audited.verdict.bielliptical))
     if args.format == "json":
@@ -441,7 +443,7 @@ def cmd_verify(args) -> int:
     if len(docs) != 1:
         raise InputError("verify expects a single matrix document")
     _, payload = parse_matrix_spec(docs[0])
-    audited = _audited(payload, args.samples)
+    audited, = _audited([payload], args.samples)
     checks = verify.verify_checks(audited)
     for check in checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")

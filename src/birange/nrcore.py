@@ -9,6 +9,9 @@ they see only the assembled 4x4 matrix and use LAPACK (``numpy.linalg``)
 underneath, so agreement between the two sides is a genuine cross-check.
 Every Hermitian matrix an oracle solves is built in one place,
 :func:`_pencil`, and the trace shift is removed in one, :func:`boundary_support`.
+:func:`flat_portions` takes a sequence of boundaries and refines the
+candidates of all of them in one stacked pass, so one ``birange check``
+call refines all its documents' flats together.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -280,35 +284,42 @@ def _direction_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hermitian_parts(a: np.ndarray) -> np.ndarray:
     """H1 = (A + A*) / 2 and H2 = (A - A*) / 2i stacked, so that
-    Re(e^{-i theta} A) = cos(theta) H1 + sin(theta) H2."""
-    return np.stack((0.5 * (a + a.conj().T), (a - a.conj().T) / 2j))
+    Re(e^{-i theta} A) = cos(theta) H1 + sin(theta) H2; a (k x 4 x 4)
+    stack of matrices gives one (2 x 4 x 4) pair per matrix."""
+    ah = a.conj().swapaxes(-1, -2)
+    return np.stack((0.5 * (a + ah), (a - ah) / 2j), axis=-3)
 
 
 def _pencil(herm: np.ndarray, cos_sin: np.ndarray) -> np.ndarray:
     """cos(phi) H1 + sin(phi) H2 per row (cos(phi), sin(phi)) of ``cos_sin``
-    as one real (k x 2) @ (2 x 32) product on the float view of ``herm``,
-    [H1; H2]; the row (-sin(theta), cos(theta)) gives Im(e^{-i theta} A)."""
-    return (cos_sin @ herm.view(float).reshape(2, 32)).view(complex).reshape(-1, 4, 4)
+    on the float view of ``herm``: one [H1; H2] for every row, as one real
+    (k x 2) @ (2 x 32) product, or a (k x 2 x 4 x 4) stack of them, one per
+    row.  The row (-sin(theta), cos(theta)) gives Im(e^{-i theta} A)."""
+    parts = herm.view(float).reshape(-1, 2, 32)
+    out = cos_sin @ parts[0] if herm.ndim == 3 else cos_sin[:, None] @ parts
+    return out.view(complex).reshape(-1, 4, 4)
 
 
 def _segment_ends(
     a: np.ndarray, herm: np.ndarray, cos_sin: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme field values over a top eigenspace, one per direction.
+    """Extreme field values over a top eigenspace, one per row.
 
-    ``basis[j]`` (4 x 2) spans the top 2-dim eigenspace of
-    Re(e^{-i theta_j} A), ``cos_sin[j]`` = (cos(theta_j), sin(theta_j)).  At
-    a degenerate support direction the field values attainable there form a
-    segment on the support line; its endpoints are read off the compression
-    of Im(e^{-i theta_j} A) (``herm``'s :func:`_pencil` row (-sin, cos))
-    onto that space.  Returns the endpoints with the larger and with the
+    Row j holds a matrix ``a[j]`` = A, its :func:`_hermitian_parts`
+    ``herm[j]``, ``cos_sin[j]`` = (cos(theta_j), sin(theta_j)) and
+    ``basis[j]`` (4 x 2), which spans the top 2-dim eigenspace of
+    Re(e^{-i theta_j} A).  At a degenerate support direction the field
+    values attainable there form a segment on the support line; its
+    endpoints are read off the compression of Im(e^{-i theta_j} A) (the
+    :func:`_pencil` row (-sin, cos)) onto that space, all rows in one
+    stacked ``eigh``.  Returns the endpoints with the larger and with the
     smaller transverse coordinate.
     """
     basis_h = basis.conj().transpose(0, 2, 1)
     comp = basis_h @ _pencil(herm, cos_sin[:, ::-1] * [-1.0, 1.0]) @ basis
     _, y = np.linalg.eigh(0.5 * (comp + comp.conj().transpose(0, 2, 1)))
     ends = basis @ y
-    vals = np.einsum("nic,ij,njc->nc", ends.conj(), a, ends)
+    vals = np.einsum("nic,nij,njc->nc", ends.conj(), a, ends)
     return vals[:, 1], vals[:, 0]
 
 
@@ -352,7 +363,10 @@ def boundary_support(m, n: int = DEFAULT_SAMPLES, points: bool = True) -> Bounda
         # The top eigenspace at theta + pi is the bottom one at theta.
         pairs = v[deg % half]
         tops = np.where((deg < half)[:, None, None], pairs[:, :, 2:], pairs[:, :, :2])
-        pts[deg] = _segment_ends(a, herm, cos_sin[deg], tops)[0]
+        rows = (deg.size,)
+        pts[deg] = _segment_ends(np.broadcast_to(a, rows + a.shape),
+                                 np.broadcast_to(herm, rows + herm.shape),
+                                 cos_sin[deg], tops)[0]
     return Boundary(a, theta, support, gap, pts + origin, origin)
 
 
@@ -367,14 +381,15 @@ class FlatPortion:
 
 
 def _ritz_theta(herm: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """One Rayleigh-Ritz step towards the direction of a flat portion.
+    """One Rayleigh-Ritz step towards the direction of a flat portion, per row.
 
-    ``herm`` holds H1 = (M + M*) / 2 and H2 = (M - M*) / 2i.  With
-    P = U* H1 U and Q = U* H2 U the compressions onto ``basis`` U, the
-    eigenvalue gap of cos(phi) P + sin(phi) Q is 2 |cos(phi) p + sin(phi) q|,
-    p and q being the traceless 3-vectors ((X00 - X11) / 2, Re X01, Im X01)
-    of P and Q.  It is smallest at
-    phi = atan2(2 p.q, p.p - q.q) / 2 + pi / 2, taken mod pi nearest theta.
+    Row j holds ``herm[j]``, H1 = (M + M*) / 2 and H2 = (M - M*) / 2i of its
+    own matrix M, its direction ``theta[j]`` and ``basis[j]`` U.  With
+    P = U* H1 U and Q = U* H2 U the compressions onto U, the eigenvalue gap
+    of cos(phi) P + sin(phi) Q is 2 |cos(phi) p + sin(phi) q|, p and q being
+    the traceless 3-vectors ((X00 - X11) / 2, Re X01, Im X01) of P and Q.
+    It is smallest at phi = atan2(2 p.q, p.p - q.q) / 2 + pi / 2, taken
+    mod pi nearest theta.
     """
     comp = basis.conj().transpose(0, 2, 1)[:, None] @ herm @ basis[:, None]
     d = 0.5 * (comp[..., 0, 0].real - comp[..., 1, 1].real)
@@ -385,86 +400,108 @@ def _ritz_theta(herm: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.nd
     return phi + np.pi * np.round((theta - phi) / np.pi)
 
 
-def flat_portions(boundary: Boundary) -> list[FlatPortion]:
-    """Locate flat portions of the boundary from support samples.
+def flat_portions(boundaries: Sequence[Boundary]) -> list[tuple[FlatPortion, ...]]:
+    """Locate flat portions of each boundary from its support samples.
 
-    Reads the sampled matrix M0 off ``boundary.matrix``.  Every local
-    minimum of the sampled multiplicity gap that is low enough to pass (at
-    most ``FLAT_GAP_TOL`` + 4 grid steps times the oracle scale; the gap is
-    2 scale-Lipschitz in the direction) is refined, all at once: each step
-    is one stacked eigensolve of Re(e^{-i theta} M0), the :func:`_pencil`
-    rows (cos(theta), sin(theta)), and a Rayleigh-Ritz step on its top-two
-    eigenspace (:func:`_ritz_theta`), until no direction moves by more than
-    1e-15 relative, for at most ``_RITZ_STEPS`` steps.  A refined direction
-    within one grid step of its sample whose gap is at most ``FLAT_GAP_TOL``
-    times the oracle scale contributes a segment, unless it lies within 0.75
-    grid steps of one already taken; the endpoints come from
-    :func:`_segment_ends`, plus ``boundary.origin``.  Degeneracies that do
-    not open up a segment (repeated eigenvalues of a normal matrix, say) are
-    discarded by the ``_FLAT_MIN_LENGTH_REL`` cutoff.
+    Returns one tuple of flat portions per boundary, in order; a single
+    boundary is a batch of one.  Each boundary's sampled matrix M0 is read
+    off ``boundary.matrix`` and its oracle scale is ||M0||_F.  Every local
+    minimum of a boundary's sampled multiplicity gap that is low enough to
+    pass (at most ``FLAT_GAP_TOL`` + 4 grid steps times the scale; the gap
+    is 2 scale-Lipschitz in the direction) is a candidate, and the
+    candidates of all boundaries are refined together: each step is one
+    stacked eigensolve of Re(e^{-i theta} M0), the :func:`_pencil` rows
+    (cos(theta), sin(theta)) over each candidate's own M0, and a
+    Rayleigh-Ritz step on its top-two eigenspace (:func:`_ritz_theta`).  A
+    candidate leaves once its direction moves by at most 1e-15 relative,
+    and none takes more than ``_RITZ_STEPS`` steps, so its refinement is
+    the same whatever else the call holds.  A refined direction within one
+    grid step of its sample whose gap is at most ``FLAT_GAP_TOL`` times the
+    scale contributes a segment, unless it lies within 0.75 grid steps of
+    one already taken on its boundary; the endpoints of all of them come
+    from one :func:`_segment_ends` solve, plus their ``boundary.origin``.
+    Degeneracies that do not open up a segment (repeated eigenvalues of a
+    normal matrix, say) are discarded by the ``_FLAT_MIN_LENGTH_REL``
+    cutoff.  So one call makes at most ``_RITZ_STEPS`` + 2 ``eigh`` calls,
+    and none when no boundary has a candidate.
     """
-    n = len(boundary.theta)
-    if n < FLAT_MIN_SAMPLES:
-        raise ValueError(f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples")
-    a = boundary.matrix
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return []
-    gaps = boundary.gap
-    step = 2.0 * math.pi / n
-
-    # A local minimum whose sampled gap exceeds (FLAT_GAP_TOL + 4 step)
-    # scale cannot pass.  ||Re(e^{-i theta} M0) - Re(e^{-i theta0} M0)||_2
-    # <= |theta - theta0| ||M0||_2.  By Weyl each eigenvalue moves by at
-    # most as much, so |gap(theta) - gap(theta0)| <= 2 |theta - theta0| scale.
-    # A refined direction is accepted within one step of its sample with
-    # gap <= FLAT_GAP_TOL scale, so its sample's gap was at most
-    # (FLAT_GAP_TOL + 2 step) scale; the factor 4 leaves as much again for
-    # LAPACK's rounding of the sampled and the refined gaps.
-    minima = (gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))
-    theta0 = boundary.theta[minima & (gaps <= (FLAT_GAP_TOL + 4.0 * step) * scale)]
-    if theta0.size == 0:
-        return []
-    herm = _hermitian_parts(a)
-    theta = theta0
+    scales, steps, owners, starts = [], [], [], []
+    for i, boundary in enumerate(boundaries):
+        n = len(boundary.theta)
+        if n < FLAT_MIN_SAMPLES:
+            raise ValueError(f"flat detection needs at least {FLAT_MIN_SAMPLES} support samples")
+        scale = float(np.linalg.norm(boundary.matrix))
+        step = 2.0 * math.pi / n
+        scales.append(scale)
+        steps.append(step)
+        if scale == 0.0:
+            continue
+        gaps = boundary.gap
+        # A local minimum whose sampled gap exceeds (FLAT_GAP_TOL + 4 step)
+        # scale cannot pass.  ||Re(e^{-i theta} M0) - Re(e^{-i theta0} M0)||_2
+        # <= |theta - theta0| ||M0||_2.  By Weyl each eigenvalue moves by at
+        # most as much, so |gap(theta) - gap(theta0)| <= 2 |theta - theta0|
+        # scale.  A refined direction is accepted within one step of its
+        # sample with gap <= FLAT_GAP_TOL scale, so its sample's gap was at
+        # most (FLAT_GAP_TOL + 2 step) scale; the factor 4 leaves as much
+        # again for LAPACK's rounding of the sampled and the refined gaps.
+        low = np.flatnonzero(gaps <= (FLAT_GAP_TOL + 4.0 * step) * scale)
+        low = low[(gaps[low] <= gaps[low - 1]) & (gaps[low] <= gaps[(low + 1) % n])]
+        owners += [i] * low.size
+        starts.append(boundary.theta[low])
+    empty: list[tuple[FlatPortion, ...]] = [() for _ in scales]
+    if not owners:
+        return empty
+    # One row per candidate: its boundary, its sample and that one's matrix.
+    owner, theta0 = np.array(owners), np.concatenate(starts)
+    mats = np.stack([boundary.matrix for boundary in boundaries])[owner]
+    herm = _hermitian_parts(mats)
+    # A row leaves once its direction settles, or after the last step, with
+    # the gap and top-two eigenvectors solved at that direction.
+    theta, gap, top = theta0.copy(), np.empty(owner.size), np.empty((owner.size, 4, 2), complex)
+    rows, h, at = np.arange(owner.size), herm, theta0
     for k in range(_RITZ_STEPS + 1):
-        cos_sin = np.array((np.cos(theta), np.sin(theta))).T
-        w, v = np.linalg.eigh(_pencil(herm, cos_sin))
-        if k == _RITZ_STEPS:
-            break
-        refined = _ritz_theta(herm, theta, v[:, :, 2:])
-        if np.all(np.abs(refined - theta) <= 1e-15 * np.maximum(1.0, np.abs(theta))):
-            break
-        theta = refined
-    ok = ((w[:, 3] - w[:, 2] <= FLAT_GAP_TOL * scale)
-          & (np.abs(theta - theta0) <= step))
+        w, v = np.linalg.eigh(_pencil(h, np.array((np.cos(at), np.sin(at))).T))
+        refined = at if k == _RITZ_STEPS else _ritz_theta(h, at, v[:, :, 2:])
+        moving = np.abs(refined - at) > 1e-15 * np.maximum(1.0, np.abs(at))
+        if not moving.all():
+            left = ~moving
+            done = rows[left]
+            theta[done], gap[done], top[done] = at[left], w[left, 3] - w[left, 2], v[left, :, 2:]
+            rows, h, refined = rows[moving], h[moving], refined[moving]
+            if not rows.size:
+                break
+        at = refined
+    ok = ((gap <= FLAT_GAP_TOL * np.asarray(scales)[owner])
+          & (np.abs(theta - theta0) <= np.asarray(steps)[owner]))
     if not ok.any():
-        return []
-    theta = theta[ok]
-    hi, lo = _segment_ends(a, herm, cos_sin[ok], v[ok][:, :, 2:])
+        return empty
+    cos_sin = np.array((np.cos(theta[ok]), np.sin(theta[ok]))).T
+    hi, lo = _segment_ends(mats[ok], herm[ok], cos_sin, top[ok])
 
-    found: list[FlatPortion] = []
-    used_thetas: list[float] = []
-    for theta_star, p_hi, p_lo in zip(theta.tolist(), hi.tolist(), lo.tolist()):
+    found: list[list[FlatPortion]] = [[] for _ in scales]
+    used: list[list[float]] = [[] for _ in scales]
+    segments = zip(owner[ok].tolist(), theta[ok].tolist(), hi.tolist(), lo.tolist())
+    for i, theta_star, p_hi, p_lo in segments:
         if any(
-            abs((theta_star - t + math.pi) % (2 * math.pi) - math.pi) < 0.75 * step
-            for t in used_thetas
+            abs((theta_star - t + math.pi) % (2 * math.pi) - math.pi) < 0.75 * steps[i]
+            for t in used[i]
         ):
             continue
         length = abs(p_hi - p_lo)
-        if length <= _FLAT_MIN_LENGTH_REL * scale:
+        if length <= _FLAT_MIN_LENGTH_REL * scales[i]:
             continue
-        used_thetas.append(theta_star)
+        used[i].append(theta_star)
         direction = (p_hi - p_lo) / length
         if direction.imag < 0 or (direction.imag == 0 and direction.real < 0):
             direction = -direction
-        found.append(
+        origin = boundaries[i].origin
+        found[i].append(
             FlatPortion(
                 direction=direction,
-                endpoints=(p_hi + boundary.origin, p_lo + boundary.origin),
+                endpoints=(p_hi + origin, p_lo + origin),
                 length=length,
                 support_theta=theta_star % (2 * math.pi),
             )
         )
-    found.sort(key=lambda f: f.support_theta)
-    return found
+    return [tuple(sorted(flats, key=lambda f: f.support_theta)) for flats in found]

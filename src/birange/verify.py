@@ -17,10 +17,14 @@ with no discretization floor.  :func:`hull_boundary`, :func:`hausdorff` and
 cross-check oracles in the tests; they stay until the benchmark's tracer
 (``bench/tracing.py`` ``LAYERS``) stops looking them up (ROADMAP item 1).
 
-:func:`check_document` classifies and audits one parsed document.
-:func:`audit` samples the boundary once per matrix; its report derives the
-consistency :class:`Check` values of a verdict from the oracles, and the
-flat-portion and commutant oracles run only when their results are read.
+:func:`check_documents` classifies and audits parsed documents, and
+:func:`check_document` one of them.  :func:`audit` samples the boundary
+once per matrix; its report derives the consistency :class:`Check` values
+of a verdict from the oracles, and the flat-portion and commutant oracles
+run only when their results are read.  The reports of one
+:func:`check_documents` call share one flat-portion pass, which refines
+every document's flats together on the first read of any; the commutant
+stays per document.
 :func:`verify_checks` adds the spot checks that only ``birange verify``
 runs.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -57,6 +61,7 @@ __all__ = [
     "FactorizationResidual",
     "audit",
     "check_document",
+    "check_documents",
     "verify_checks",
     "hull_support_gap",
     "hull_boundary",
@@ -262,6 +267,22 @@ class Check:
     detail: str
 
 
+class _FlatPass:
+    """The boundaries of one :func:`check_documents` call, whose flat
+    portions one :func:`nrcore.flat_portions` call refines together when
+    any report first reads them; a single :func:`audit` is a pass of one."""
+
+    def __init__(self, boundaries: Sequence[nrcore.Boundary]):
+        self._boundaries = boundaries
+        self._flats: dict[nrcore.Boundary, tuple[nrcore.FlatPortion, ...]] | None = None
+
+    def flats(self, boundary: nrcore.Boundary) -> tuple[nrcore.FlatPortion, ...]:
+        """The flat portions of ``boundary``, one of this pass's."""
+        if self._flats is None:
+            self._flats = dict(zip(self._boundaries, nrcore.flat_portions(self._boundaries)))
+        return self._flats[boundary]
+
+
 @dataclass(frozen=True, eq=False)
 class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
@@ -275,9 +296,11 @@ class AuditReport:
     diagonal of the range's bounding box, h(0) + h(pi) wide and
     h(pi / 2) + h(3 pi / 2) high in those support values h; ``hull_gap``
     is None unless the verdict is positive with ellipses, ``factorization``
-    None unless the verdict carries a reduced form.  ``checks``, ``flats``
-    and ``commutant_dim`` are derived when first read and kept: ``checks``
-    reads ``flats`` for a positive verdict only, never ``commutant_dim``.
+    None unless the verdict carries a reduced form; ``flat_pass`` the
+    :class:`_FlatPass` the report shares with the other reports of its call.
+    ``checks``, ``flats`` and ``commutant_dim`` are derived when first read
+    and kept: ``checks`` reads ``flats`` for a positive verdict only, never
+    ``commutant_dim``.
     """
 
     block: BlockForm
@@ -288,11 +311,14 @@ class AuditReport:
     diameter: float
     hull_gap: float | None
     factorization: FactorizationResidual | None
+    flat_pass: _FlatPass = field(repr=False)
 
-    @cached_property
+    @property
     def flats(self) -> tuple[nrcore.FlatPortion, ...]:
-        """The boundary's :func:`nrcore.flat_portions`, in the audited plane."""
-        return tuple(nrcore.flat_portions(self.boundary))
+        """The boundary's flat portions (:func:`nrcore.flat_portions`), in
+        the audited plane.  The first read on any report sharing this one's
+        :class:`_FlatPass` refines the flats of all of them."""
+        return self.flat_pass.flats(self.boundary)
 
     @cached_property
     def commutant_dim(self) -> int:
@@ -395,14 +421,31 @@ def audit(
     fact = None if sf is None else factorization_residual(
         sf.to_block(), ellipse_pair_params(sf))
     return AuditReport(bf, verdict, reciprocal, eigenvalues, boundary,
-                       diameter, hull_gap, fact)
+                       diameter, hull_gap, fact, _FlatPass([boundary]))
+
+
+def check_documents(payloads: Sequence, samples: int = nrcore.DEFAULT_SAMPLES
+                    ) -> list[AuditReport | None]:
+    """:func:`audit` of the ``check_general`` verdict on each raw
+    ``CMatrix``, ``BlockForm``, ``SpecialForm`` or ``ReciprocalForm``, in
+    order; None for a raw matrix without scalar diagonal blocks
+    (``forms.as_block``).  A raw matrix is audited as given, a reciprocal
+    form with its shape.  The reports share one :class:`_FlatPass`, so the
+    flat portions of every document are refined in one
+    :func:`nrcore.flat_portions` call, on the first read of any report's
+    ``flats`` (or of a positive's ``checks``); the commutant stays per
+    document."""
+    reports = [_audit_document(payload, samples) for payload in payloads]
+    shared = _FlatPass([r.boundary for r in reports if r is not None])
+    return [None if r is None else replace(r, flat_pass=shared) for r in reports]
 
 
 def check_document(payload, samples: int = nrcore.DEFAULT_SAMPLES) -> AuditReport | None:
-    """:func:`audit` of the ``check_general`` verdict on a raw ``CMatrix``,
-    ``BlockForm``, ``SpecialForm`` or ``ReciprocalForm``; None for a raw
-    matrix without scalar diagonal blocks (``forms.as_block``).  A raw
-    matrix is audited as given, a reciprocal form with its shape."""
+    """:func:`check_documents` of one document."""
+    return check_documents([payload], samples)[0]
+
+
+def _audit_document(payload, samples: int) -> AuditReport | None:
     bf = as_block(payload)
     if bf is None:
         return None

@@ -272,7 +272,7 @@ def test_criterion_5_identity_suite():
             continue
         a = sf.to_block().assemble()
         samples = boundary_support(a, 512)
-        flats = flat_portions(samples)
+        flats = flat_portions([samples])[0]
         assert len(flats) == 2
         combo = abs(spread_residual(sf)[1])
         for f in flats:

@@ -267,10 +267,10 @@ class TestBoundarySupport:
         a = nrcore._as_ndarray(general_example_matrix())
         boundary = boundary_support(a, 1024)
         assert not np.shares_memory(boundary.matrix, a)
-        flats = flat_portions(boundary)
+        flats = flat_portions([boundary])[0]
         assert len(flats) == 2
         a[:] = rng.normal(size=(4, 4))
-        assert flat_portions(boundary) == flats
+        assert flat_portions([boundary])[0] == flats
 
     def test_second_call_is_equal(self, rng):
         a = random_block(rng).assemble()
@@ -371,9 +371,11 @@ class TestPencil:
             for m in (a, a + 1e8 * np.eye(4)):
                 herm = nrcore._hermitian_parts(m)
                 for theta in (verify._SPOT_THETAS, grid):
-                    got = nrcore._pencil(herm, self.transverse(theta))
                     ref = imag_part_at(m, theta[:, None, None])
-                    assert np.abs(got - ref).max() <= 8 * eps * np.linalg.norm(m)
+                    # One [H1; H2] for every row, and the same one per row.
+                    for parts in (herm, np.broadcast_to(herm, (len(theta),) + herm.shape)):
+                        got = nrcore._pencil(parts, self.transverse(theta))
+                        assert np.abs(got - ref).max() <= 8 * eps * np.linalg.norm(m)
 
     def test_audit_pencil_is_the_float_view_product(self, rng):
         # The audit's half-circle pencil, bit for bit the real product on
@@ -442,8 +444,8 @@ class TestPointsFreeOracle:
         tol = 1e-14 * nrcore._oracle_scale(a) + slack
         assert np.abs(bare.support - full.support).max() <= tol
         assert np.abs(bare.gap - full.gap).max() <= tol
-        flats = flat_portions(full)
-        bare_flats = flat_portions(bare)
+        flats = flat_portions([full])[0]
+        bare_flats = flat_portions([bare])[0]
         assert len(bare_flats) == len(flats)
         for f, g in zip(bare_flats, flats):
             assert abs(f.support_theta - g.support_theta) <= 1e-12
@@ -479,7 +481,7 @@ class TestFlatPortions:
     def test_normal_square_edges(self):
         m = np.diag([1, 1j, -1, -1j]).astype(complex)
         samples = boundary_support(m, 512)
-        flats = flat_portions(samples)
+        flats = flat_portions([samples])[0]
         assert len(flats) == 4
         for f in flats:
             assert abs(f.length - math.sqrt(2)) < 1e-9
@@ -487,7 +489,7 @@ class TestFlatPortions:
     def test_worked_example_two_flats(self):
         a = general_example_matrix()
         samples = boundary_support(a, 2048)
-        flats = flat_portions(samples)
+        flats = flat_portions([samples])[0]
         assert len(flats) == 2
         want_len = 5 * math.sqrt(2)
         want_dir = cmath.exp(-1j * math.pi / 4)
@@ -502,19 +504,19 @@ class TestFlatPortions:
         sf = SpecialForm(u=0.0, v=0.0, b1=2.0, b2=0.2, b=0.0)
         a = sf.to_block().assemble()
         samples = boundary_support(a, 512)
-        assert flat_portions(samples) == []
+        assert flat_portions([samples])[0] == ()
 
     def test_requires_dense_sampling(self):
         m = np.diag([1, 1j, -1, -1j]).astype(complex)
         samples = boundary_support(m, 128)
         with pytest.raises(ValueError):
-            flat_portions(samples)
+            flat_portions([samples])[0]
 
     def test_off_grid_flats_found(self, rng):
         # Rotate the square so edge normals fall between grid directions.
         m = rotated_square()
         samples = boundary_support(m, 512)
-        flats = flat_portions(samples)
+        flats = flat_portions([samples])[0]
         assert len(flats) == 4
         for f in flats:
             assert abs(f.length - math.sqrt(2)) < 1e-9
@@ -534,8 +536,8 @@ class TestFlatPortions:
             a = a - np.trace(a) / 4 * np.eye(4)
             scale = nrcore._oracle_scale(a)
             c = r * scale * cmath.exp(0.7j)
-            want = flat_portions(boundary_support(a))
-            got = flat_portions(boundary_support(a + c * np.eye(4)))
+            want = flat_portions([boundary_support(a)])[0]
+            got = flat_portions([boundary_support(a + c * np.eye(4))])[0]
             assert len(got) == len(want) == 2
             tol = 1e-12 * scale + 16 * np.finfo(float).eps * abs(c)
             for f, g in zip(got, want):
@@ -554,19 +556,12 @@ class TestFlatPortionsAgainstGolden:
 
     @staticmethod
     def agree(m, exact: bool = True) -> int:
-        a = nrcore._as_ndarray(m)
-        norm = float(np.linalg.norm(a))
-        boundary = boundary_support(a, 2048)
-        got = flat_portions(boundary)
+        boundary = boundary_support(nrcore._as_ndarray(m), 2048)
+        got = flat_portions([boundary])[0]
         ref = golden_flat_portions(boundary)
-        assert len(got) == len(ref)
         if exact:
-            for f, g in zip(got, ref):
-                turn = (f.support_theta - g.support_theta + math.pi) % (2 * math.pi)
-                assert abs(turn - math.pi) <= 1e-12
-                for p, q in zip(f.endpoints, g.endpoints):
-                    assert abs(p - q) <= 1e-12 * norm
-                assert abs(f.length - g.length) <= 1e-12 * norm
+            assert_same_flats(got, ref, boundary)
+        assert len(got) == len(ref)
         return len(got)
 
     def test_random_blocks(self, rng):
@@ -602,6 +597,68 @@ class TestFlatPortionsAgainstGolden:
         assert self.agree(m, exact=False) == edges
 
 
+def assert_same_flats(got, ref, boundary) -> None:
+    """As many flats, at the same directions (1e-12), with endpoints and
+    lengths within 1e-12 ||M0||_F, M0 the boundary's sampled matrix."""
+    norm = float(np.linalg.norm(boundary.matrix))
+    assert len(got) == len(ref)
+    for f, g in zip(got, ref):
+        turn = (f.support_theta - g.support_theta + math.pi) % (2 * math.pi)
+        assert abs(turn - math.pi) <= 1e-12
+        for p, q in zip(f.endpoints, g.endpoints):
+            assert abs(p - q) <= 1e-12 * norm
+        assert abs(f.length - g.length) <= 1e-12 * norm
+
+
+def gaussian_without_candidates() -> np.ndarray:
+    """A complex Gaussian 4x4 whose 3 local minima of the sampled gap (at
+    2048 samples) all lie above flat_portions' bound."""
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+
+class TestFlatPortionsBatch:
+    """One call over many boundaries refines all their candidates together
+    and gives each boundary what a call on it alone gives."""
+
+    @staticmethod
+    def mixed(rng) -> list[np.ndarray]:
+        mats = [rotated_square(), gaussian_without_candidates(), np.zeros((4, 4), complex)]
+        mats += [disguise(rng, family(rng))[0].assemble() for family in _BI_FAMILIES]
+        mats.append(general_example_matrix())
+        return [nrcore._as_ndarray(m) for m in mats]
+
+    def test_batch_equals_single(self, rng):
+        boundaries = [boundary_support(a, 2048) for a in self.mixed(rng)]
+        batch = flat_portions(boundaries)
+        assert len(batch) == len(boundaries)
+        assert [len(f) for f in batch] == [4, 0, 0] + [2] * (len(_BI_FAMILIES) + 1)
+        for boundary, got in zip(boundaries, batch):
+            assert isinstance(got, tuple)
+            assert_same_flats(got, flat_portions([boundary])[0], boundary)
+            assert_same_flats(got, golden_flat_portions(boundary), boundary)
+
+    def test_order_and_repeats(self, rng):
+        # Reversing the batch reverses the answer; a boundary given twice
+        # gets its flats twice.
+        boundaries = [boundary_support(a, 1024) for a in self.mixed(rng)]
+        forward = flat_portions(boundaries)
+        backward = flat_portions(boundaries[::-1])
+        for boundary, f, g in zip(boundaries, forward, backward[::-1]):
+            assert_same_flats(f, g, boundary)
+        twice = flat_portions([boundaries[0], boundaries[0]])
+        assert twice[0] == twice[1] and len(twice[0]) == 4
+
+    def test_empty_batch(self):
+        assert flat_portions([]) == []
+
+    def test_any_sparse_boundary_rejected(self):
+        dense = boundary_support(rotated_square(), 512)
+        sparse = boundary_support(rotated_square(), 128)
+        with pytest.raises(ValueError, match="flat detection needs"):
+            flat_portions([dense, sparse])
+
+
 def local_minima(a: np.ndarray, n: int = 2048) -> tuple[int, int]:
     """Local minima of the sampled gap, and how many of them lie within
     flat_portions' bound (FLAT_GAP_TOL + 4 grid steps) times the oracle
@@ -617,36 +674,56 @@ class TestFlatPortionsLapackBudget:
     all candidates, and the segment endpoints one more."""
 
     @staticmethod
-    def calls(monkeypatch, m) -> tuple[dict, int]:
-        a = nrcore._as_ndarray(m)
-        boundary = boundary_support(a, 2048)
+    def calls(monkeypatch, *matrices) -> tuple[dict, list[int]]:
+        """LAPACK calls of one flat_portions call over the matrices'
+        boundaries, and each boundary's flat count."""
+        boundaries = [boundary_support(nrcore._as_ndarray(m), 2048) for m in matrices]
         counts = dict.fromkeys(("eigh", "eigvalsh"), 0)
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        flats = flat_portions(boundary)
+        flats = flat_portions(boundaries)
         monkeypatch.undo()
-        return counts, len(flats)
+        return counts, [len(f) for f in flats]
 
     def test_worked_example_and_random_blocks(self, monkeypatch, rng):
         matrices = [general_example_matrix()]
         matrices += [random_block(rng).assemble() for _ in range(20)]
         for m in matrices:
-            counts, flats = self.calls(monkeypatch, m)
+            counts, (flats,) = self.calls(monkeypatch, m)
             assert counts["eigvalsh"] == 0
             assert counts["eigh"] <= nrcore._RITZ_STEPS + 1 + 2 * flats
+
+    def test_twenty_boundaries_one_pass(self, monkeypatch, rng):
+        # Every candidate of every boundary goes through the same stacked
+        # refinement steps, then one stacked endpoint solve.
+        matrices = [general_example_matrix(), rotated_square()]
+        matrices += [disguise(rng, family(rng))[0].assemble() for family in _BI_FAMILIES]
+        matrices += [random_block(rng).assemble() for _ in range(20 - len(matrices))]
+        counts, flats = self.calls(monkeypatch, *matrices)
+        assert len(flats) == 20 and flats[:2] == [2, 4]
+        assert counts["eigvalsh"] == 0
+        assert counts["eigh"] <= nrcore._RITZ_STEPS + 2
 
     def test_no_candidate_no_eigensolve(self, monkeypatch):
         # A complex Gaussian 4x4 whose 3 local minima of the gap all lie
         # above the bound: nothing is refined.
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = gaussian_without_candidates()
         assert local_minima(a) == (3, 0)
         counts, flats = self.calls(monkeypatch, a)
         assert counts == {"eigh": 0, "eigvalsh": 0}
-        assert flats == 0
+        assert flats == [0]
+
+    def test_batch_without_candidates_no_eigensolve(self, monkeypatch):
+        # Neither the Gaussian, nor it scaled and shifted, nor the zero
+        # matrix has a candidate, so the batch solves nothing.
+        a = gaussian_without_candidates()
+        counts, flats = self.calls(monkeypatch, a, 1e-3 * a + 1e6 * np.eye(4),
+                                   np.zeros((4, 4), complex))
+        assert counts == {"eigh": 0, "eigvalsh": 0}
+        assert flats == [0, 0, 0]
 
 
 class TestGoldenMin:

@@ -465,7 +465,7 @@ class TestAuditLapackBudget:
             full = boundary_support(a, 2048)
             span = np.ptp(full.points.real), np.ptp(full.points.imag)
             assert report.diameter == pytest.approx(math.hypot(*span), rel=1e-12)
-            assert len(report.flats) == len(nrcore.flat_portions(full))
+            assert len(report.flats) == len(nrcore.flat_portions([full])[0])
             assert report.commutant_dim == commutant_dim(a)
             assert report.failures == []
 
@@ -588,7 +588,7 @@ class TestOracleRuns:
         assert (report.flats, report.commutant_dim) == first
         assert runs == {"flat_portions": 1, "commutant_dim": 1}
         a = bf.assemble()
-        fresh = nrcore.flat_portions(boundary_support(a, 512, points=False))
+        fresh = nrcore.flat_portions([boundary_support(a, 512, points=False)])[0]
         assert first == (tuple(fresh), commutant_dim(a))
 
     def test_positive_verdict_runs_each_once(self, runs):
@@ -603,9 +603,18 @@ class TestOracleRuns:
         assert report.failures == [] and len(report.flats) == 2
         assert runs == {"flat_portions": 1, "commutant_dim": 1}
 
-    def test_check_report_runs_each_once_per_document(self, runs, tmp_path, capsys):
+    def test_check_report_runs_each_once_per_document(self, runs, monkeypatch, tmp_path,
+                                                      capsys):
         # A positive and a negative document: the check report prints both
-        # oracles' results for each.
+        # oracles' results for each.  One flat oracle call refines both
+        # documents' flats; the commutant runs once per document.
+        covered = []
+
+        def flat_portions(boundaries, _fn=nrcore.flat_portions):
+            covered.append(len(boundaries))
+            return _fn(boundaries)
+
+        monkeypatch.setattr(nrcore, "flat_portions", flat_portions)
         docs = []
         for bf in (general_example_block(), random_block(np.random.default_rng(3))):
             m = bf.assemble()
@@ -616,7 +625,21 @@ class TestOracleRuns:
         assert cli.main(["check", "--format", "json", str(path), "--samples", "512"]) == 1
         reports = json.loads(capsys.readouterr().out)
         assert [r["verdict"] for r in reports] == ["BiElliptical", "NotBiElliptical"]
-        assert runs == {"flat_portions": 2, "commutant_dim": 2}
+        assert runs == {"flat_portions": 1, "commutant_dim": 2}
+        assert covered == [2]
+
+    def test_documents_share_one_flat_pass(self, runs):
+        # Nothing runs until a report's flats are read; the first read, here
+        # of a negative's, refines every document's flats in one call.
+        payloads = [general_example_block(), random_block(np.random.default_rng(3)),
+                    general_example_matrix()]
+        reports = verify.check_documents(payloads, 512)
+        assert runs == {}
+        assert reports[1].flats == ()
+        assert runs == {"flat_portions": 1}
+        assert [len(r.flats) for r in reports] == [2, 0, 2]
+        assert all(r.failures == [] for r in reports)
+        assert runs == {"flat_portions": 1}
 
     def test_boundary_svg_runs_no_commutant(self, runs, tmp_path):
         # The SVG draws the ellipses, flat portions and eigenvalues: the
@@ -892,6 +915,30 @@ class TestCheckDocument:
         shape = reciprocal_classify(payload) if kind.startswith("reciprocal") else None
         assert report.reciprocal is shape
         assert all(c.passed for c in verify.verify_checks(report))
+
+    def test_documents_in_one_call(self):
+        # Every input form in one check_documents call, with a raw matrix
+        # lacking scalar blocks in the middle: each report is what
+        # check_document gives that document alone.
+        m = CMatrix([[complex(i + 1 if i == j else 0.3, 0.1 * i) for j in range(4)]
+                     for i in range(4)])
+        payloads = [payload for payload, _ in self.cases().values()]
+        payloads.insert(2, m)
+        reports = verify.check_documents(payloads, 512)
+        assert len(reports) == len(payloads) and reports[2] is None
+        for payload, report in zip(payloads, reports):
+            if report is None:
+                continue
+            alone = verify.check_document(payload, 512)
+            assert report.verdict == alone.verdict
+            assert report.failures == alone.failures
+            assert report.commutant_dim == alone.commutant_dim
+            norm = float(np.linalg.norm(report.boundary.matrix))
+            assert len(report.flats) == len(alone.flats)
+            for f, g in zip(report.flats, alone.flats):
+                assert max(abs(p - q) for p, q in zip(f.endpoints, g.endpoints)) <= 1e-12 * norm
+                assert abs(f.length - g.length) <= 1e-12 * norm
+        assert verify.check_documents([], 512) == []
 
     def test_raw_matrix_without_scalar_blocks(self):
         m = CMatrix([[complex(i + 1 if i == j else 0.3, 0.1 * i) for j in range(4)]
