@@ -7,9 +7,10 @@ The decision chain, in increasing generality:
   nonzero (non-normal B) and a single quartic expression T in the entries
   vanishes.
 * ``check_general`` -- arbitrary block forms: search for the direction that
-  turns the off-diagonal block combination into a scalar multiple of a
-  unitary, then reduce to the special case, whose criterion T = 0 decides
-  and whose ellipses are mapped back.
+  best turns the off-diagonal block combination into a scalar multiple of a
+  unitary (``find_theta``), then reduce to the special case along it
+  (``reduce_to_special``, the one test that it does), whose criterion
+  T = 0 decides and whose ellipses are mapped back.
 * ``reciprocal_classify`` -- the tridiagonal reciprocal family, where the
   criteria collapse to equalities between the symmetrized entry functions.
 
@@ -41,7 +42,6 @@ from .forms import (
     reduce_to_special,
 )
 from .linalg import CMatrix
-from .nrcore import golden_min
 
 __all__ = [
     "Reason",
@@ -58,6 +58,7 @@ __all__ = [
     "check_special",
     "reducible_margin",
     "solve_b",
+    "golden_min",
     "find_theta",
     "check_general",
     "reciprocal_classify",
@@ -67,6 +68,7 @@ __all__ = [
 # criterion T = 0 included; no parameter sets it.
 # Directions sampled over [0, pi) before the golden-section refinement.
 _THETA_GRID = 4096
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class AlphaZeroError(ValueError):
@@ -238,9 +240,8 @@ def _positive_verdict(
 
 def _b_normal(sf: SpecialForm) -> bool:
     """Coupling normality b = 0, a linear gate on the coupling blocks
-    B* + I and B - I, whose tr H is 2 ||B||^2 + 4."""
-    norm_b2 = abs(sf.b1) ** 2 + abs(sf.b2) ** 2 + sf.b**2
-    return sf.b <= TOL * math.sqrt(2.0 * norm_b2 + 4.0)
+    B* + I and B - I, measured against their ``SpecialForm.tr_h``."""
+    return sf.b <= TOL * math.sqrt(sf.tr_h)
 
 
 def check_special(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
@@ -324,9 +325,32 @@ def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
     return None
 
 
+def golden_min(f, lo: float, hi: float) -> float:
+    """Golden-section minimizer of a unimodal ``f`` over [lo, hi].
+
+    Stops after 90 steps or once the bracket is narrower than 1e-14, and
+    returns the bracket's midpoint.
+    """
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(90):
+        if hi - lo < 1e-14:
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class ThetaSearch:
-    """Accepted direction for the scalar-unitary condition."""
+    """``find_theta``'s best direction, its multiple mu and its residual."""
 
     theta: float
     mu: float
@@ -369,29 +393,19 @@ def _polish_theta(h0: CMatrix, z0: CMatrix, theta_guess: float) -> float | None:
     return theta + shift * math.pi
 
 
-def _zero_multiples_only(bf: BlockForm) -> bool:
-    """The trace gate: min over theta of trace(M* M) is tr H - 2 |tr Z|, a
-    quadratic quantity; if it vanishes the only scalar-unitary candidates
-    have scalar zero."""
-    tr_h = bf.H.trace().real
-    return tr_h - 2.0 * abs(bf.Z.trace()) <= TOL * tr_h
-
-
 def find_theta(bf: BlockForm) -> ThetaSearch | None:
-    """Direction theta in [0, pi) making e^{-i t}C - e^{i t}D* scalar-unitary.
+    """Direction theta in [0, pi) nearest to M = e^{-i t}C - e^{i t}D* scalar-unitary.
 
-    The deviation d(theta) is a smooth trigonometric expression (entries of
-    M*M are degree one in cos 2 theta, sin 2 theta), so a dense grid plus
+    Its ``residual`` d(theta) = ||M*M - mu I||_F / ||M||_F^2, ||M||_F^2 = 2 mu,
+    is a smooth trigonometric expression (entries of M*M are degree one
+    in cos 2 theta, sin 2 theta), so a dense grid plus
     golden-section refinement of its best point cannot miss an exact root;
     an algebraic least-squares polish then removes the roundoff floor of the
-    search.  Directions where the scalar multiple vanishes are excluded.
-    One grid, one refinement.
+    search.  One grid, one refinement.
 
-    The gate is ||M*M - mu I||_F <= TOL ||M||_F^2, the one
-    ``reduce_to_special`` applies: ``dval`` is the ratio of the two, and
-    ||M||_F^2 = tr(M*M) = 2 mu.  It is not measured against tr H like the
-    other gates on the coupling blocks, so where mu is far below tr H it
-    is the stricter of the two yardsticks.
+    It only searches: ``reduce_to_special`` is the one gate on "M is a
+    nonzero scalar unitary".  Returns None only where the trace gate finds
+    every multiple zero, since d's denominator 2 mu then vanishes somewhere.
 
     Which root is taken does not matter: where two directions mod pi work,
     M D is normal, and ``check_general`` answers ProductNormal.  Rotate so
@@ -405,11 +419,13 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     a complex multiple of a Hermitian matrix and P is normal; M D = V D is
     unitarily similar to DV = P, hence normal.
     """
-    if _zero_multiples_only(bf):
-        return None
     h, z = bf.H, bf.Z
     tr_h = h.trace().real
     tr_z = z.trace()
+    # The trace gate: min over theta of tr(M*M) is tr H - 2 |tr Z|, a
+    # quadratic quantity; where it vanishes every multiple is zero.
+    if tr_h - 2.0 * abs(tr_z) <= TOL * tr_h:
+        return None
     ident = eye(2)
     h0 = h - (tr_h / 2.0) * ident
     z0 = z - (tr_z / 2.0) * ident
@@ -444,8 +460,6 @@ def find_theta(bf: BlockForm) -> ThetaSearch | None:
     if polished is not None and dval(polished) <= dval(t_star):
         t_star = polished
     d_min = dval(t_star)
-    if d_min > TOL:
-        return None
     theta = t_star % math.pi
     # A tiny negative t_star wraps onto pi itself in floating point.
     if theta == math.pi:
@@ -459,11 +473,13 @@ def check_general(bf: BlockForm) -> Verdict:
     """Classify an arbitrary block form by reduction to the special case.
 
     Needs a direction theta at which the block combination M is a nonzero
-    scalar multiple of a unitary with a non-normal product M D.  The
-    reduction along theta then hands the decision, its reason and the
-    geometry to ``check_special``: the criterion is T = 0 on the reduced
-    form.  Its B - I is unitarily similar to (2 / mu) e^{-i theta} M D, so
-    its coupling gate, b = 0, is the one test of "M D is normal", and its
+    scalar multiple of a unitary with a non-normal product M D.
+    ``find_theta`` picks theta and ``reduce_to_special`` tests it; where M
+    is no scalar unitary the answer is NoTheta, whose diagnostics keep the
+    failed theta, mu and ``theta_residual``.  Otherwise ``check_special``
+    decides on the reduced form, T = 0, and gives the reason and geometry.
+    Its B - I is unitarily similar to (2 / mu) e^{-i theta} M D, so its
+    coupling gate, b = 0, is the one test of "M D is normal", and its
     BNormal is reported as ProductNormal, as is a zero multiple.  Raises
     :class:`ScaleRangeError` on a nonzero shift-free scale outside
     [``MIN_SCALE``, ``MAX_SCALE``], where the decision's intermediates
@@ -472,22 +488,13 @@ def check_general(bf: BlockForm) -> Verdict:
     if not (MIN_SCALE <= (scale := bf.scale()) <= MAX_SCALE or scale == 0.0):
         raise ScaleRangeError(f"shift-free matrix scale {scale:.3e} is out of range: it must "
                               f"be 0 or at least {MIN_SCALE:g} and at most {MAX_SCALE:g}")
-    diagnostics: dict = {}
-
     found = find_theta(bf)
     if found is None:
-        if _zero_multiples_only(bf):
-            # The product with D of a zero multiple is zero, hence normal.
-            diagnostics["mu"] = 0.0
-            return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
-        return Verdict(False, Reason.NO_THETA, None, diagnostics)
-    theta = found.theta
-    diagnostics["theta"] = theta
-    diagnostics["mu"] = found.mu
-    diagnostics["theta_residual"] = found.residual
-
+        # The product with D of a zero multiple is zero, hence normal.
+        return Verdict(False, Reason.PRODUCT_NORMAL, None, {"mu": 0.0})
+    diagnostics = {"theta": found.theta, "mu": found.mu, "theta_residual": found.residual}
     try:
-        sf, frame = reduce_to_special(bf, theta)
+        sf, frame = reduce_to_special(bf, found.theta)
     except ZeroMultipleError:
         return Verdict(False, Reason.PRODUCT_NORMAL, None, diagnostics)
     except NotScalarUnitaryError:

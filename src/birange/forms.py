@@ -248,12 +248,14 @@ class SpecialForm:
             alpha=self.alpha, C=bmat.H + eye(2), D=bmat - eye(2), shift=0j
         )
 
-    def scale(self) -> float:
-        return self._scale
+    @property
+    def tr_h(self) -> float:
+        """tr H = ||B* + I||^2 + ||B - I||^2 = 2 ||B||_F^2 + 4 of the block form."""
+        return 2.0 * (abs(self.b1) ** 2 + abs(self.b2) ** 2 + self.b**2) + 4.0
 
-    @cached_property
-    def _scale(self) -> float:
-        return self.to_block().scale()
+    def scale(self) -> float:
+        """The block form's scale, sqrt(4 |alpha|^2 + tr H), in closed form."""
+        return math.hypot(2.0 * abs(self.alpha), math.sqrt(self.tr_h))
 
 
 @dataclass(frozen=True)
@@ -319,22 +321,24 @@ def reduce_to_special(bf: BlockForm, theta: float) -> tuple[SpecialForm, Frame]:
     of about eps sqrt(tr H), so past the cut, where ||M||_F^2 = 2 mu, it
     carries a relative rounding under eps / sqrt(TOL), about 7e-12, which
     the reduction's 2 / sqrt(mu) keeps, and T on the reduced form (degree 4)
-    stays about 30 times inside TOL.  The returned frame maps reduced-plane
-    geometry back via ``w -> shift + exp(i theta) (sqrt(mu)/2) w``.
+    stays about 30 times inside TOL.  The one test of "M is a nonzero scalar
+    unitary" raises :class:`ZeroMultipleError` below the cut and
+    :class:`NotScalarUnitaryError` where ||M*M - mu I||_F > TOL * 2 mu.  The
+    returned frame maps reduced-plane geometry back via
+    ``w -> shift + exp(i theta) (sqrt(mu)/2) w``.
     """
     m = direction_block(bf, theta)
     s = m.H @ m
     mu = 0.5 * (s[0, 0].real + s[1, 1].real)
-    m_norm2 = m.frobenius() ** 2
     # A vanishing M is a zero multiple of a unitary; test that before the
     # deviation, which is noise against noise there.
     if mu <= TOL * bf.H.trace().real:
         raise ZeroMultipleError("scalar multiple of the unitary is zero")
     dev = (s - mu * eye(2)).frobenius()
-    if dev > TOL * m_norm2:
+    if dev > TOL * 2.0 * mu:
         raise NotScalarUnitaryError(
             f"M*M deviates from a scalar by {dev:.3e} "
-            f"(relative {dev / m_norm2:.3e})"
+            f"(relative {dev / (2.0 * mu):.3e})"
         )
 
     rmu = math.sqrt(mu)

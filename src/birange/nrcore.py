@@ -11,7 +11,8 @@ Every Hermitian matrix an oracle solves is built in one place,
 :func:`_pencil`, and the trace shift is removed in one, :func:`boundary_support`.
 :func:`flat_portions` takes a sequence of boundaries and refines the
 candidates of all of them in one stacked pass, so one ``birange check``
-call refines all its documents' flats together.
+call refines all its documents' flats together.  The decision modules
+(``linalg``, ``forms``, ``criteria``) import nothing from this one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "generating_poly",
     "boundary_support",
     "flat_portions",
-    "golden_min",
 ]
 
 # Default resolution of the support-function oracle; the flat-portion
@@ -51,30 +51,6 @@ FLAT_MIN_SAMPLES = 512
 _FLAT_MIN_LENGTH_REL = 1e-8
 _RITZ_STEPS = 8
 _DEGENERATE_REL = 1e-11
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, lo: float, hi: float) -> float:
-    """Golden-section minimizer of a unimodal ``f`` over [lo, hi].
-
-    Stops after 90 steps or once the bracket is narrower than 1e-14, and
-    returns the bracket's midpoint.
-    """
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(90):
-        if hi - lo < 1e-14:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,10 @@ __all__ = [
     "commutant_dim",
 ]
 
-# Largest hull/oracle support gap accepted, relative to the range's diameter
-# (the diagonal of its bounding box, ``AuditReport.diameter``).
+# The audit's geometric resolution: the largest hull/oracle support gap
+# accepted, relative to the range's diameter (the diagonal of its bounding
+# box, ``AuditReport.diameter``), and the flat portions' largest relative
+# length error and turn (radians) against the center offset.
 _HULL_REL = 1e-6
 _HULL = "hull comparison"
 # Singular values below this times the oracle scale span the commutant.
@@ -338,7 +340,7 @@ class AuditReport:
         if self.hull_gap is not None:
             ok = self.hull_gap <= _HULL_REL * self.diameter
             checks.append(Check(_HULL, ok, f"Hausdorff {self.hull_gap:.3e}" if ok else (
-                f"hull/oracle Hausdorff {self.hull_gap:.3e} exceeds 1e-6 * diameter")))
+                f"hull/oracle Hausdorff {self.hull_gap:.3e} exceeds {_HULL_REL:g} * diameter")))
             checks += _flat_checks(self)
         if self.factorization is not None:
             ok = self.factorization.total <= TOL
@@ -367,8 +369,8 @@ def _flat_checks(report: AuditReport) -> list[Check]:
     checks = []
     for f in flats:
         turn = cmath.phase(f.direction) - cmath.phase(expected)
-        ok = (abs(f.length - abs(expected)) <= 1e-6 * abs(expected)
-              and abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= 1e-6)
+        ok = (abs(f.length - abs(expected)) <= _HULL_REL * abs(expected)
+              and abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= _HULL_REL)
         checks.append(Check("flat portions", ok, (
             f"flat portion (length {f.length:.9g}) "
             f"{'matches' if ok else 'does not match'} "

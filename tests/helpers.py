@@ -20,6 +20,7 @@ from birange.criteria import (
     _four_p_squared,
     _normalize_tilt,
     _positive_verdict,
+    golden_min,
     solve_b,
 )
 from birange.forms import (
@@ -542,7 +543,7 @@ def golden_flat_portions(boundary: nrcore.Boundary) -> list[nrcore.FlatPortion]:
     used: list[float] = []
     for k in candidates:
         theta0 = float(boundary.theta[k])
-        theta = nrcore.golden_min(gap, theta0 - step, theta0 + step)
+        theta = golden_min(gap, theta0 - step, theta0 + step)
         if gap(theta) > nrcore.FLAT_GAP_TOL * scale:
             continue
         if any(abs((theta - t + math.pi) % (2 * math.pi) - math.pi) < 0.75 * step

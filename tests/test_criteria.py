@@ -1,6 +1,8 @@
+import ast
 import cmath
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +20,15 @@ from birange.criteria import (
     ellipse_geometry,
     ellipse_pair_params,
     find_theta,
+    golden_min,
     reciprocal_classify,
     solve_b,
 )
 from birange.forms import TOL, BlockForm, ReciprocalForm, SpecialForm
 from birange.linalg import CMatrix, zeros
-from birange.nrcore import golden_min, pencil_eigs, spectrum
+from birange.nrcore import pencil_eigs, spectrum
 from helpers import (
+    _BI_FAMILIES,
     NotImagAlphaError,
     NotRealAlphaError,
     _im_square_eigenvalues,
@@ -284,11 +288,12 @@ class TestFindTheta:
         assert abs(found.mu - 4.0) <= 1e-9
 
     def test_generic_block_has_none(self, rng):
-        misses = 0
+        # A generic block has no scalar-unitary direction: the search still
+        # returns its best one, whose residual fails the reduction's gate.
         for _ in range(50):
-            if find_theta(random_block(rng)) is None:
-                misses += 1
-        assert misses == 50
+            bf = random_block(rng)
+            assert find_theta(bf).residual > TOL
+            assert check_general(bf).reason is Reason.NO_THETA
 
     def test_disguised_special_found(self, rng):
         for _ in range(50):
@@ -408,6 +413,74 @@ class TestZeroMultipleBand:
             raised += zero
             assert (verdict.reason is Reason.PRODUCT_NORMAL) == zero
         assert raised > 0
+
+
+class TestOneScalarUnitaryGate:
+    """``reduce_to_special`` is the one test of "M is a nonzero scalar
+    unitary": ``find_theta`` only searches, and ``check_general`` answers
+    NoTheta exactly where the reduction along its direction refuses."""
+
+    @staticmethod
+    def forms(rng):
+        for _ in range(30):
+            yield random_block(rng)
+        for _ in range(200):
+            yield zero_multiple_band_block(rng)
+        # C = U, D = kU*: every multiple zero at k = 1 (the trace gate),
+        # every direction scalar-unitary with a normal product otherwise.
+        for u in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1j))):
+            unitary = CMatrix(u)
+            for k in (0.5, 1.0, 2.5):
+                yield BlockForm(alpha=0.3, C=unitary, D=k * unitary.H)
+        yield from TestRefineOnce.forms(rng)
+        for family in _BI_FAMILIES:
+            for _ in range(10):
+                yield disguise(rng, family(rng))[0]
+
+    def test_no_theta_exactly_where_the_reduction_refuses(self, rng):
+        reasons = set()
+        for bf in self.forms(rng):
+            verdict = check_general(bf)
+            reasons.add(verdict.reason)
+            found = find_theta(bf)
+            refused = zero = b_normal = False
+            if found is None:
+                zero = True
+            else:
+                try:
+                    sf, _ = forms.reduce_to_special(bf, found.theta)
+                    b_normal = check_special(sf).reason is Reason.B_NORMAL
+                except forms.ZeroMultipleError:
+                    zero = True
+                except forms.NotScalarUnitaryError:
+                    refused = True
+            assert (verdict.reason is Reason.NO_THETA) == refused
+            assert (verdict.reason is Reason.PRODUCT_NORMAL) == (zero or b_normal)
+            if refused:
+                d = verdict.diagnostics
+                assert (d["theta"], d["mu"], d["theta_residual"]) == (
+                    found.theta, found.mu, found.residual)
+                assert d["theta_residual"] > TOL
+        assert {None, Reason.NO_THETA, Reason.PRODUCT_NORMAL, Reason.T_NONZERO} <= reasons
+
+
+class TestDecisionSideImports:
+    def test_no_oracle_module_imported(self):
+        # linalg, forms and criteria decide; nrcore, verify and cli sample,
+        # audit and format, and the decision side imports none of them.
+        src = Path(criteria.__file__).parent
+        for name in ("linalg", "forms", "criteria"):
+            for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+                if isinstance(node, ast.Import):
+                    imported = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    imported = [base] + [f"{base}.{a.name}" for a in node.names]
+                else:
+                    continue
+                for dotted in imported:
+                    assert not {"nrcore", "verify", "cli"} & set(dotted.split(".")), \
+                        (name, dotted)
 
 
 class TestRefineOnce:

@@ -262,11 +262,11 @@ class TestSpecialFormValidation:
             return to_block(self)
 
         monkeypatch.setattr(SpecialForm, "to_block", counted)
+        # The scale is closed-form, sqrt(4 |alpha|^2 + tr H): no block form
+        # is built for it, and it is the block form's within 4 ulps.
         first = sf.scale()
-        assert first == sf.to_block().scale()
-        calls.clear()
-        assert sf.scale() == first
         assert calls == []
+        assert abs(first - sf.to_block().scale()) <= 4 * math.ulp(first)
 
     def test_views(self):
         sf = SpecialForm(u=0.1, v=0.2, b1=3 + 4j, b2=-1 - 2j, b=0.5)

@@ -6,13 +6,12 @@ import pytest
 
 from birange.forms import BlockForm, SpecialForm, ReciprocalForm
 from birange import nrcore, verify
-from birange.criteria import check_general
+from birange.criteria import check_general, golden_min
 from birange.linalg import CMatrix, eig2, eye, zeros
 from birange.nrcore import (
     boundary_support,
     flat_portions,
     generating_poly,
-    golden_min,
     pencil_eigs,
     spectrum,
 )
