@@ -54,7 +54,6 @@ from .verify import (
     AuditReport,
     Check,
     audit,
-    check_document,
     check_documents,
     commutant_dim,
     factorization_residual,

@@ -4,8 +4,8 @@ Input is a JSON document describing one matrix (or an array of them for
 batch runs).  Complex numbers are 2-element arrays ``[re, im]``; plain
 numbers are accepted where a real value is meant.  This module only parses,
 formats and maps outcomes to exit codes: ``verify.check_documents`` audits
-the documents of one call, and ``forms.detect_block`` splits a raw matrix
-into blocks.
+the documents of one call, ``verify.audit`` the one document of an SVG
+overlay, and ``forms.detect_block`` splits a raw matrix into blocks.
 
 Numbers must be finite with magnitude at most 1e36.  A matrix that
 ``check``, ``verify`` or ``boundary --format svg`` classifies must, less its
@@ -376,7 +376,7 @@ def cmd_boundary(args) -> int:
     # A raw matrix without scalar diagonal blocks is drawn with no overlay.
     audited = None
     if args.format == "svg":
-        audited = verify.check_document(payload, max(args.samples, nrcore.FLAT_MIN_SAMPLES))
+        audited = verify.audit(payload, samples=max(args.samples, nrcore.FLAT_MIN_SAMPLES))
     matrix = payload if kind == "raw" else forms.as_block(payload).assemble()
     boundary = nrcore.boundary_support(matrix, args.samples)
     if args.format == "csv":

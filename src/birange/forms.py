@@ -299,12 +299,17 @@ class ReciprocalForm:
 
 def as_block(payload) -> BlockForm | None:
     """The block form of a parsed document: :func:`detect_block` of a raw
-    ``CMatrix``, else the form itself or its ``to_block()``."""
+    4x4 ``CMatrix``, else the form itself or its ``to_block()``."""
     if isinstance(payload, CMatrix):
+        if payload.n != 4:
+            raise ValueError("expected a 4x4 matrix")
         return detect_block(payload)
     if isinstance(payload, BlockForm):
         return payload
-    return payload.to_block()
+    if isinstance(payload, (SpecialForm, ReciprocalForm)):
+        return payload.to_block()
+    raise TypeError("expected a CMatrix, BlockForm, SpecialForm or ReciprocalForm "
+                    f"document, got {type(payload).__name__}")
 
 
 def direction_block(bf: BlockForm, theta: float) -> CMatrix:

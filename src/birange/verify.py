@@ -17,14 +17,14 @@ with no discretization floor.  :func:`hull_boundary`, :func:`hausdorff` and
 cross-check oracles in the tests; they stay until the benchmark's tracer
 (``bench/tracing.py`` ``LAYERS``) stops looking them up (ROADMAP item 1).
 
-:func:`check_documents` classifies and audits parsed documents, and
-:func:`check_document` one of them.  :func:`audit` samples the boundary
-once per matrix; its report derives the consistency :class:`Check` values
-of a verdict from the oracles, and the flat-portion and commutant oracles
-run only when their results are read.  The reports of one
-:func:`check_documents` call share one flat-portion pass, which refines
-every document's flats together on the first read of any; the commutant
-stays per document.
+:func:`audit` is the one audit of a parsed document: it finds the block
+form, takes ``check_general``'s verdict unless given one, and samples the
+boundary once; its report derives the consistency :class:`Check` values
+of the verdict from the oracles, and the flat-portion and commutant
+oracles run only when their results are read.  :func:`check_documents`
+audits a sequence of documents, whose reports share one flat-portion
+pass, which refines every document's flats together on the first read of
+any; the commutant stays per document.
 :func:`verify_checks` adds the spot checks that only ``birange verify``
 runs.
 """
@@ -60,7 +60,6 @@ __all__ = [
     "HullComparison",
     "FactorizationResidual",
     "audit",
-    "check_document",
     "check_documents",
     "verify_checks",
     "hull_support_gap",
@@ -289,8 +288,8 @@ class _FlatPass:
 class AuditReport:
     """Oracle results for one matrix and the consistency checks of a verdict.
 
-    ``block``, ``verdict`` and ``reciprocal`` are what :func:`audit` was
-    given.  ``eigenvalues`` include the trace shift; ``boundary`` samples
+    ``block``, ``verdict`` and ``reciprocal`` are what :func:`audit`
+    audited.  ``eigenvalues`` include the trace shift; ``boundary`` samples
     the shift-free ``boundary.matrix``, the audited matrix less a quarter
     of its trace, ``boundary.origin``, times I: the support function and
     the top eigenvalue gap at :func:`audit`'s ``samples`` equispaced
@@ -379,42 +378,49 @@ def _flat_checks(report: AuditReport) -> list[Check]:
 
 
 def audit(
-    bf: BlockForm,
-    verdict: Verdict,
+    document,
+    verdict: Verdict | None = None,
     samples: int = nrcore.DEFAULT_SAMPLES,
-    matrix: CMatrix | None = None,
-    reciprocal: ReciprocalShape | None = None,
-) -> AuditReport:
-    """Sample ``bf``'s boundary once and report on its ``check_general`` verdict.
+) -> AuditReport | None:
+    """Sample a parsed document's boundary once and report on a verdict.
 
-    The oracles sample ``matrix`` (default ``bf.assemble()``; a raw input
-    passes itself) less ``boundary.origin`` I in ``samples`` directions,
-    at least ``nrcore.FLAT_MIN_SAMPLES`` so that the flat-portion oracle can
-    run on them, at the cost of one batched ``eigvalsh`` of ``samples / 2``
-    matrices, the audit's one LAPACK call besides the flat oracle's.  As
-    ``samples`` is a multiple of 4, theta = 0, pi / 2, pi and 3 pi / 2 are
-    among them, and their support values give ``diameter``, which scales
-    the gates.  The hull gap is a maximum over those directions, so an
-    error peaking between two of them reads smaller by a relative
-    (pi / samples)^2 or so; ``tests/test_audit_strength.py`` holds the
-    default, ``nrcore.DEFAULT_SAMPLES``, to what 2048 samples catch.  Every
-    check here and in :func:`verify_checks` reads support values only, so
-    the boundary oracle runs without points (eigenvalues only).
-    ``reciprocal`` is the reciprocal classification when ``bf`` came
-    from a reciprocal form and must agree with the verdict.  A positive
-    verdict must have its hull of ellipses within ``1e-6 * diameter`` of the
-    sampled range and two flat portions that match the offset between the
-    ellipse centers.  Whenever the verdict carries a reduced form, the
-    generating polynomial must factor into the two claimed quadratics up to a
-    factorization residual of ``TOL``.  The report derives these ``checks``;
-    the flat oracle runs on first read of them, ``failures`` or ``flats``.
+    The document is a raw 4x4 ``CMatrix`` (None without scalar diagonal
+    blocks), a ``BlockForm``, a ``SpecialForm`` or a ``ReciprocalForm``,
+    ``bf`` its ``forms.as_block``, and the verdict by default
+    ``check_general(bf)``.  The oracles sample a raw matrix as given, any
+    other document as ``bf.assemble()``, less ``boundary.origin`` I
+    in ``samples`` directions, at least ``nrcore.FLAT_MIN_SAMPLES`` so that
+    the flat-portion oracle can run on them, at the cost of one batched
+    ``eigvalsh`` of ``samples / 2`` matrices, the audit's one LAPACK call
+    besides the flat oracle's.  As ``samples`` is a multiple of 4,
+    theta = 0, pi / 2, pi and 3 pi / 2 are among them, and their support
+    values give ``diameter``, which scales the gates.  The hull gap is a
+    maximum over those directions, so an error peaking between two of them
+    reads smaller by a relative (pi / samples)^2 or so;
+    ``tests/test_audit_strength.py`` holds the default,
+    ``nrcore.DEFAULT_SAMPLES``, to what 2048 samples catch.  Every check
+    here and in :func:`verify_checks` reads support values only, so the
+    boundary oracle runs without points (eigenvalues only).  A reciprocal
+    form's closed-form classification must agree with the verdict.  A
+    positive verdict must have its hull of ellipses within
+    ``1e-6 * diameter`` of the sampled range and two flat portions that
+    match the offset between the ellipse centers.  Whenever the verdict
+    carries a reduced form, the generating polynomial must factor into the
+    two claimed quadratics up to a factorization residual of ``TOL``.  The
+    report derives these ``checks``; the flat oracle runs on first read of
+    them, ``failures`` or ``flats``.
     """
     if samples < nrcore.FLAT_MIN_SAMPLES or samples % 4:
         raise ValueError(f"flat detection needs at least {nrcore.FLAT_MIN_SAMPLES} support "
                          "samples, and the bounding box a multiple of 4")
+    bf = as_block(document)
+    if bf is None:
+        return None
+    reciprocal = reciprocal_classify(document) if isinstance(document, ReciprocalForm) else None
+    verdict = check_general(bf) if verdict is None else verdict
     eigenvalues = tuple(e + bf.shift for e in nrcore.spectrum(bf).all_eigenvalues)
-    boundary = nrcore.boundary_support(bf.assemble() if matrix is None else matrix,
-                                       samples, points=False)
+    boundary = nrcore.boundary_support(
+        document if isinstance(document, CMatrix) else bf.assemble(), samples, points=False)
     h = boundary.support[::samples // 4].tolist()
     diameter = math.hypot(h[0] + h[2], h[1] + h[3])
     positive = verdict.bielliptical and verdict.ellipses is not None
@@ -428,32 +434,15 @@ def audit(
 
 def check_documents(payloads: Sequence, samples: int = nrcore.DEFAULT_SAMPLES
                     ) -> list[AuditReport | None]:
-    """:func:`audit` of the ``check_general`` verdict on each raw
-    ``CMatrix``, ``BlockForm``, ``SpecialForm`` or ``ReciprocalForm``, in
-    order; None for a raw matrix without scalar diagonal blocks
-    (``forms.as_block``).  A raw matrix is audited as given, a reciprocal
-    form with its shape.  The reports share one :class:`_FlatPass`, so the
-    flat portions of every document are refined in one
+    """:func:`audit` of each document with its ``check_general`` verdict,
+    in order.  The reports share one :class:`_FlatPass`, so the flat
+    portions of every document are refined in one
     :func:`nrcore.flat_portions` call, on the first read of any report's
     ``flats`` (or of a positive's ``checks``); the commutant stays per
     document."""
-    reports = [_audit_document(payload, samples) for payload in payloads]
+    reports = [audit(payload, samples=samples) for payload in payloads]
     shared = _FlatPass([r.boundary for r in reports if r is not None])
     return [None if r is None else replace(r, flat_pass=shared) for r in reports]
-
-
-def check_document(payload, samples: int = nrcore.DEFAULT_SAMPLES) -> AuditReport | None:
-    """:func:`check_documents` of one document."""
-    return check_documents([payload], samples)[0]
-
-
-def _audit_document(payload, samples: int) -> AuditReport | None:
-    bf = as_block(payload)
-    if bf is None:
-        return None
-    shape = reciprocal_classify(payload) if isinstance(payload, ReciprocalForm) else None
-    return audit(bf, check_general(bf), samples,
-                 matrix=payload if isinstance(payload, CMatrix) else None, reciprocal=shape)
 
 
 def verify_checks(report: AuditReport) -> list[Check]:
@@ -468,7 +457,8 @@ def verify_checks(report: AuditReport) -> list[Check]:
     the pencil eigenvalues (the closed form against the eigenvalues of that
     same LAPACK ``eigh``) and the generating polynomial, which must
     annihilate them: one closed-form pencil solve over all 16 as an array
-    serves both.
+    serves both.  The last three gates are relative to the oracle scale
+    ||``boundary.matrix``||_F, like the flat-portion oracle's.
     These four never read the verdict, so no forged verdict can fail them:
     the first two hold LAPACK's support values to the block structure (a
     range symmetric about its center that holds the closed-form spectrum),
@@ -479,7 +469,8 @@ def verify_checks(report: AuditReport) -> list[Check]:
     and either near them (``_IRREDUCIBILITY``).  Every other failed
     consistency check comes last.
     """
-    bf, verdict, scale = report.block, report.verdict, report.block.scale()
+    bf, verdict = report.block, report.verdict
+    scale = float(np.linalg.norm(report.boundary.matrix))
     support = report.boundary.support
     # Re(e^{-i theta} z) = cos(theta) Re z + sin(theta) Im z, on the
     # oracle's own directions.

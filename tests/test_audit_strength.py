@@ -18,7 +18,6 @@ import pytest
 
 from birange import cli, nrcore, verify
 from birange.forms import SpecialForm
-from birange.linalg import CMatrix
 from helpers import ELLIPSE_FORGERIES, disguise, forge_verdict, load_bench_module
 
 DELTAS = (1e-5, 3e-6, 1e-6, 3e-7, 1e-7)
@@ -54,16 +53,14 @@ def forms() -> dict[str, list]:
 def reports(samples: int) -> list[tuple]:
     """(payload, report of its true verdict) for every form at ``samples``:
     the positives first, then the 20 negatives."""
-    return [(p, verify.check_document(p, samples))
+    return [(p, verify.audit(p, samples=samples))
             for group in forms().values() for p in group]
 
 
 def caught(payload, report: verify.AuditReport, kind: str, delta: float) -> bool:
     """Whether the audit fails ``report``'s verdict with a planted error."""
     forged = forge_verdict(report.verdict, kind, delta)
-    raw = payload if isinstance(payload, CMatrix) else None
-    return bool(verify.audit(report.block, forged, len(report.boundary.support),
-                             matrix=raw, reciprocal=report.reciprocal).failures)
+    return bool(verify.audit(payload, forged, len(report.boundary.support)).failures)
 
 
 @functools.cache
@@ -86,11 +83,11 @@ class TestAuditStrength:
         # The localized forms' flat portions are at most 1e-3 of the
         # diameter long; the near-degenerate form's ellipses are needles.
         for p in forms()["localized"]:
-            report = verify.check_document(p)
+            report = verify.audit(p)
             e1, e2 = report.verdict.ellipses
             assert abs(e1.center - e2.center) <= 1e-3 * report.diameter
         (p,) = forms()["near-degenerate"]
-        e1, _ = verify.check_document(p).verdict.ellipses
+        e1, _ = verify.audit(p).verdict.ellipses
         assert e1.semi_minor <= 1e-3 * e1.semi_major
 
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)

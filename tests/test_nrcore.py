@@ -6,7 +6,7 @@ import pytest
 
 from birange.forms import BlockForm, SpecialForm, ReciprocalForm
 from birange import nrcore, verify
-from birange.criteria import check_general, golden_min
+from birange.criteria import golden_min
 from birange.linalg import CMatrix, eig2, eye, zeros
 from birange.nrcore import (
     boundary_support,
@@ -414,13 +414,17 @@ def test_far_shifted_points_reach_the_segment_ends(r):
 @pytest.mark.parametrize("m", [eye(2), np.eye(2), np.eye(4)[:3]],
                          ids=["CMatrix-2x2", "ndarray-2x2", "ndarray-3x4"])
 def test_oracles_reject_other_shapes(m):
-    # flat_portions reads the matrix its Boundary sampled.
-    bf = general_example_block()
+    # flat_portions reads the matrix its Boundary sampled.  The audit takes
+    # a document, which an array is not.
     oracles = [
         lambda: boundary_support(m, 64),
         lambda: verify.commutant_dim(m),
-        lambda: verify.audit(bf, check_general(bf), 512, matrix=m),
     ]
+    if isinstance(m, CMatrix):
+        oracles.append(lambda: verify.audit(m, samples=512))
+    else:
+        with pytest.raises(TypeError, match="expected a CMatrix, BlockForm"):
+            verify.audit(m, samples=512)
     for oracle in oracles:
         with pytest.raises(ValueError, match="expected a 4x4 matrix"):
             oracle()
@@ -451,7 +455,7 @@ class TestPointsFreeOracle:
         # With 4 | n the four axis directions are sampled, so the audit's
         # bounding box, read off its support values, is the sampled points'.
         box = math.hypot(np.ptp(full.points.real), np.ptp(full.points.imag))
-        report = verify.check_document(m, n)
+        report = verify.audit(m, samples=n)
         assert abs(report.diameter - box) <= 1e-14 * box + slack
         return len(flats)
 

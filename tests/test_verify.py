@@ -10,7 +10,6 @@ import pytest
 
 from birange.criteria import (
     Ellipse,
-    ReciprocalShape,
     check_general,
     check_special,
     criterion_T,
@@ -43,6 +42,7 @@ from helpers import (
     disguise,
     ellipse_support,
     fig_left_special,
+    forge_verdict,
     general_example_block,
     general_example_matrix,
     kron_commutant_system,
@@ -344,7 +344,7 @@ class TestAudit:
     def test_positive_matches_the_oracles(self):
         bf = reciprocal_two_ellipse().to_block()
         verdict = check_general(bf)
-        report = audit(bf, verdict, 1024, reciprocal=ReciprocalShape.BI_ELLIPTICAL)
+        report = audit(reciprocal_two_ellipse(), verdict, 1024)
         samples = boundary_support(bf.assemble(), 1024, points=False)
         assert report.hull_gap == hull_support_gap(*verdict.ellipses, samples)
         sf = verdict.diagnostics["reduced_form"]
@@ -362,10 +362,8 @@ class TestAudit:
     def test_checks_are_a_derived_tuple(self):
         # The report derives its checks from its fields on first read and
         # keeps them: a tuple, the same on every read.
-        shape = reciprocal_classify(reciprocal_two_ellipse())
-        for bf, reciprocal in ((reciprocal_two_ellipse().to_block(), shape),
-                               (general_example_block(), None)):
-            report = audit(bf, check_general(bf), 512, reciprocal=reciprocal)
+        for document in (reciprocal_two_ellipse(), general_example_block()):
+            report = audit(document, samples=512)
             first = report.checks
             assert isinstance(first, tuple) and first
             assert report.checks is first and report.checks == first
@@ -390,8 +388,10 @@ class TestAudit:
         assert flat_rows == [False, False]
 
     def test_reciprocal_disagreement_fails(self):
-        bf = reciprocal_two_ellipse().to_block()
-        report = audit(bf, check_general(bf), 512, reciprocal=ReciprocalShape.NEITHER)
+        # The closed form says BiElliptical; a verdict forged negative
+        # disagrees with it and meets no other check.
+        rf = reciprocal_two_ellipse()
+        report = audit(rf, forge_verdict(check_general(rf.to_block()), "negative"), 512)
         assert report.failures == [
             "reciprocal classification disagrees with the general check"
         ]
@@ -499,7 +499,7 @@ class TestAuditLapackBudget:
 
 class TestDefaultSamples:
     """``nrcore.DEFAULT_SAMPLES`` is the one default resolution behind
-    ``check``, ``verify``, ``boundary`` and ``check_document``;
+    ``check``, ``verify``, ``boundary`` and ``audit``;
     ``tests/test_audit_strength.py`` holds it to 2048 samples' strength."""
 
     def test_constant(self):
@@ -519,8 +519,8 @@ class TestDefaultSamples:
         payloads = [general_example_matrix()] + [random_block(rng) for _ in range(3)]
         for payload in payloads:
             counts, report = TestAuditLapackBudget.calls(
-                monkeypatch, verify, "check_document",
-                lambda: verify.check_document(payload),
+                monkeypatch, verify, "audit",
+                lambda: verify.audit(payload),
                 names=("eigh", "eigvalsh", "svd"), outside=[(nrcore, "flat_portions")])
             assert counts == {("eigvalsh", (half,)): 1}
             assert len(report.boundary.support) == nrcore.DEFAULT_SAMPLES
@@ -756,7 +756,7 @@ class TestShiftFreeAudit:
         # The raw worked example shifted by 1e10 e^{0.7i}: its support values
         # and flat gaps would carry about eps * 1e10 = 2e-6 of rounding.
         m = self.shifted_example(1e10)
-        report = verify.check_document(m)
+        report = verify.audit(m)
         assert report.verdict.bielliptical
         assert report.failures == []
         assert len(report.flats) == 2
@@ -772,17 +772,15 @@ class TestShiftFreeAudit:
         # semi-major axis grown by as much, moves the hull's support by that
         # much at some direction: ten times the hull gate, at every shift.
         m = self.shifted_example(r)
-        bf = as_block(m)
-        verdict = check_general(bf)
-        report = audit(bf, verdict, 512, matrix=m)
+        verdict = check_general(as_block(m))
+        report = audit(m, verdict, 512)
         assert report.failures == []
         e1, e2 = verdict.ellipses
         move = 1e-5 * report.diameter
         away = (e1.center - e2.center) / abs(e1.center - e2.center)
         for forged in (dataclasses.replace(e1, center=e1.center + move * away),
                        dataclasses.replace(e1, semi_major=e1.semi_major + move)):
-            report = audit(bf, dataclasses.replace(verdict, ellipses=(forged, e2)), 512,
-                           matrix=m)
+            report = audit(m, dataclasses.replace(verdict, ellipses=(forged, e2)), 512)
             hull = next(c for c in report.checks if c.name == "hull comparison")
             assert not hull.passed
 
@@ -798,7 +796,7 @@ class TestShiftFreeAudit:
                 inst, alpha=t * inst["alpha"] + shift, beta=t * inst["beta"] + shift,
                 C=[[t * x for x in row] for row in inst["C"]],
                 D=[[t * x for x in row] for row in inst["D"]]))
-            report = verify.check_document(cli.parse_matrix_spec(doc)[1])
+            report = verify.audit(cli.parse_matrix_spec(doc)[1])
             assert report.failures == []
 
     def test_forged_spectrum_fails_containment_at_far_shift(self, monkeypatch):
@@ -807,7 +805,7 @@ class TestShiftFreeAudit:
         # that grew with the shift (1e-9 * |shift| = 10 here) would pass it.
         m = self.shifted_example(1e10)
         bf = as_block(m)
-        report = verify.check_document(m)
+        report = verify.audit(m)
         true = nrcore.spectrum(bf)
         theta, cos_sin = nrcore._direction_grid(len(report.boundary.support))
         sigma = true.sigma1 + (bf.shift - report.boundary.origin)
@@ -816,7 +814,7 @@ class TestShiftFreeAudit:
         forged = dataclasses.replace(true, sigma1=true.sigma1 + cmath.exp(1j * theta[k]) * (
             gap[k] + 1e-6 * bf.scale()))
         monkeypatch.setattr(nrcore, "spectrum", lambda _: forged)
-        checks = verify.verify_checks(verify.check_document(m))
+        checks = verify.verify_checks(verify.audit(m))
         row = next(c for c in checks if c.name == "eigenvalue containment")
         assert not row.passed
 
@@ -854,7 +852,7 @@ class TestShortCenterOffset:
             assert abs(got.semi_minor - e.semi_minor) <= tol
             assert abs(turn) * (e.semi_major - e.semi_minor) <= tol
         # Both flat rows pass: each flat matches the center offset.
-        report = verify.check_document(bf)
+        report = verify.audit(bf)
         assert report.failures == []
         assert [c.name for c in report.checks].count("flat portions") == 2
 
@@ -863,13 +861,13 @@ class TestShortCenterOffset:
         "rows resolve, so a correct positive fails them and `check` exits 3"))
     def test_shorter_offset_is_audited(self, rng):
         bf, _ = self.disguised(realize(0.5, 0.3, 1e-6), rng)
-        report = verify.check_document(bf)
+        report = verify.audit(bf)
         assert report.verdict.bielliptical
         assert report.failures == []
 
 
 class TestCheckDocument:
-    """``verify.check_document`` is the one library call per parsed document
+    """``verify.audit`` is the one library call per parsed document
     behind ``check``, ``verify`` and ``boundary --format svg``."""
 
     @staticmethod
@@ -905,7 +903,7 @@ class TestCheckDocument:
         path.write_text(json.dumps(doc))
         code = cli.main(["check", "--format", "json", str(path), "--samples", "512"])
         printed = json.loads(capsys.readouterr().out)
-        report = verify.check_document(payload, 512)
+        report = verify.audit(payload, samples=512)
         verdict = report.verdict
         assert (verdict.kind, verdict.reason.value if verdict.reason else None,
                 report.failures) == (printed["verdict"], printed["reason"],
@@ -919,7 +917,7 @@ class TestCheckDocument:
     def test_documents_in_one_call(self):
         # Every input form in one check_documents call, with a raw matrix
         # lacking scalar blocks in the middle: each report is what
-        # check_document gives that document alone.
+        # audit gives that document alone.
         m = CMatrix([[complex(i + 1 if i == j else 0.3, 0.1 * i) for j in range(4)]
                      for i in range(4)])
         payloads = [payload for payload, _ in self.cases().values()]
@@ -929,7 +927,7 @@ class TestCheckDocument:
         for payload, report in zip(payloads, reports):
             if report is None:
                 continue
-            alone = verify.check_document(payload, 512)
+            alone = verify.audit(payload, samples=512)
             assert report.verdict == alone.verdict
             assert report.failures == alone.failures
             assert report.commutant_dim == alone.commutant_dim
@@ -944,7 +942,7 @@ class TestCheckDocument:
         m = CMatrix([[complex(i + 1 if i == j else 0.3, 0.1 * i) for j in range(4)]
                      for i in range(4)])
         assert detect_block(m) is None
-        assert verify.check_document(m) is None
+        assert verify.audit(m) is None
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 5: a positive whose ellipses fall under the 1e-13 * "
@@ -954,6 +952,61 @@ class TestCheckDocument:
         # Real case (ii) at b = 1e-6: z - r = 2.47e-13 is under the guard's
         # 4.68e-13, so the verdict says "ellipse degenerates into the
         # doubleton of its foci" and `check` exits 0 on it unaudited.
-        report = verify.check_document(SpecialForm(0.0, 0.0, 0.5j, -0.3j, 1e-6), 512)
+        report = verify.audit(SpecialForm(0.0, 0.0, 0.5j, -0.3j, 1e-6), samples=512)
         assert report.verdict.bielliptical
         assert report.hull_gap is not None
+
+
+class TestOneAuditEntry:
+    """``audit(document)`` works out the block form, the verdict, the sampled
+    matrix and the reciprocal shape from the document alone, as a
+    ``check_documents`` call does."""
+
+    @staticmethod
+    def documents():
+        no_blocks = CMatrix([[complex(i + 1 if i == j else 0.3, 0.1 * i) for j in range(4)]
+                             for i in range(4)])
+        return {
+            "raw": general_example_matrix(),
+            "raw-negative": random_block(np.random.default_rng(3)).assemble(),
+            "block": general_example_block(),
+            "special": SpecialForm(0.1, 0.0, 0.6 - 0.2j, 0.4 - 0.2j, 1.0),
+            "reciprocal": reciprocal_two_ellipse(),
+            "reciprocal-near-line": dataclasses.replace(reciprocal_two_ellipse(), a2=1.0001),
+            "raw-without-blocks": no_blocks,
+        }
+
+    @pytest.mark.parametrize("kind", ["raw", "raw-negative", "block", "special", "reciprocal",
+                                      "reciprocal-near-line", "raw-without-blocks"])
+    def test_same_report_as_check_documents(self, kind):
+        document = self.documents()[kind]
+        report, (batch,) = audit(document), verify.check_documents([document])
+        if kind == "raw-without-blocks":
+            assert report is None and batch is None
+            return
+        for name in ("verdict", "reciprocal", "eigenvalues", "diameter", "hull_gap",
+                     "factorization", "failures", "flats", "commutant_dim"):
+            assert getattr(report, name) == getattr(batch, name), name
+        assert np.array_equal(report.boundary.support, batch.boundary.support)
+        assert np.array_equal(report.boundary.matrix, batch.boundary.matrix)
+        # The default verdict is check_general's: passing it changes nothing.
+        assert audit(document, report.verdict).failures == report.failures
+
+    def test_raw_document_is_sampled_as_given(self):
+        # Off-block entries moved by 1e-12 of the scale stay inside
+        # detect_block's tolerance, so the document has a block form, but
+        # that form's assembled matrix has zeros there; the audit samples
+        # the document itself, less a quarter of its trace.
+        m = general_example_matrix()
+        a = np.asarray(m.rows, dtype=complex)
+        step = 1e-12 * nrcore._oracle_scale(a)
+        for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+            a[i, j] += step
+        raw = CMatrix(a.tolist())
+        assert detect_block(raw) is not None
+        report = audit(raw)
+        assert np.array_equal(report.boundary.matrix,
+                              a - complex(np.trace(a)) / 4 * np.eye(4))
+        b = np.asarray(report.block.assemble().rows, dtype=complex)
+        assert not np.array_equal(report.boundary.matrix,
+                                  b - complex(np.trace(b)) / 4 * np.eye(4))
