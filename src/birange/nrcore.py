@@ -1,7 +1,8 @@
 """Numerical range core: spectra, pencil eigenvalues, boundary oracle.
 
 The closed-form side (spectra via the 2x2 product block, pencil eigenvalues,
-the quartic generating polynomial of the boundary curve) is computed from
+the quartic generating polynomial of the boundary curve, kept as its five
+w-coefficients) is computed from
 the deterministic fixed-size arithmetic of :mod:`birange.linalg`, with
 elementwise numpy where it takes many directions at once.  The
 support-function boundary oracle and the flat-portion detector are oracles:
@@ -115,35 +116,24 @@ class GeneratingPoly:
     """Coefficients of the boundary generating polynomial.
 
     The characteristic polynomial of Im(e^{-i theta} A) is
-    ``lam^4 - xi1(theta) lam^2 + xi2(theta)``; xi1 is a degree-2 and 16*xi2
-    a degree-4 trigonometric polynomial whose coefficients are stored here.
-    ``xi1``, ``xi2`` and ``evaluate`` take floats or arrays, elementwise.
+    ``lam^4 - xi1(theta) lam^2 + xi2(theta)`` (Kippenhahn, Math. Nachr. 6,
+    1951), with xi1 = k0 + Re(k1 w) and xi2 = a0 + Re(a1 w + a2 w^2) in
+    w = e^{-2i theta}, the convention of :func:`pencil_eigs`.  ``xi1``,
+    ``xi2`` and ``evaluate`` take floats or arrays, elementwise.
     """
 
-    xi1_const: float
-    xi1_cos2: float
-    xi1_sin2: float
-    xi2_const_x16: float
-    xi2_cos2_x16: float
-    xi2_sin2_x16: float
-    xi2_cos4_x16: float
-    xi2_sin4_x16: float
+    k0: float
+    k1: complex
+    a0: float
+    a1: complex
+    a2: complex
 
     def xi1(self, theta):
-        return (
-            self.xi1_const
-            + self.xi1_cos2 * np.cos(2 * theta)
-            + self.xi1_sin2 * np.sin(2 * theta)
-        )
+        return self.k0 + self.k1.real * np.cos(2 * theta) + self.k1.imag * np.sin(2 * theta)
 
     def xi2(self, theta):
-        return (
-            self.xi2_const_x16
-            + self.xi2_cos2_x16 * np.cos(2 * theta)
-            + self.xi2_sin2_x16 * np.sin(2 * theta)
-            + self.xi2_cos4_x16 * np.cos(4 * theta)
-            + self.xi2_sin4_x16 * np.sin(4 * theta)
-        ) / 16.0
+        return (self.a0 + self.a1.real * np.cos(2 * theta) + self.a1.imag * np.sin(2 * theta)
+                + self.a2.real * np.cos(4 * theta) + self.a2.imag * np.sin(4 * theta))
 
     def evaluate(self, lam, theta):
         l2 = lam * lam
@@ -151,43 +141,19 @@ class GeneratingPoly:
 
 
 def generating_poly(bf: BlockForm) -> GeneratingPoly:
-    """Trigonometric coefficients of the generating polynomial of ``bf``.
-
-    Everything is expressed through traces of H, Z and the scalar diagonal
-    parameter, so no eigenvalue computation is involved.
-    """
+    """The w-coefficients of the generating polynomial of ``bf``, from
+    traces of H, Z and the scalar diagonal parameter alone: no eigenvalue
+    computation is involved."""
     h, z = bf.H, bf.Z
-    alpha = bf.alpha
-    tr_h = h.trace().real
-    tr_z = z.trace()
-    tr_h2 = (h @ h).trace().real
-    tr_zzs = (z @ z.H).trace().real
-    tr_zh = (z @ h).trace()
-    det_z = z.det()
-    a2 = alpha * alpha
-    aa = abs(alpha) ** 2
-
-    zeta1 = 8 * aa * a2 + 2 * a2 * tr_h + 4 * aa * tr_z + 2 * tr_z * tr_h - 2 * tr_zh
-    zeta2 = 2 * det_z + 2 * a2 * tr_z + 2 * a2 * a2
-
-    return GeneratingPoly(
-        xi1_const=0.25 * tr_h + aa,
-        xi1_cos2=-(0.5 * tr_z.real + a2.real),
-        xi1_sin2=-(0.5 * tr_z.imag + a2.imag),
-        xi2_const_x16=(
-            6 * aa * aa
-            + 2 * aa * tr_h
-            + 2 * (a2.conjugate() * tr_z).real
-            + 0.5 * tr_h * tr_h
-            - 0.5 * tr_h2
-            + abs(tr_z) ** 2
-            - tr_zzs
-        ),
-        xi2_cos2_x16=-zeta1.real,
-        xi2_sin2_x16=-zeta1.imag,
-        xi2_cos4_x16=zeta2.real,
-        xi2_sin4_x16=zeta2.imag,
-    )
+    tr_h, tr_z, tr_zh = h.trace().real, z.trace(), (z @ h).trace()
+    alpha2, aa = bf.alpha * bf.alpha, abs(bf.alpha) ** 2
+    zeta1 = 8 * aa * alpha2 + 2 * alpha2 * tr_h + 4 * aa * tr_z + 2 * tr_z * tr_h - 2 * tr_zh
+    zeta2 = 2 * z.det() + 2 * alpha2 * tr_z + 2 * alpha2 * alpha2
+    const = (6 * aa * aa + 2 * aa * tr_h + 2 * (alpha2.conjugate() * tr_z).real
+             + 0.5 * tr_h * tr_h - 0.5 * (h @ h).trace().real + abs(tr_z) ** 2
+             - (z @ z.H).trace().real)
+    return GeneratingPoly(k0=0.25 * tr_h + aa, k1=-(0.5 * tr_z + alpha2),
+                          a0=const / 16, a1=zeta1 / -16, a2=zeta2 / 16)
 
 
 @dataclass(frozen=True)

@@ -194,12 +194,13 @@ def compare_boundaries(
 @dataclass(frozen=True)
 class FactorizationResidual:
     """Coefficient mismatch between the generating polynomial and the
-    claimed product of two quadratic factors, maximized over a theta grid.
+    claimed product of two quadratic factors, a bound on the worst
+    mismatch over theta.
 
-    ``linear_max`` is the worst mismatch in the lambda^2 coefficient,
-    ``quadratic_max`` the worst mismatch in the constant coefficient; both
-    are normalized by ``bf.scale()`` at their own degree (2 and 4) and
-    summed into ``total``.
+    ``linear_max`` bounds the mismatch in the lambda^2 coefficient,
+    ``quadratic_max`` the mismatch in the constant coefficient; both are
+    normalized by ``bf.scale()`` at their own degree (2 and 4) and summed
+    into ``total``.
     """
 
     total: float
@@ -213,22 +214,22 @@ def factorization_residual(bf: BlockForm, params: EllipsePairParams) -> Factoriz
     The product ((lam + p sin t)^2 + Omega)((lam - p sin t)^2 + Omega) with
     Omega = x cos 2t + y sin 2t - z matches the generating polynomial iff
     its lambda^2 coefficient equals -xi1 and its constant term equals xi2.
-    Both are compared at 64 equispaced directions at once.
+    In w = e^{-2it}, p^2 sin^2 t + Omega = c + Re(d w) with c = p^2 / 2 - z
+    and d = x - p^2 / 2 + iy, so the product's xi1 is
+    p^2 + 2z - Re((p^2 + 2x + 2iy) w) and its xi2 is
+    c^2 + |d|^2 / 2 + Re(2cd w + d^2 w^2 / 2).  The w-coefficients of
+    :func:`nrcore.generating_poly` are compared with these exactly: a sum
+    of coefficient mismatches bounds the mismatch at every theta, and for
+    the linear one it is the maximum over theta.
     """
     gp = nrcore.generating_poly(bf)
-    p, x, y, z = params.p, params.x, params.y, params.z
+    p2, x, y, z = params.p * params.p, params.x, params.y, params.z
+    c, d = 0.5 * p2 - z, complex(x - 0.5 * p2, y)
     norm2 = bf.scale() ** 2
-    norm4 = norm2 * norm2
-    t = 2.0 * np.pi * np.arange(64) / 64
-    s2 = (p * np.sin(t)) ** 2
-    omega = x * np.cos(2 * t) + y * np.sin(2 * t) - z
-    lin = np.abs(2.0 * (s2 - omega) - gp.xi1(t))
-    quad = np.abs((s2 + omega) ** 2 - gp.xi2(t))
-    return FactorizationResidual(
-        total=float((lin / norm2 + quad / norm4).max()),
-        linear_max=float(lin.max()) / norm2,
-        quadratic_max=float(quad.max()) / norm4,
-    )
+    lin = (abs(gp.k0 - (p2 + 2 * z)) + abs(gp.k1 + complex(p2 + 2 * x, 2 * y))) / norm2
+    quad = (abs(gp.a0 - c * c - 0.5 * abs(d) ** 2) + abs(gp.a1 - 2 * c * d)
+            + abs(gp.a2 - 0.5 * d * d)) / (norm2 * norm2)
+    return FactorizationResidual(total=lin + quad, linear_max=lin, quadratic_max=quad)
 
 
 def commutant_dim(m) -> int:

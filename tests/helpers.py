@@ -624,9 +624,11 @@ def kron_commutant_system(a: np.ndarray) -> np.ndarray:
 def loop_factorization_residual(
     bf: BlockForm, params: EllipsePairParams, grid: int = 64
 ) -> tuple[float, float, float]:
-    """Reference for ``verify.factorization_residual``: (total, linear_max,
-    quadratic_max) from one scalar evaluation per grid direction, with the
-    generating polynomial's coefficients read off ``math`` sines and cosines."""
+    """Sampled reference for ``verify.factorization_residual``: (total,
+    linear_max, quadratic_max) as the worst mismatches over ``grid``
+    equispaced directions, one scalar evaluation each, with the generating
+    polynomial's w-coefficients read off ``math`` sines and cosines.  The
+    coefficient comparison bounds these from above."""
     gp = nrcore.generating_poly(bf)
     p, x, y, z = params.p, params.x, params.y, params.z
     norm2 = bf.scale() ** 2
@@ -636,9 +638,9 @@ def loop_factorization_residual(
         t = 2.0 * math.pi * k / grid
         c2, s2t, c4, s4 = (math.cos(2 * t), math.sin(2 * t),
                            math.cos(4 * t), math.sin(4 * t))
-        xi1 = gp.xi1_const + gp.xi1_cos2 * c2 + gp.xi1_sin2 * s2t
-        xi2 = (gp.xi2_const_x16 + gp.xi2_cos2_x16 * c2 + gp.xi2_sin2_x16 * s2t
-               + gp.xi2_cos4_x16 * c4 + gp.xi2_sin4_x16 * s4) / 16.0
+        xi1 = gp.k0 + gp.k1.real * c2 + gp.k1.imag * s2t
+        xi2 = (gp.a0 + gp.a1.real * c2 + gp.a1.imag * s2t
+               + gp.a2.real * c4 + gp.a2.imag * s4)
         s2 = (p * math.sin(t)) ** 2
         omega = x * c2 + y * s2t - z
         lin = abs(2.0 * (s2 - omega) - xi1)

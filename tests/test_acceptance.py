@@ -241,14 +241,14 @@ def test_criterion_5_identity_suite():
         for i, t in enumerate(thetas):
             lam1, lam2 = pencil_eigs(bf, t)
             sq1, sq2 = lam1 * lam1, lam2 * lam2
-            xi1 = gp.xi1_const + gp.xi1_cos2 * cos2[i] + gp.xi1_sin2 * sin2[i]
+            xi1 = gp.k0 + gp.k1.real * cos2[i] + gp.k1.imag * sin2[i]
             xi2 = (
-                gp.xi2_const_x16
-                + gp.xi2_cos2_x16 * cos2[i]
-                + gp.xi2_sin2_x16 * sin2[i]
-                + gp.xi2_cos4_x16 * cos4[i]
-                + gp.xi2_sin4_x16 * sin4[i]
-            ) / 16.0
+                gp.a0
+                + gp.a1.real * cos2[i]
+                + gp.a1.imag * sin2[i]
+                + gp.a2.real * cos4[i]
+                + gp.a2.imag * sin4[i]
+            )
             # (a) symmetric functions of the pencil eigenvalues
             assert abs(xi1 - (sq1 + sq2)) <= 1e-10 * scale4
             assert abs(xi2 - sq1 * sq2) <= 1e-10 * scale4

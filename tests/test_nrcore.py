@@ -127,16 +127,17 @@ class TestPencilEigs:
 class TestGeneratingPoly:
     def test_zero_structure_coefficients(self):
         # C = D = 0 with unit imaginary diagonal parameter: xi1 = 1 + cos 2t
-        # and 16 xi2 = 6 + 8 cos 2t + 2 cos 4t.
+        # and 16 xi2 = 6 + 8 cos 2t + 2 cos 4t, so k1 = 1, a0 = 6/16,
+        # a1 = 8/16 and a2 = 2/16.
         bf = BlockForm(alpha=1j, C=zeros(2), D=zeros(2))
         gp = generating_poly(bf)
-        assert abs(gp.xi1_const - 1) < 1e-15
-        assert abs(gp.xi1_cos2 - 1) < 1e-15
-        assert abs(gp.xi1_sin2) < 1e-15
-        assert abs(gp.xi2_const_x16 - 6) < 1e-15
-        assert abs(gp.xi2_cos2_x16 - 8) < 1e-15
-        assert abs(gp.xi2_cos4_x16 - 2) < 1e-15
-        assert abs(complex(gp.xi2_cos4_x16, gp.xi2_sin4_x16) - 2) < 1e-15
+        assert abs(gp.k0 - 1) < 1e-15
+        assert abs(gp.k1.real - 1) < 1e-15
+        assert abs(gp.k1.imag) < 1e-15
+        assert abs(gp.a0 - 6 / 16) < 1e-15
+        assert abs(gp.a1.real - 8 / 16) < 1e-15
+        assert abs(gp.a2.real - 2 / 16) < 1e-15
+        assert abs(gp.a2 - 2 / 16) < 1e-15
         for t in np.linspace(0, 2 * math.pi, 17):
             assert gp.xi1(t) >= -1e-15
 
@@ -153,6 +154,28 @@ class TestGeneratingPoly:
                 p = lam1 * lam1 * lam2 * lam2
                 assert abs(gp.xi1(t) - s) <= 1e-10 * scale4
                 assert abs(gp.xi2(t) - p) <= 1e-10 * scale4
+
+    def test_w_coefficients_fit_by_dft(self, rng):
+        # The convention xi1 = k0 + Re(k1 w), xi2 = a0 + Re(a1 w + a2 w^2),
+        # w = e^{-2i theta}, read off LAPACK: xi1 = sum(lam^2) / 2 and
+        # xi2 = prod(lam) over the eigenvalues of Im(e^{-i theta} A0) at 8
+        # equispaced theta in [0, pi), where w runs over the 8th roots of
+        # unity, so a DFT gives a0 = F[0] and a_k = 2 conj(F[k]) exactly.
+        thetas = np.pi * np.arange(8) / 8
+        for _ in range(50):
+            bf = random_block(rng)
+            a = np.array(shift_free_matrix(bf).rows, dtype=complex)
+            rot = np.exp(-1j * thetas)[:, None, None] * a
+            lam = np.linalg.eigvalsh((rot - rot.conj().transpose(0, 2, 1)) / 2j)
+            f1 = np.fft.fft((lam**2).sum(axis=1) / 2) / 8
+            f2 = np.fft.fft(lam.prod(axis=1)) / 8
+            gp = generating_poly(bf)
+            s2 = bf.scale() ** 2
+            assert abs(gp.k0 - f1[0]) <= 1e-12 * s2
+            assert abs(gp.k1 - 2 * f1[1].conjugate()) <= 1e-12 * s2
+            assert abs(gp.a0 - f2[0]) <= 1e-12 * s2 * s2
+            assert abs(gp.a1 - 2 * f2[1].conjugate()) <= 1e-12 * s2 * s2
+            assert abs(gp.a2 - 2 * f2[2].conjugate()) <= 1e-12 * s2 * s2
 
     def test_annihilates_pencil_eigenvalues(self, rng):
         for _ in range(100):

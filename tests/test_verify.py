@@ -42,6 +42,7 @@ from helpers import (
     disguise,
     ellipse_support,
     fig_left_special,
+    fig_right_special,
     forge_verdict,
     general_example_block,
     general_example_matrix,
@@ -265,15 +266,55 @@ class TestFactorizationResidual:
                 assert abs(lhs - rhs) <= 32.0 * bound
 
     def test_matches_loop_reference(self, rng):
-        # The grid is evaluated as arrays; the scalar loop is the reference.
-        for k in range(200):
-            sf = bi_special_any(rng) if k % 2 == 0 else random_special(rng)
-            params = ellipse_pair_params(sf)
-            res = factorization_residual(sf.to_block(), params)
-            ref = loop_factorization_residual(sf.to_block(), params)
+        # The coefficient comparison bounds the sampled reference from
+        # above.  On positives both are within TOL.  On parameters moved by
+        # 1e-6 of scale^deg, and on random (negative) special forms,
+        # loop <= new <= 5 loop field by field: the linear sum is the exact
+        # maximum over theta, and the quadratic one at most 5 sup, since
+        # |a0| <= sup and |a_k| <= 2 sup for k >= 1.  1e-15 is the rounding
+        # of the loop's own evaluation.
+        for _ in range(100):
+            sf = random_special(rng)
+            bf, params = sf.to_block(), ellipse_pair_params(sf)
+            res = factorization_residual(bf, params)
+            ref = loop_factorization_residual(bf, params)
             got = (res.total, res.linear_max, res.quadratic_max)
             for a, b in zip(got, ref):
-                assert abs(a - b) <= 1e-15 * max(abs(b), 1.0)
+                assert b <= a + 1e-15 and a <= 5.0 * b + 1e-15
+            sf = bi_special_any(rng)
+            bf, params = sf.to_block(), ellipse_pair_params(sf)
+            res = factorization_residual(bf, params)
+            assert res.total <= TOL and loop_factorization_residual(bf, params)[0] <= TOL
+            for name, deg in (("p", 1), ("x", 2), ("y", 2), ("z", 2)):
+                moved = getattr(params, name) + 1e-6 * sf.scale() ** deg
+                bad = dataclasses.replace(params, **{name: moved})
+                res = factorization_residual(bf, bad)
+                ref = loop_factorization_residual(bf, bad)
+                got = (res.total, res.linear_max, res.quadratic_max)
+                for a, b in zip(got, ref):
+                    assert b <= a + 1e-15 and a <= 5.0 * b
+
+    def test_gate_strength(self, rng):
+        # The row fails once x, y or z moves by 1e-8 scale^2, or p by
+        # 1e-8 scale: that moves p^2 by about 2e-8 p scale, which the two
+        # linear coefficients see twice over, above TOL for p >= 0.05 scale.
+        forms = [fig_left_special(), fig_right_special()]
+        while len(forms) < 52:
+            sf = bi_special_any(rng)
+            if ellipse_pair_params(sf).p >= 0.05 * sf.scale():
+                forms.append(sf)
+        for sf in forms:
+            bf, params = sf.to_block(), ellipse_pair_params(sf)
+            res = factorization_residual(bf, params)
+            assert res.total <= TOL
+            assert res.total == res.linear_max + res.quadratic_max
+            for name, deg in (("p", 1), ("x", 2), ("y", 2), ("z", 2)):
+                for sign in (1.0, -1.0):
+                    moved = getattr(params, name) + sign * 1e-8 * sf.scale() ** deg
+                    res = factorization_residual(
+                        bf, dataclasses.replace(params, **{name: moved}))
+                    assert res.total > TOL, (name, sign, res)
+                    assert res.total == res.linear_max + res.quadratic_max
 
 
 class TestCommutantDim:
