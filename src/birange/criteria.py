@@ -272,13 +272,16 @@ def reducible_margin(sf: SpecialForm) -> float:
 
 
 def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
-    """The unique coupling entry b > 0 yielding a bi-elliptical range, if any.
+    """The coupling entry b > 0 yielding a bi-elliptical range, if any.
 
-    For nonzero diagonal parameter there is at most one such b.  Candidates:
-    |xi1^2 - xi2^2| / (2|u|) for real alpha, |eta1 - eta2| / |v| for purely
-    imaginary alpha, otherwise the positive roots of Re T = 0, a quadratic
-    in b^2.  A candidate is returned exactly when ``check_special`` accepts
-    it; the 1e-14 and 1e-12 guards are roundoff guards, not decision gates.
+    b^2 is a positive root of k^2 Re T = qa w^2 + qb w + qc, k = 1 + v^2,
+    formed without cancellation; roots are tried in ascending order until
+    ``check_special`` accepts one.  The v = 0 and u = 0 cases give the
+    paper's closed forms |xi1^2 - xi2^2| / (2|u|) when eta1 = eta2 and
+    |eta1 - eta2| / |v| when |b1| = |b2|.  For nonzero alpha at most one b
+    works in exact arithmetic; in floating point the larger, coupling-
+    dominated root is returned only when the smaller one fails.  The 1e-14
+    (alpha = 0) and 1e-12 guards are roundoff guards, not decision gates.
     """
     b1, b2 = complex(b1), complex(b2)
     if abs(u) <= 1e-14 and abs(v) <= 1e-14:
@@ -298,27 +301,19 @@ def solve_b(u: float, v: float, b1: complex, b2: complex) -> float | None:
             return b
         return None
 
-    if abs(v) <= 1e-14:
-        return validated(abs(xi1**2 - xi2**2) / (2.0 * abs(u)))
-
-    if abs(u) <= 1e-14:
-        return validated(abs(eta1 - eta2) / abs(v))
-
     k = 1.0 + v * v
     g = (eta1 - eta2) ** 2
     mm = abs(b1) ** 2 + abs(b2) ** 2
-    q = (abs(b1) * abs(b2)) ** 2
+    # s = |b1|^2 - |b2|^2, so that qc never subtracts two squares.
+    s = (xi1 - xi2) * (xi1 + xi2) + (eta1 - eta2) * (eta1 + eta2)
     qa = v**4
     qb = -(2.0 * v * v * (g - k * mm) + 4.0 * u * u * k)
-    qc = (g - k * mm) ** 2 - 4.0 * u * u * k * g - 4.0 * q * k * k
+    qc = (k * s) ** 2 + g * (g - 2.0 * k * mm - 4.0 * u * u * k)
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0:
         return None
-    root = math.sqrt(disc)
-    candidates = sorted(
-        w for w in ((-qb + root) / (2.0 * qa), (-qb - root) / (2.0 * qa)) if w > 0.0
-    )
-    for w in candidates:
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    for w in sorted(n / d for n, d in ((q, qa), (qc, q)) if d != 0.0 and n / d > 0.0):
         b = validated(math.sqrt(w))
         if b is not None:
             return b

@@ -20,6 +20,7 @@ from birange.criteria import (
     _four_p_squared,
     _normalize_tilt,
     _positive_verdict,
+    check_special,
     golden_min,
     solve_b,
 )
@@ -724,6 +725,31 @@ def check_imag(sf: SpecialForm, frame: Frame | None = None) -> Verdict:
     if not (moduli_ok and match_ok):
         return Verdict(False, Reason.T_NONZERO, None, diagnostics)
     return _positive_verdict(sf, frame, diagnostics)
+
+
+def _validated_b(u: float, v: float, b1: complex, b2: complex, b: float) -> float | None:
+    """b when it clears ``solve_b``'s roundoff floor and ``check_special``
+    accepts the form, else None."""
+    floor = 1e-12 * SpecialForm(u=u, v=v, b1=b1, b2=b2, b=0.0).scale()
+    if not (b > floor) or not math.isfinite(b):
+        return None
+    if check_special(SpecialForm(u=u, v=v, b1=b1, b2=b2, b=b)).bielliptical:
+        return b
+    return None
+
+
+def solve_b_real(u: float, b1: complex, b2: complex) -> float | None:
+    """Reference coupling for real alpha: the closed form
+    |xi1^2 - xi2^2| / (2|u|), validated like ``solve_b``."""
+    xi1, xi2 = complex(b1).real, complex(b2).real
+    return _validated_b(u, 0.0, b1, b2, abs(xi1**2 - xi2**2) / (2.0 * abs(u)))
+
+
+def solve_b_imag(v: float, b1: complex, b2: complex) -> float | None:
+    """Reference coupling for purely imaginary alpha: the closed form
+    |eta1 - eta2| / |v|, validated like ``solve_b``."""
+    eta1, eta2 = complex(b1).imag, complex(b2).imag
+    return _validated_b(0.0, v, b1, b2, abs(eta1 - eta2) / abs(v))
 
 
 def herm_eig2(m: CMatrix) -> tuple[float, float]:

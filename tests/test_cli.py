@@ -639,6 +639,11 @@ class TestSolveB:
         assert code == 0
         assert "b = 1" in out
 
+    def test_first_figure_left_off_the_real_axis(self, capsys):
+        code = main(["solve-b", "0.1", "1e-9", "0.6,-0.2", "0.4,-0.2"])
+        assert code == 0
+        assert capsys.readouterr().out == "b = 1\n"
+
     def test_no_solution(self, capsys):
         code = main(["solve-b", "1", "0", "0.5", "0.5"])
         assert code == 1

@@ -2,6 +2,7 @@ import ast
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,8 @@ from helpers import (
     reciprocal_two_ellipse,
     scalar_unitary_deviation,
     shift_free_matrix,
+    solve_b_imag,
+    solve_b_real,
     spread_residual,
     tangent_envelope_points,
     trace_level_T,
@@ -228,8 +231,10 @@ class TestSolveB:
     @pytest.mark.parametrize("branch", ["v_zero", "u_zero"])
     def test_closed_form_defers_to_check_special(self, branch, rng):
         # Off the entry conditions eta1 = eta2 (v = 0) and |b1| = |b2|
-        # (u = 0) by 1e-12..1e-4, the closed-form candidate is returned
-        # exactly when check_special accepts it.
+        # (u = 0) by 1e-12..1e-4: every returned b is accepted by
+        # check_special, and wherever the paper's closed-form candidate is
+        # accepted a b is returned within 1e-2 of it: off the entry
+        # condition, Re T's root parts from the candidate.
         outcomes = set()
         for _ in range(300):
             eps = 10.0 ** rng.uniform(-12, -4)
@@ -248,9 +253,61 @@ class TestSolveB:
                 candidate = abs(b1.imag - b2.imag) / abs(v)
             sf = SpecialForm(u=u, v=v, b1=b1, b2=b2, b=candidate)
             accepted = check_special(sf).bielliptical
-            assert solve_b(u, v, b1, b2) == (candidate if accepted else None)
+            b = solve_b(u, v, b1, b2)
+            if b is not None:
+                found = SpecialForm(u=u, v=v, b1=b1, b2=b2, b=b)
+                assert check_special(found).bielliptical
+            if accepted:
+                assert b is not None and abs(b - candidate) <= 1e-2 * candidate
             outcomes.add(accepted)
         assert outcomes == {True, False}
+
+    def test_closed_forms_are_its_axis_cases(self, rng):
+        # On the paper's real-case (i) and imaginary families, the one
+        # quadratic gives the closed forms to rounding.  The real closed
+        # form subtracts two squares, so its own rounding, up to
+        # eps (xi1^2 + xi2^2) / (2|u|), is allowed on top.
+        for _ in range(200):
+            sf = bi_special_real_case_i(rng)
+            ref = solve_b_real(sf.u, sf.b1, sf.b2)
+            b = solve_b(sf.u, 0.0, sf.b1, sf.b2)
+            assert ref is not None and b is not None
+            own = math.ulp(1.0) * (sf.xi1**2 + sf.xi2**2) / (2.0 * abs(sf.u))
+            assert abs(b - ref) <= 2e-15 * ref + own
+            sf = bi_special_imag(rng)
+            ref = solve_b_imag(sf.v, sf.b1, sf.b2)
+            b = solve_b(0.0, sf.v, sf.b1, sf.b2)
+            assert ref is not None and b is not None
+            assert abs(b - ref) <= 2e-15 * ref
+
+    @pytest.mark.parametrize("v", [1e-15, 1e-13, 1e-11, 1e-9])
+    def test_first_figure_left_off_the_real_axis(self, v):
+        # Re T's small root b = 1 must not cancel away as v -> 0.
+        b = solve_b(0.1, v, (3 - 1j) / 5, (2 - 1j) / 5)
+        assert b is not None and abs(b - 1.0) <= 1e-12
+
+    def test_general_root_brackets_re_t(self, rng):
+        # k^2 Re T, evaluated exactly from criterion_T's formula with
+        # 4p^2 = (g + w) / k, changes sign within 1e-12 relative of b.
+        def k2_re_t(sf, w):
+            u, v = Fraction(sf.u), Fraction(sf.v)
+            k = 1 + v * v
+            g = (Fraction(sf.eta1) - Fraction(sf.eta2)) ** 2
+            ab1 = Fraction(sf.xi1) ** 2 + Fraction(sf.eta1) ** 2
+            ab2 = Fraction(sf.xi2) ** 2 + Fraction(sf.eta2) ** 2
+            return (
+                (g + w - k * (w + ab1 + ab2)) ** 2
+                - 4 * u * u * k * (g + w)
+                - 4 * k * k * ab1 * ab2
+            )
+
+        eps = Fraction(1, 10**12)
+        for _ in range(400):
+            sf = bi_special_general(rng)
+            b = Fraction(sf.b)
+            lo = k2_re_t(sf, (b * (1 - eps)) ** 2)
+            hi = k2_re_t(sf, (b * (1 + eps)) ** 2)
+            assert lo * hi <= 0
 
     def test_generic_complex_alpha_none(self, rng):
         # With generic entries Im T has no root, so no coupling works.
